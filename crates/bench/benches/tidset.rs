@@ -1,6 +1,6 @@
-//! Micro-benchmarks for the tid-set kernels (ablation ABL2 in DESIGN.md):
-//! packed-bitset operations vs a sorted tid-list alternative, at the paper's
-//! two universe sizes (ALL: 38 transactions; Replace: 4 395).
+//! Micro-benchmarks for the tid-set kernels: packed-bitset operations vs a
+//! sorted tid-list alternative, at the paper's two universe sizes (ALL: 38
+//! transactions; Replace: 4 395).
 
 use cfp_itemset::TidSet;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,4 +1,4 @@
-//! Ablation study: the design choices DESIGN.md calls out.
+//! Ablation study: four design choices of the fusion engine.
 //!
 //! Sweeps, on the intro's Diag40+20 construction (one colossal pattern among
 //! `C(40,20)` mid-sized ones):

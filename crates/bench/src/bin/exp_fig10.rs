@@ -60,17 +60,27 @@ fn main() {
         "pf_pruned_pct",
     ]);
 
-    for &minsup in &supports {
+    // Every Pattern-Fusion run is timed before the first baseline run, as
+    // in exp_fig6: a run timed after a capped baseline absorbs allocator
+    // stalls left by the baseline's heap.
+    let pf_runs: Vec<_> = supports
+        .iter()
+        .map(|&minsup| {
+            let config = FusionConfig::new(k, minsup)
+                .with_pool_max_len(2)
+                .with_seed(0xF1A0 + minsup as u64);
+            let (pf, d_pf) = time(|| PatternFusion::new(db, config).run());
+            eprintln!("minsup={minsup} {}", engine_line(&pf.stats));
+            (pf, d_pf)
+        })
+        .collect();
+
+    for (&minsup, (pf, d_pf)) in supports.iter().zip(pf_runs) {
         let budget = Budget::unlimited().with_time(Duration::from_secs(budget_secs));
         let (mx, d_mx) = time(|| maximal(db, minsup, &budget));
 
         let budget = Budget::unlimited().with_time(Duration::from_secs(budget_secs));
         let (tfp, d_tfp) = time(|| top_k_closed(db, k, min_len, minsup, &budget));
-
-        let config = FusionConfig::new(k, minsup)
-            .with_pool_max_len(2)
-            .with_seed(0xF1A0 + minsup as u64);
-        let (pf, d_pf) = time(|| PatternFusion::new(db, config).run());
 
         table.row(vec![
             minsup.to_string(),
@@ -89,7 +99,6 @@ fn main() {
             secs(d_tfp),
             secs(d_pf)
         );
-        eprintln!("minsup={minsup} {}", engine_line(&pf.stats));
     }
     table.print("Figure 10: run time on ALL vs minimum support (seconds)");
     println!(

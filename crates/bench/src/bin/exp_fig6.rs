@@ -39,17 +39,30 @@ fn main() {
         "pf_pruned_pct",
     ]);
 
-    for &n in sizes {
-        let db = cfp_datagen::diag(n);
-        let minsup = (n / 2).max(1) as usize;
+    // Every Pattern-Fusion run is timed before the first baseline run. A
+    // capped baseline at n ≥ 26 leaves millions of patterns' worth of
+    // allocations in the process heap, and a run timed after it — even
+    // after the baseline's result is dropped — absorbs allocator stalls of
+    // up to a second at whichever n they happen to hit.
+    let dbs: Vec<_> = sizes.iter().map(|&n| cfp_datagen::diag(n)).collect();
+    let minsup_of = |n: u32| (n / 2).max(1) as usize;
+    let pf_runs: Vec<_> = sizes
+        .iter()
+        .zip(&dbs)
+        .map(|(&n, db)| {
+            let config = FusionConfig::new(k, minsup_of(n))
+                .with_pool_max_len(2)
+                .with_seed(0xF166 + n as u64);
+            let (result, d_pf) = time(|| PatternFusion::new(db, config).run());
+            eprintln!("n={n} {}", engine_line(&result.stats));
+            (result, d_pf)
+        })
+        .collect();
 
+    for ((&n, db), (result, d_pf)) in sizes.iter().zip(&dbs).zip(pf_runs) {
+        let minsup = minsup_of(n);
         let budget = Budget::unlimited().with_time(Duration::from_secs(budget_secs));
-        let (out, d_lcm) = time(|| maximal(&db, minsup, &budget));
-
-        let config = FusionConfig::new(k, minsup)
-            .with_pool_max_len(2)
-            .with_seed(0xF166 + n as u64);
-        let (result, d_pf) = time(|| PatternFusion::new(&db, config).run());
+        let (out, d_lcm) = time(|| maximal(db, minsup, &budget));
 
         table.row(vec![
             n.to_string(),
@@ -64,7 +77,6 @@ fn main() {
             format!("{:.1}", result.stats.ball().pruned_fraction() * 100.0),
         ]);
         eprintln!("n={n} done (lcm {}, pf {})", secs(d_lcm), secs(d_pf));
-        eprintln!("n={n} {}", engine_line(&result.stats));
     }
     table.print("Figure 6: run time on Diagn (seconds)");
     println!(

@@ -1,12 +1,13 @@
 //! Figure 8: approximation error on Replace — Δ(AP_Q) by pattern-size
 //! threshold for K ∈ {50, 100, 200}.
 //!
-//! The Replace trace data is simulated by `cfp_datagen::replace_like` (see
-//! DESIGN.md §4): 4 395 transactions, 66 items (57 frequent at σ = 0.03),
-//! three colossal patterns of size 44. The complete closed set is mined
-//! exactly with the LCM-style closed miner; Pattern-Fusion starts from the
-//! complete set of patterns of size ≤ 3 and its result is compared against
-//! the complete set restricted to sizes ≥ x for x in 39..=45.
+//! The Replace trace data is simulated by `cfp_datagen::replace_like` (its
+//! module docs give the substitution rationale): 4 395 transactions, 66 items
+//! (57 frequent at σ = 0.03), three colossal patterns of size 44. The
+//! complete closed set is mined exactly with the LCM-style closed miner;
+//! Pattern-Fusion starts from the complete set of patterns of size ≤ 3 and
+//! its result is compared against the complete set restricted to sizes ≥ x
+//! for x in 39..=45.
 //!
 //! Run: `cargo run --release -p cfp-bench --bin exp_fig8 [--fast]`
 

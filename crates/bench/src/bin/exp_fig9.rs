@@ -1,12 +1,13 @@
 //! Figure 9: mining-result comparison on ALL — complete set vs
 //! Pattern-Fusion, counts by pattern size (> 70).
 //!
-//! The ALL microarray data is simulated by `cfp_datagen::all_like`
-//! (DESIGN.md §4): 38 transactions × 866 items, colossal patterns planted at
-//! support 30 with the paper's size spectrum (110 down to 77). The complete
-//! closed set at support 30 is mined exactly; Pattern-Fusion runs with
-//! K = 100 from the complete pool of patterns of size ≤ 2, exactly like the
-//! paper's setup ("initial pool of 25,760 patterns of size ≤ 2").
+//! The ALL microarray data is simulated by `cfp_datagen::all_like` (its
+//! module docs give the substitution rationale): 38 transactions × 866 items,
+//! colossal patterns planted at support 30 with the paper's size spectrum
+//! (110 down to 77). The complete closed set at support 30 is mined exactly;
+//! Pattern-Fusion runs with K = 100 from the complete pool of patterns of
+//! size ≤ 2, exactly like the paper's setup ("initial pool of 25,760 patterns
+//! of size ≤ 2").
 //!
 //! Run: `cargo run --release -p cfp-bench --bin exp_fig9 [--fast] [--k N]`
 

@@ -1,11 +1,11 @@
 //! Experiment harness for regenerating the paper's figures and tables.
 //!
 //! Each `exp_fig*` binary in `src/bin/` reproduces one artifact of the
-//! paper's evaluation section (see `DESIGN.md` §5 for the index) and prints
-//! the same rows/series the paper reports, plus a CSV block for plotting.
-//! This module holds the shared plumbing: wall-clock timing, budget-aware
-//! result formatting, aligned table printing, and a tiny argument parser
-//! (`--fast` shrinks every experiment to smoke-test scale).
+//! paper's evaluation section (its header names the figure and the run
+//! command) and prints the same rows/series the paper reports, plus a CSV
+//! block for plotting. This module holds the shared plumbing: wall-clock
+//! timing, budget-aware result formatting, aligned table printing, and a tiny
+//! argument parser (`--fast` shrinks every experiment to smoke-test scale).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -58,7 +58,7 @@ use crate::stats::{IndexMaintenance, IterationStats, PoolStats, RunStats};
 use cfp_itemset::{ClosureOperator, TransactionDb, VerticalIndex};
 use cfp_miners::PoolMineStats;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -254,11 +254,6 @@ impl<'a> PatternFusion<'a> {
             patterns: materialize(&store, &final_rows),
             stats,
         }
-    }
-
-    /// The database's vertical index (shared by the closure post-step).
-    pub(crate) fn vertical_index(&self) -> &VerticalIndex {
-        &self.index
     }
 
     /// The unsharded fusion loop over row-id pools, under an explicit
@@ -500,35 +495,42 @@ impl<'a> PatternFusion<'a> {
                     .wrapping_add((iteration as u64) << 32)
                     .wrapping_add(order as u64),
             ));
-            // Bounded breadth: subsample oversized balls (see
-            // `FusionConfig::max_ball_size`).
-            let sampled: Vec<usize>;
-            let ball: &[usize] = if ball.len() > cfg.max_ball_size {
-                sampled = rand::seq::index::sample(&mut seed_rng, ball.len(), cfg.max_ball_size)
-                    .into_iter()
-                    .map(|i| ball[i])
-                    .collect();
-                &sampled
-            } else {
-                ball
-            };
-            let mut out = fuse_ball(
-                store,
-                rows,
-                seed_positions[order],
-                ball,
-                &cfg.fusion_params(),
-                &mut seed_rng,
-            );
-            if cfg.closure_step {
-                let cl = ClosureOperator::new(&self.index);
-                for p in &mut out {
-                    p.items = cl.closure_of_tidset(&p.tids);
-                }
-            }
-            out
+            self.fuse_seed(cfg, store, rows, seed_positions[order], ball, &mut seed_rng)
         });
         (results, ball_stats)
+    }
+
+    /// One seed's fusion under `cfg`, drawing from the caller's per-seed
+    /// `rng`: subsamples a ball larger than `cfg.max_ball_size` (bounded
+    /// breadth), runs [`fuse_ball`], and replaces each output's items by
+    /// their closure when `cfg.closure_step` is on.
+    pub(crate) fn fuse_seed<R: Rng>(
+        &self,
+        cfg: &FusionConfig,
+        store: &PoolStore,
+        rows: &[u32],
+        seed_pos: usize,
+        ball: &[usize],
+        rng: &mut R,
+    ) -> Vec<Pattern> {
+        let sampled: Vec<usize>;
+        let ball: &[usize] = if ball.len() > cfg.max_ball_size {
+            sampled = rand::seq::index::sample(rng, ball.len(), cfg.max_ball_size)
+                .into_iter()
+                .map(|i| ball[i])
+                .collect();
+            &sampled
+        } else {
+            ball
+        };
+        let mut out = fuse_ball(store, rows, seed_pos, ball, &cfg.fusion_params(), rng);
+        if cfg.closure_step {
+            let cl = ClosureOperator::new(&self.index);
+            for p in &mut out {
+                p.items = cl.closure_of_tidset(&p.tids);
+            }
+        }
+        out
     }
 }
 

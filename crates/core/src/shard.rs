@@ -435,7 +435,6 @@ impl PatternFusion<'_> {
             return merged;
         }
         let radius = crate::distance::ball_radius(cfg.tau);
-        let params = cfg.fusion_params();
         let threads = threads_for(cfg);
         let window = cfg.archive_cap.unwrap_or(cfg.k).max(cfg.k).max(1) * 2;
         rank_rows(store, &mut merged);
@@ -517,24 +516,7 @@ impl PatternFusion<'_> {
                     let mut rng = rand::rngs::StdRng::seed_from_u64(splitmix64(
                         cfg.seed ^ REPAIR_SALT ^ ((round as u64) << 32) ^ i as u64,
                     ));
-                    let sampled: Vec<usize>;
-                    let ball: &[usize] = if ball.len() > cfg.max_ball_size {
-                        sampled = rand::seq::index::sample(&mut rng, ball.len(), cfg.max_ball_size)
-                            .into_iter()
-                            .map(|j| ball[j])
-                            .collect();
-                        &sampled
-                    } else {
-                        &ball
-                    };
-                    let mut out =
-                        crate::fusion::fuse_ball(store_ref, space_ref, i, ball, &params, &mut rng);
-                    if cfg.closure_step {
-                        let cl = cfp_itemset::ClosureOperator::new(self.vertical_index());
-                        for p in &mut out {
-                            p.items = cl.closure_of_tidset(&p.tids);
-                        }
-                    }
+                    let out = self.fuse_seed(cfg, store_ref, space_ref, i, &ball, &mut rng);
                     (out, ball_stats)
                 })
             };

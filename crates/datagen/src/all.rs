@@ -26,7 +26,7 @@
 //! budget with analyzable (≤ 29-row overlap) support sets — the real data
 //! achieves it with entangled patterns we cannot reconstruct — so the default
 //! configuration plants 12 patterns spanning the same size range (82–110 plus
-//! two 77s); see DESIGN.md §4.
+//! two 77s).
 
 use crate::planted::PlantedPattern;
 use crate::rows::{RowSampler, SampleSpec};

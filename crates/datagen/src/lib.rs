@@ -6,8 +6,8 @@
 //! not redistributable, so this crate generates statistical stand-ins matched
 //! to every property the paper reports about them (transaction/item counts,
 //! colossal-pattern sizes, complete-set sizes, initial-pool sizes, and the
-//! low-support combinatorial explosion). See `DESIGN.md` §4 for the
-//! substitution rationale.
+//! low-support combinatorial explosion). The module docs of `src/replace.rs`
+//! and `src/all.rs` give each stand-in's substitution rationale.
 //!
 //! All generators are deterministic given a seed.
 //!
