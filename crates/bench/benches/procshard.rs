@@ -1,13 +1,15 @@
 //! Subprocess shard-executor benchmark: the OS-process fan-out
-//! ([`ExecutorKind::Subprocess`], real `cfp shard-worker` children) against
-//! the in-thread sharded engine on the 12 288-pattern clustered pool at
-//! 4 shards.
+//! ([`ExecutorKind::Subprocess`], real `cfp shard-host --stdio` children)
+//! against the in-thread sharded engine on the 12 288-pattern clustered
+//! pool at 4 shards.
 //!
 //! Each measured unit is one complete run. For the in-thread baseline:
 //! partition + per-shard fusion + merge. For the subprocess executor:
-//! additionally the per-shard CFPSLAB spill, one process spawn per
-//! non-empty shard, each worker's dataset + slab load and archive dump,
-//! the stats-record round trip, and the work-directory lifecycle.
+//! additionally the per-shard CFPSLAB spill (the fallback's input), one
+//! process spawn per non-empty shard, the protocol v2 conversation over
+//! each child's pipes (sub-pool frames in; stats record and archive frames
+//! out, every frame CRC-checked on both ends), and the work-directory
+//! lifecycle.
 //!
 //! Headline number, exported to `BENCH_procshard.json`:
 //!
@@ -57,7 +59,7 @@ fn worker_binary() -> std::path::PathBuf {
     }
     panic!(
         "no cfp binary under target/{{release,debug}}: run `cargo build --release` first \
-         (this bench spawns real `cfp shard-worker` children)"
+         (this bench spawns real `cfp shard-host --stdio` children)"
     );
 }
 

@@ -329,7 +329,7 @@ pub mod collection {
 
     use super::{Strategy, TestRunner};
 
-    /// Acceptable size arguments for [`vec`].
+    /// Acceptable size arguments for [`vec`](fn@vec).
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,

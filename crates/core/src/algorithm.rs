@@ -50,6 +50,7 @@
 use crate::ball::{BallIndex, BallQueryStats, PoolDelta};
 use crate::config::FusionConfig;
 use crate::distance::ball_radius;
+use crate::executor::{ExecutorError, ExecutorKind};
 use crate::fusion::fuse_ball;
 use crate::parallel::run_tasks;
 use crate::pattern::Pattern;
@@ -165,7 +166,7 @@ impl<'a> PatternFusion<'a> {
     }
 
     /// The initial pool as a columnar slab — what the engine mines and
-    /// runs on. Pair with [`PatternFusion::run_with_slab`] to sweep many
+    /// runs on. Pair with [`Source::Slab`](crate::Source::Slab) to sweep many
     /// configurations over one mined pool without ever materializing
     /// `Vec<Pattern>`.
     pub fn mine_initial_slab(&self) -> cfp_itemset::PatternPool {
@@ -186,56 +187,49 @@ impl<'a> PatternFusion<'a> {
     /// iterates fusion until at most K patterns remain.
     pub fn run(&self) -> FusionResult {
         let (store, mine) = self.mine_store();
-        self.run_from_store(store, mine)
+        self.run_from_store(store, mine, None)
     }
 
-    /// Runs iterative fusion from a caller-supplied pool (phase 2 only).
-    /// The patterns are copied once into a fresh base slab — the
-    /// compatibility entry for harnesses holding `Vec<Pattern>`; in-engine
-    /// pools never round-trip through owned patterns. Routes through the
-    /// sharded engine ([`crate::shard`]) when `FusionConfig::sharding` asks
-    /// for more than one shard.
-    #[deprecated(note = "use `FusionConfig::engine(&db).mine(Source::Pool(pool))` (crate::engine)")]
-    pub fn run_with_pool(&self, pool: Vec<Pattern>) -> FusionResult {
-        let store = PoolStore::from_patterns(&pool);
-        self.run_from_store(store, PoolMineStats::default())
+    /// The in-thread tail: [`PatternFusion::run_from_store_on`] on the
+    /// in-process backend, which cannot fail. The incremental driver
+    /// ([`crate::delta`]) passes a `prebuilt` ball index carried across
+    /// database generations via [`BallIndex::apply_generation_delta`], so
+    /// only delta-sized index work is paid per append.
+    pub(crate) fn run_from_store(
+        &self,
+        store: PoolStore,
+        mine: PoolMineStats,
+        prebuilt: Option<BallIndex>,
+    ) -> FusionResult {
+        self.run_from_store_on(store, mine, prebuilt, &ExecutorKind::InThread, false)
+            .unwrap_or_else(|e| unreachable!("in-thread executor is infallible: {e}"))
     }
 
-    /// Runs iterative fusion from a caller-supplied **slab** (phase 2
-    /// only): the zero-copy entry — the slab becomes the store's frozen
-    /// base as is. This is what [`PatternFusion::run`] does with the slab
-    /// it mines; external producers (e.g. [`cfp_miners::initial_pool_slab`]
-    /// called ahead of time, or a deserialized pool) use it to skip the
-    /// `Vec<Pattern>` materialization round-trip entirely.
-    #[deprecated(note = "use `FusionConfig::engine(&db).mine(Source::Slab(slab))` (crate::engine)")]
-    pub fn run_with_slab(&self, slab: cfp_itemset::PatternPool) -> FusionResult {
-        self.run_from_store(PoolStore::new(slab), PoolMineStats::default())
-    }
-
-    /// Shared tail of [`PatternFusion::run`] / [`PatternFusion::run_with_pool`]:
-    /// routes sharded (through the in-thread executor backend,
-    /// [`crate::executor`]) vs plain, stamps pool statistics, materializes.
-    pub(crate) fn run_from_store(&self, store: PoolStore, mine: PoolMineStats) -> FusionResult {
-        self.run_from_store_with_index(store, mine, None)
-    }
-
-    /// [`PatternFusion::run_from_store`] with an optional pre-built ball
-    /// index over the store's base rows — the incremental driver
-    /// ([`crate::delta`]) carries one across database generations via
-    /// [`BallIndex::apply_generation_delta`] so only delta-sized index work
-    /// is paid per append. Sharded runs build per-shard indexes and must not
-    /// pass one.
-    pub(crate) fn run_from_store_with_index(
+    /// The one tail behind every pool-resident run — [`PatternFusion::run`],
+    /// [`Engine::mine`](crate::Engine::mine) and the incremental driver:
+    /// route, stamp pool statistics from the live store, materialize. The
+    /// run is partitioned — through the partitioned driver, on `executor` —
+    /// when it has more than one shard, when `partitioned` forces it, or
+    /// when `executor` is not the in-thread backend; otherwise it is the
+    /// plain loop, over the `prebuilt` ball index if one is given (sharded
+    /// runs build one index per shard and must not pass one). The
+    /// out-of-core backend evicts the pool and stamps its own statistics
+    /// instead (`run_oocore_store`).
+    pub(crate) fn run_from_store_on(
         &self,
         mut store: PoolStore,
         mine: PoolMineStats,
         prebuilt: Option<BallIndex>,
-    ) -> FusionResult {
+        executor: &ExecutorKind,
+        partitioned: bool,
+    ) -> Result<FusionResult, ExecutorError> {
         let rows: Vec<u32> = (0..store.base_len() as u32).collect();
-        let (store, final_rows, mut stats) = if self.config.sharding.shards > 1 {
+        let partitioned = partitioned
+            || self.config.sharding.shards > 1
+            || !matches!(executor, ExecutorKind::InThread);
+        let (store, final_rows, mut stats) = if partitioned {
             debug_assert!(prebuilt.is_none(), "sharded runs build one index per shard");
-            self.run_partitioned(store, rows, &crate::executor::ExecutorKind::InThread)
-                .unwrap_or_else(|e| unreachable!("in-thread executor is infallible: {e}"))
+            self.run_partitioned(store, rows, executor)?
         } else {
             let (final_rows, stats) =
                 self.run_rows_with_index(&mut store, rows, &self.config, prebuilt);
@@ -250,10 +244,10 @@ impl<'a> PatternFusion<'a> {
             mine_time: mine.mine_time,
             splice_time: mine.splice_time,
         };
-        FusionResult {
+        Ok(FusionResult {
             patterns: materialize(&store, &final_rows),
             stats,
-        }
+        })
     }
 
     /// The unsharded fusion loop over row-id pools, under an explicit

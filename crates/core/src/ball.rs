@@ -22,7 +22,7 @@
 //!    Backends are bit-identical in results, so none of this is visible in
 //!    output.
 //!
-//! The float prunes are slackened by [`SLACK`] so rounding can only cause a
+//! The float prunes are slackened by `SLACK` so rounding can only cause a
 //! redundant exact check, never a false reject: the engine returns exactly
 //! the brute-force ball, in ascending pool order (a property test in
 //! `tests/ball_determinism.rs` enforces this).
@@ -105,7 +105,7 @@ const PIVOT_SLACK: f64 = 1e-5;
 pub const MIN_LIVE_DENSITY: f64 = 0.5;
 
 /// Compact when the side buffer exceeds this fraction of the main arena
-/// (plus [`SIDE_COMPACT_SLACK`]): the side is rebuilt on every update, so it
+/// (plus `SIDE_COMPACT_SLACK`): the side is rebuilt on every update, so it
 /// must stay small relative to the frozen arena.
 pub const MAX_SIDE_RATIO: f64 = 0.25;
 

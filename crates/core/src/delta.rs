@@ -299,7 +299,7 @@ impl DeltaEngine {
             let strat = cfp_miners::stratified_copy(&self.plain);
             let pf =
                 PatternFusion::with_vertical_index(&self.db, &self.vindex, self.config.clone());
-            pf.run_from_store(PoolStore::new(strat), mine)
+            pf.run_from_store(PoolStore::new(strat), mine, None)
         } else {
             let store = PoolStore::from_shared(
                 Arc::clone(&self.plain),
@@ -324,7 +324,7 @@ impl DeltaEngine {
             self.ball_cache = Some(ball.clone());
             let pf =
                 PatternFusion::with_vertical_index(&self.db, &self.vindex, self.config.clone());
-            pf.run_from_store_with_index(store, mine, Some(ball))
+            pf.run_from_store(store, mine, Some(ball))
         };
 
         stats.elapsed = t0.elapsed();

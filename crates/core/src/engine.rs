@@ -1,13 +1,9 @@
 //! The one front door to the mining engine.
 //!
-//! The entry-point family grew one method per (pool source × execution
-//! backend) pair — `run`, `run_with_pool`, `run_with_slab`,
-//! `run_sharded_with_pool`, `run_sharded_with_slab`, `run_with_executor`,
-//! `run_with_slab_executor`, `run_out_of_core`, `run_out_of_core_with_slab`
-//! — nine names for one two-axis decision. The [`Engine`] facade makes the
-//! axes explicit: *where the pool comes from* is a [`Source`], *what runs
-//! the shards* is an [`ExecutorKind`] override, and [`Engine::mine`] is the
-//! single verb.
+//! Mining is a two-axis decision: *where the pool comes from* is a
+//! [`Source`], *what runs the shards* is an [`ExecutorKind`] override, and
+//! [`Engine::mine`] is the single verb. ([`PatternFusion::run`] remains as
+//! the in-thread shorthand for `mine(Source::Transactions)`.)
 //!
 //! ```
 //! use cfp_core::{FusionConfig, Source};
@@ -18,12 +14,9 @@
 //! assert_eq!(result.max_pattern_len(), 9);
 //! ```
 //!
-//! Every legacy name survives as a thin `#[deprecated]` shim with
-//! unchanged behavior (bit-for-bit — the facade dispatches to the same
-//! internal paths), so downstream code keeps compiling; in-repo callers
-//! are migrated. The `cfp serve` daemon ([`crate::serve`]) builds every
-//! generation through this facade — a daemon reload and a `cfp mine` run
-//! given the same config cannot take different code paths.
+//! The `cfp serve` daemon ([`crate::serve`](mod@crate::serve)) builds
+//! every generation through this facade — a daemon reload and a `cfp mine`
+//! run given the same config cannot take different code paths.
 
 use crate::algorithm::{FusionResult, PatternFusion};
 use crate::config::FusionConfig;
@@ -31,6 +24,7 @@ use crate::executor::{ExecutorError, ExecutorKind};
 use crate::pattern::Pattern;
 use crate::pool::PoolStore;
 use cfp_itemset::{slab_io, PatternPool, SlabIoError, TransactionDb};
+use cfp_miners::PoolMineStats;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -144,33 +138,41 @@ impl<'a> Engine<'a> {
     /// configured backend, returns the materialized result. Infallible
     /// combinations (in-process backend, in-memory source) never return
     /// `Err`.
-    #[allow(deprecated)] // the facade is the one sanctioned caller of the legacy entries
     pub fn mine(&self, source: Source) -> Result<FusionResult, EngineError> {
-        // Normalize the pool sources down to one slab form first; the
-        // backend dispatch below then has one case per backend, not per
-        // (backend × source).
-        let slab = match source {
-            Source::Transactions => {
-                return match &self.executor {
-                    Some(ex) => Ok(self.pf.run_with_executor(ex)?),
-                    None if self.force_partitioned => {
-                        Ok(self.pf.run_sharded_with_slab(self.pf.mine_initial_slab()))
-                    }
-                    None => Ok(self.pf.run()),
-                };
+        // Normalize every source down to one store first; the backend
+        // dispatch below then has one case per backend, not per
+        // (backend × source). Only a mined pool has mine evidence.
+        let (store, mine) = match source {
+            Source::Transactions => self.pf.mine_store(),
+            // One copy into a fresh base slab.
+            Source::Pool(patterns) => (
+                PoolStore::from_patterns(&patterns),
+                PoolMineStats::default(),
+            ),
+            Source::Slab(slab) => (PoolStore::new(slab), PoolMineStats::default()),
+            Source::SlabFile(path) => {
+                let slab = slab_io::load_slab_path(&path)
+                    .map_err(|error| EngineError::SlabLoad { path, error })?;
+                (PoolStore::new(slab), PoolMineStats::default())
             }
-            // One copy into a fresh base slab — exactly `run_with_pool`'s
-            // compat copy-in.
-            Source::Pool(patterns) => PoolStore::from_patterns(&patterns).into_base(),
-            Source::Slab(slab) => slab,
-            Source::SlabFile(path) => slab_io::load_slab_path(&path)
-                .map_err(|error| EngineError::SlabLoad { path, error })?,
         };
-        match &self.executor {
-            Some(ex) => Ok(self.pf.run_with_slab_executor(slab, ex)?),
-            None if self.force_partitioned => Ok(self.pf.run_sharded_with_slab(slab)),
-            None => Ok(self.pf.run_with_slab(slab)),
-        }
+        // An explicit executor decides the routing itself (the in-thread
+        // one partitions only a sharded config); `partitioned()` forces
+        // the partitioned driver on the default backend.
+        let (executor, partitioned) = match &self.executor {
+            Some(ex) => (ex, false),
+            None => (&ExecutorKind::InThread, self.force_partitioned),
+        };
+        let result = match executor {
+            ExecutorKind::OutOfCore(oo) => self
+                .pf
+                .run_oocore_store(store, mine, oo)
+                .map_err(ExecutorError::Disk)?,
+            ex => self
+                .pf
+                .run_from_store_on(store, mine, None, ex, partitioned)?,
+        };
+        Ok(result)
     }
 }
 

@@ -13,66 +13,66 @@
 //!
 //! * [`ExecutorKind::InThread`] — shards as tasks on the in-process
 //!   work-stealing pool, reading the shared frozen slab through forks
-//!   (zero copies; the historical `run_sharded_*` engine);
+//!   (zero copies);
 //! * [`ExecutorKind::OutOfCore`] — shards as spilled slab files mined in
-//!   budgeted batches with the pool evicted (the historical
-//!   [`crate::oocore`] driver, now an executor instead of a parallel code
-//!   path);
-//! * [`ExecutorKind::Subprocess`] — shards as **OS processes**: each
-//!   sub-pool is spilled as a CFPSLAB file, a `cfp shard-worker` child is
-//!   spawned per shard, and the parent reads back an archive slab plus a
-//!   serialized stats record. Crash isolation per shard — a dead worker
-//!   surfaces as a typed [`ExecutorError::Worker`], never a hang or a
-//!   corrupt merge, with an opt-in in-process fallback
+//!   budgeted batches with the pool evicted (the [`crate::oocore`]
+//!   driver);
+//! * [`ExecutorKind::Subprocess`] — shards as **OS processes**: one
+//!   `cfp shard-host --stdio` child per non-empty shard, spoken to in
+//!   worker interchange protocol v2 ([`crate::net`]) over its stdin and
+//!   stdout — the sub-pool streams in as CRC-checked frames, the stats
+//!   record and the archive slab stream back. Crash isolation per shard:
+//!   a dead or stalled worker surfaces as a typed
+//!   [`ExecutorError::Worker`], never a hang or a corrupt merge, with an
+//!   opt-in in-process fallback
 //!   ([`SubprocessConfig::fallback_in_process`]);
-//! * [`ExecutorKind::Remote`] — shards as **network workers**: sub-pools
-//!   stream over TCP to `cfp shard-host` processes as CRC-checked frames,
-//!   with per-phase deadlines, deterministic retry/backoff, and in-thread
-//!   fallback from the spilled slab when a shard exhausts its attempts
-//!   (see [`crate::net`]).
+//! * [`ExecutorKind::Remote`] — the same protocol over TCP to
+//!   `cfp shard-host` processes, with per-phase deadlines, deterministic
+//!   retry/backoff, and in-thread fallback when a shard exhausts its
+//!   attempts (see [`crate::net`]).
 //!
 //! # Bit-identity across backends
 //!
-//! Every backend returns the same [`ShardRun`] data for the same config:
-//! shard assignment is a pure function of pool content, a spilled shard
-//! slab preserves the sub-pool's row order, each shard runs the identical
-//! per-shard config ([`shard_config`]) over identical content, and archives
-//! travel as owned patterns whose interning restores row identity in the
-//! merge store. `tests/oocore_equivalence.rs` proves it for the out-of-core
-//! backend and `tests/procshard.rs` (workspace root) for the subprocess
-//! backend: itemsets, support sets, AND per-shard counters are bit-equal to
-//! the in-thread engine for both partition strategies at any shard and
-//! thread count.
+//! Every backend returns the same per-shard data for the same config:
+//! shard assignment is a pure function of pool content, a spilled or
+//! streamed shard slab preserves the sub-pool's row order, each shard runs
+//! the identical derived per-shard config over identical content, and
+//! archives travel as owned patterns whose interning restores row identity
+//! in the merge store. `tests/oocore_equivalence.rs` proves it for the
+//! out-of-core backend and `tests/procshard.rs` / `tests/netshard.rs`
+//! (workspace root) for the process and remote backends: itemsets, support
+//! sets, AND per-shard counters are bit-equal to the in-thread engine for
+//! both partition strategies at any shard and thread count.
 //!
-//! # The worker protocol (version 1)
+//! # One worker protocol
 //!
-//! The on-disk and on-pipe interchange between the parent and a
-//! `cfp shard-worker` child is specified next to the CFPSLAB format it
-//! rides on — see the *worker interchange protocol* section of
-//! [`cfp_itemset::store`]'s module docs. In short: request as argv
-//! ([`WorkerRequest`]), sub-pool in as a CFPSLAB file, archive out as a
-//! CFPSLAB file, counters out as a `cfp-shard-worker 1` handshake plus
-//! `key value` lines on stdout ([`WorkerStats`]), typed exit codes.
+//! Both process-based backends speak protocol v2, specified next to the
+//! CFPSLAB format it carries (the *worker interchange protocol* section of
+//! [`cfp_itemset::store`]'s module docs). They differ only in transport
+//! and supervision: the subprocess executor talks over a child's pipes and
+//! kills a child that outlives its deadline; the remote executor dials a
+//! socket with per-phase deadlines and retries. Both spill each non-empty
+//! sub-pool to a CFPSLAB file first — the in-process fallback's input.
 
 use crate::algorithm::{threads_for, PatternFusion};
-use crate::ball::{BallQueryStats, MAX_PIVOTS};
 use crate::config::FusionConfig;
-use crate::net::{NetError, RemoteConfig};
+use crate::net::{converse, NetError, NetRequest, RemoteConfig};
 use crate::oocore::{OocoreConfig, OocoreError};
 use crate::parallel::run_tasks;
-use crate::pattern::Pattern;
 use crate::pool::PoolStore;
 use crate::shard::{apportion_seeds, partition, shard_seed, MergePattern, Sharding};
-use crate::stats::{RunStats, ShardStats};
+use crate::stats::{NetStats, RunStats, ShardStats};
 use cfp_itemset::{slab_io, PatternPool, SlabIoError};
 use std::fmt;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::{self, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
-/// Distinguishes concurrently running subprocess executors' work
-/// directories within one parent process (the name also carries the pid).
+/// Distinguishes concurrently running executors' spill directories within
+/// one parent process (the name also carries the pid).
 static WORK_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Which backend executes the shards of a partitioned run.
@@ -84,7 +84,8 @@ pub enum ExecutorKind {
     /// Shards as spilled slab files mined in memory-budgeted batches
     /// (the [`crate::oocore`] driver).
     OutOfCore(OocoreConfig),
-    /// Shards as `cfp shard-worker` OS processes exchanging CFPSLAB files.
+    /// Shards as `cfp shard-host --stdio` child processes speaking
+    /// protocol v2 over their pipes.
     Subprocess(SubprocessConfig),
     /// Shards as remote `cfp shard-host` workers over TCP (see
     /// [`crate::net`]). The worker list must be non-empty.
@@ -124,21 +125,21 @@ impl ExecutorKind {
 pub struct SubprocessConfig {
     /// The worker executable. `None` → the current executable
     /// (`std::env::current_exe`), which is how the `cfp` binary re-invokes
-    /// itself as `cfp shard-worker`.
+    /// itself as `cfp shard-host --stdio`.
     pub worker_cmd: Option<PathBuf>,
-    /// Where shard and archive slabs go; `None` → a unique directory under
-    /// the system temp dir, removed when the run finishes. A user-supplied
-    /// directory must be empty (same contract as
+    /// Where the shard slabs are spilled (the fallback's input); `None` →
+    /// a unique directory under the system temp dir, removed when the run
+    /// finishes. A user-supplied directory must be empty (same contract as
     /// [`OocoreConfig::spill_dir`]).
     pub work_dir: Option<PathBuf>,
     /// Keep the work directory after the run (for inspection).
     pub keep_work: bool,
     /// Re-run a shard in-process (bit-identically, from its spilled slab)
-    /// when its worker dies, instead of failing the run.
+    /// when its worker fails, instead of failing the run.
     pub fallback_in_process: bool,
-    /// Dataset path shipped to workers so they can rebuild the vertical
-    /// index. Required only when `closure_step` is on; the fusion loop
-    /// itself never consults the database.
+    /// Dataset path handed to workers (`--db`) so they can rebuild the
+    /// vertical index. Required, and passed on, only when `closure_step`
+    /// is on; the fusion loop itself never consults the database.
     pub db_path: Option<PathBuf>,
     /// Deadline for one worker, measured from its spawn. A worker still
     /// running past it is killed and surfaced as a timed-out
@@ -183,7 +184,8 @@ impl SubprocessConfig {
         self
     }
 
-    /// Ships a dataset path to workers (required for `closure_step`).
+    /// Hands a dataset path to closure-step workers (required for
+    /// `closure_step`).
     pub fn with_db_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.db_path = Some(path.into());
         self
@@ -217,8 +219,9 @@ impl SubprocessConfig {
 pub const DEFAULT_WORKER_DEADLINE: Duration = Duration::from_secs(600);
 
 /// A shard worker that did not deliver: spawn failure, death (killed or
-/// non-zero exit), or a protocol violation (bad handshake, missing or
-/// invalid archive slab, stats record that does not parse).
+/// non-zero exit), a blown deadline, or a protocol violation (corrupt
+/// frame, stats record that does not parse, archive that does not match
+/// it).
 #[derive(Debug)]
 pub struct WorkerFailure {
     /// Which shard's worker failed.
@@ -469,89 +472,11 @@ impl Drop for SpillDirGuard {
 }
 
 impl PatternFusion<'_> {
-    /// Runs the full algorithm (mine + fuse) through the given executor.
-    /// With [`ExecutorKind::InThread`] this is exactly [`PatternFusion::run`];
-    /// the other backends are bit-identical to it at the same config (see
-    /// the module docs).
-    #[deprecated(
-        note = "use `FusionConfig::engine(&db).with_executor(ex).mine(Source::Transactions)` (crate::engine)"
-    )]
-    #[allow(deprecated)] // shim body still routes through its deprecated siblings
-    pub fn run_with_executor(
-        &self,
-        executor: &ExecutorKind,
-    ) -> Result<crate::algorithm::FusionResult, ExecutorError> {
-        match executor {
-            ExecutorKind::OutOfCore(oo) => self.run_out_of_core(oo).map_err(ExecutorError::Disk),
-            _ => {
-                let (store, mine) = self.mine_store();
-                self.run_executor_store(store, mine, executor)
-            }
-        }
-    }
-
-    /// [`PatternFusion::run_with_executor`] from a caller-supplied slab
-    /// (phase 2 only) — the executor-parameterized counterpart of
-    /// [`PatternFusion::run_with_slab`].
-    #[deprecated(
-        note = "use `FusionConfig::engine(&db).with_executor(ex).mine(Source::Slab(slab))` (crate::engine)"
-    )]
-    #[allow(deprecated)] // shim body still routes through its deprecated siblings
-    pub fn run_with_slab_executor(
-        &self,
-        slab: PatternPool,
-        executor: &ExecutorKind,
-    ) -> Result<crate::algorithm::FusionResult, ExecutorError> {
-        match executor {
-            ExecutorKind::OutOfCore(oo) => self
-                .run_out_of_core_with_slab(slab, oo)
-                .map_err(ExecutorError::Disk),
-            _ => self.run_executor_store(
-                PoolStore::new(slab),
-                cfp_miners::PoolMineStats::default(),
-                executor,
-            ),
-        }
-    }
-
-    /// Shared tail of the executor entries for the pool-resident backends:
-    /// route through the partitioned driver, stamp pool statistics from
-    /// the live store (the same stamping as `run_from_store`), materialize.
-    fn run_executor_store(
-        &self,
-        store: PoolStore,
-        mine: cfp_miners::PoolMineStats,
-        executor: &ExecutorKind,
-    ) -> Result<crate::algorithm::FusionResult, ExecutorError> {
-        if matches!(executor, ExecutorKind::InThread) {
-            // The in-thread executor at any shard count is the historical
-            // engine; `run_from_store` also routes the unsharded config to
-            // the plain loop.
-            return Ok(self.run_from_store(store, mine));
-        }
-        let rows: Vec<u32> = (0..store.base_len() as u32).collect();
-        let (store, merged, mut stats) = self.run_partitioned(store, rows, executor)?;
-        stats.pool = crate::stats::PoolStats {
-            rows: store.len_rows(),
-            initial_rows: store.base_len(),
-            tid_bytes: store.tid_bytes(),
-            peak_bytes: store.resident_bytes(),
-            mine_workers: mine.workers,
-            mine_time: mine.mine_time,
-            splice_time: mine.splice_time,
-        };
-        Ok(crate::algorithm::FusionResult {
-            patterns: crate::pool::materialize(&store, &merged),
-            stats,
-        })
-    }
-
     /// The unified partitioned driver: partition the pool, derive per-shard
     /// seed budgets, hand the plan to the backend, then run the shared
     /// deterministic merge + boundary repair over whatever store the
-    /// backend returned. Every sharded entry point
-    /// (`run_sharded_*`, `run_out_of_core*`, the executor entries) funnels
-    /// through here.
+    /// backend returned. Every partitioned run — whatever its source and
+    /// backend — funnels through here.
     pub(crate) fn run_partitioned(
         &self,
         store: PoolStore,
@@ -655,12 +580,14 @@ impl PatternFusion<'_> {
         }
     }
 
-    /// The subprocess backend: spill each shard sub-pool as a CFPSLAB file
-    /// (streamed from the base slab's borrows — nothing is materialized to
-    /// send), spawn one `cfp shard-worker` per non-empty shard, then
-    /// collect archives and stats records in shard order. The parent store
-    /// stays resident, so the merge interns worker archives straight into
-    /// it — identical row identity to the in-thread engine.
+    /// The subprocess backend: spill the sub-pools (the fallback's input),
+    /// spawn one `cfp shard-host --stdio` child per non-empty shard, and
+    /// run the protocol v2 conversation over each child's pipes on a scoped
+    /// thread — the same conversation the remote backend runs over TCP.
+    /// Workers are collected in shard order, each bounded by its deadline
+    /// from spawn. The parent store stays resident, so the merge interns
+    /// worker archives straight into it — identical row identity to the
+    /// in-thread engine.
     fn execute_subprocess(
         &self,
         store: PoolStore,
@@ -675,104 +602,119 @@ impl PatternFusion<'_> {
                     .into(),
             ));
         }
-        let dir = match &sp.work_dir {
-            Some(d) => d.clone(),
-            None => std::env::temp_dir().join(format!(
-                "cfp-procshard-{}-{}",
-                std::process::id(),
-                WORK_SEQ.fetch_add(1, Ordering::Relaxed)
-            )),
-        };
-        prepare_spill_dir(&dir, sp.work_dir.is_some())?;
-        let _cleanup = SpillDirGuard {
-            dir: dir.clone(),
-            keep: sp.keep_work,
-        };
+        let (spill, sub_rows) = spill_sub_pools(
+            &store,
+            plan,
+            sp.work_dir.as_deref(),
+            sp.keep_work,
+            "cfp-procshard",
+        )?;
         let worker = match &sp.worker_cmd {
             Some(cmd) => cmd.clone(),
             None => std::env::current_exe().map_err(|e| ExecutorError::Disk(e.into()))?,
         };
-
-        // Ship: spill every non-empty shard's sub-pool, row-streamed from
-        // the shared base slab, then launch its worker.
-        let base = store.base_pool();
-        let mut launches: Vec<Launch> = Vec::with_capacity(plan.n);
-        for s in 0..plan.n {
-            let sub_rows = plan.sub_rows(s);
-            if sub_rows.is_empty() {
-                launches.push(Launch::Empty);
-                continue;
-            }
-            let input = shard_slab_path(&dir, s);
-            if let Err(e) = slab_io::dump_slab_rows_path(base, &sub_rows, &input) {
-                abort_workers(&mut launches);
-                return Err(e.into());
-            }
-            let req = WorkerRequest {
-                shard: s,
-                shards: plan.n,
-                input,
-                output: archive_slab_path(&dir, s),
-                config: shard_config(cfg, plan.seed_budget[s], s, plan.n),
-                db: sp.db_path.clone(),
-            };
-            let mut cmd = Command::new(&worker);
-            cmd.arg("shard-worker")
-                .args(req.to_args())
-                .stdin(Stdio::null())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::piped());
-            if let Some(spec) = &sp.fault {
-                // Forwarded on the child's environment only — never set on
-                // the parent process (tests run concurrently).
-                cmd.env("CFP_FAULT", spec);
-            }
-            launches.push(match cmd.spawn() {
-                Ok(child) => Launch::Running(child, sub_rows.len(), Instant::now()),
-                Err(e) => Launch::Failed(WorkerFailure {
-                    shard: s,
-                    exit: None,
-                    detail: format!("failed to spawn {}: {e}", worker.display()),
-                    timed_out: false,
-                }),
-            });
-        }
-
-        // Collect in shard order. On the first failure without fallback,
-        // kill the remaining workers before surfacing the typed error —
-        // a dead worker must never leave the parent waiting or merging
-        // partial state.
         let deadline = sp.deadline();
-        let mut runs: Vec<ShardRun> = Vec::with_capacity(plan.n);
-        let mut fatal: Option<WorkerFailure> = None;
-        for (s, launch) in launches.into_iter().enumerate() {
-            if fatal.is_some() {
-                if let Launch::Running(mut child, _, _) = launch {
-                    let _ = child.kill();
-                    let _ = child.wait();
+        let base = store.base_pool();
+        let runs = thread::scope(|scope| {
+            // Per shard: no worker (empty shard), a running one, or a
+            // spawn failure — surfaced at collection time so earlier
+            // shards still collect (or fall back) first.
+            let launches: Vec<Result<Option<Worker>, WorkerFailure>> = (0..plan.n)
+                .map(|s| {
+                    if sub_rows[s].is_empty() {
+                        return Ok(None);
+                    }
+                    let mut cmd = Command::new(&worker);
+                    cmd.args(["shard-host", "--stdio"])
+                        .stdin(Stdio::piped())
+                        .stdout(Stdio::piped())
+                        .stderr(Stdio::piped());
+                    if let (true, Some(db)) = (cfg.closure_step, &sp.db_path) {
+                        // Only the closure step reads the dataset; any
+                        // other worker would parse the whole file for
+                        // nothing.
+                        cmd.arg("--db").arg(db);
+                    }
+                    if let Some(spec) = &sp.fault {
+                        // Forwarded on the child's environment only — never
+                        // set on the parent process (tests run concurrently).
+                        cmd.env("CFP_FAULT", spec);
+                    }
+                    let mut child = match cmd.spawn() {
+                        Ok(child) => Reaped(child),
+                        Err(e) => {
+                            return Err(WorkerFailure {
+                                shard: s,
+                                exit: None,
+                                detail: format!("failed to spawn {}: {e}", worker.display()),
+                                timed_out: false,
+                            })
+                        }
+                    };
+                    let spawned = Instant::now();
+                    let (stdin, stdout, stderr) = (
+                        child.0.stdin.take().expect("piped stdin"),
+                        child.0.stdout.take().expect("piped stdout"),
+                        child.0.stderr.take().expect("piped stderr"),
+                    );
+                    let req = NetRequest {
+                        shard: s,
+                        shards: plan.n,
+                        attempt: 0,
+                        config: shard_config(cfg, plan.seed_budget[s], s, plan.n),
+                    };
+                    let sub_rows = &sub_rows[s];
+                    let talk = scope.spawn(move || {
+                        let mut r = io::BufReader::new(stdout);
+                        let w = io::BufWriter::new(stdin);
+                        let talked =
+                            converse(&mut r, w, &req, base, sub_rows, &mut NetStats::default());
+                        if talked.is_err() {
+                            // Read the child out to its exit, so it never
+                            // dies of the parent hanging up: its exit
+                            // status and stderr then name the failure.
+                            let _ = io::copy(&mut r, &mut io::sink());
+                        }
+                        (talked, spawned.elapsed())
+                    });
+                    // Drained on its own thread: a chatty child must never
+                    // block on a full stderr pipe.
+                    let errs = scope.spawn(move || {
+                        let mut buf = Vec::new();
+                        let _ = { stderr }.read_to_end(&mut buf);
+                        buf
+                    });
+                    Ok(Some(Worker {
+                        child,
+                        spawned,
+                        talk,
+                        errs,
+                    }))
+                })
+                .collect();
+            // Collect in shard order. Returning early — the first failure
+            // without fallback, or a fallback that cannot load its slab —
+            // drops the remaining launches, which kills their children: a
+            // dead worker never leaves the parent waiting on the others.
+            let mut runs = Vec::with_capacity(plan.n);
+            for (s, launch) in launches.into_iter().enumerate() {
+                let outcome = match launch {
+                    Ok(None) => Ok(empty_shard_run(s, Duration::ZERO)),
+                    Ok(Some(worker)) => worker.finish(s, deadline),
+                    Err(wf) => Err(wf),
+                };
+                match outcome {
+                    Ok(run) => runs.push(run),
+                    // Bit-identical recovery: the shard's slab is on disk;
+                    // mine it here under the same derived config.
+                    Err(_) if sp.fallback_in_process => {
+                        runs.push(self.fallback_shard(s, plan, &spill.dir)?)
+                    }
+                    Err(wf) => return Err(ExecutorError::Worker(wf)),
                 }
-                continue;
             }
-            let outcome = match launch {
-                Launch::Empty => Ok(empty_shard_run(s, std::time::Duration::default())),
-                Launch::Failed(wf) => Err(wf),
-                Launch::Running(child, pool_size, t0) => {
-                    collect_worker(s, child, pool_size, &dir, t0, deadline)
-                }
-            };
-            match outcome {
-                Ok(run) => runs.push(run),
-                Err(_) if sp.fallback_in_process => {
-                    // Bit-identical recovery: the shard's slab is still on
-                    // disk; mine it here under the same derived config.
-                    runs.push(self.fallback_shard(s, plan, &dir)?);
-                }
-                Err(wf) => fatal = Some(wf),
-            }
-        }
-        if let Some(wf) = fatal {
-            return Err(ExecutorError::Worker(wf));
-        }
+            Ok(runs)
+        })?;
         Ok(ShardExecution {
             pool_rows: plan.rows.to_vec(),
             store,
@@ -780,7 +722,7 @@ impl PatternFusion<'_> {
         })
     }
 
-    /// In-process recovery for one dead worker: reload the shard slab it
+    /// In-process recovery for one failed worker: reload the shard slab it
     /// was given and run the identical per-shard loop here. Same sub-pool
     /// content and order, same derived config — bit-identical output.
     /// Shared by the subprocess and remote executors (graceful degradation
@@ -793,608 +735,174 @@ impl PatternFusion<'_> {
     ) -> Result<ShardRun, ExecutorError> {
         let t0 = Instant::now();
         let slab = slab_io::load_slab_path(shard_slab_path(dir, s))?;
-        let pool_size = slab.len();
-        let mut shard_store = PoolStore::new(slab);
         let scfg = shard_config(self.config(), plan.seed_budget[s], s, plan.n);
-        let sub_rows: Vec<u32> = (0..pool_size as u32).collect();
-        let (out_rows, run) = self.run_rows_with(&mut shard_store, sub_rows, &scfg);
+        let (shard_store, out_rows, mut stats) = self.mine_shard_slab(slab, &scfg, s);
+        stats.elapsed = t0.elapsed();
         Ok(ShardRun {
-            stats: shard_stats_of(s, pool_size, out_rows.len(), &run, t0.elapsed()),
+            stats,
             outputs: out_rows
                 .iter()
                 .map(|&r| MergePattern::Owned(shard_store.pattern(r)))
                 .collect(),
         })
     }
-}
 
-/// A launched (or not) shard worker, collected in shard order.
-enum Launch {
-    /// Empty shard: no worker, synthesized empty run.
-    Empty,
-    /// A live child with its sub-pool size and spawn time.
-    Running(Child, usize, Instant),
-    /// Spawn already failed; surfaced at collection time so earlier
-    /// shards still collect (or fall back) first.
-    Failed(WorkerFailure),
-}
-
-/// Kills and reaps every still-running worker (spawn-phase bailout).
-fn abort_workers(launches: &mut [Launch]) {
-    for l in launches.iter_mut() {
-        if let Launch::Running(child, _, _) = l {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+    /// Runs shard `s`'s loop over its sub-pool slab, rows in slab order,
+    /// under the derived config `scfg` — the body behind both a worker
+    /// host's mine phase ([`crate::net`]) and the in-process fallback.
+    /// Returns the shard's store, its output rows in order, and its
+    /// counters (`elapsed` left for the caller to stamp).
+    pub(crate) fn mine_shard_slab(
+        &self,
+        slab: PatternPool,
+        scfg: &FusionConfig,
+        s: usize,
+    ) -> (PoolStore, Vec<u32>, ShardStats) {
+        let pool_size = slab.len();
+        let mut store = PoolStore::new(slab);
+        let (out_rows, run) = if pool_size == 0 {
+            // Mirror the in-thread engine's empty-shard synthesis
+            // (executors never ship an empty shard, but a hand-driven host
+            // must agree).
+            let empty = RunStats {
+                converged: true,
+                ..Default::default()
+            };
+            (Vec::new(), empty)
+        } else {
+            self.run_rows_with(&mut store, (0..pool_size as u32).collect(), scfg)
+        };
+        let stats = shard_stats_of(s, pool_size, out_rows.len(), &run, Duration::ZERO);
+        (store, out_rows, stats)
     }
 }
 
-/// The shard sub-pool slab the parent ships to worker `s` — one naming
-/// scheme across the out-of-core, subprocess, and remote executors, so the
+/// Spills every non-empty shard's sub-pool as a CFPSLAB file, streamed
+/// row-wise from the base slab — the in-process fallback's input for the
+/// subprocess and remote executors. Returns the directory's cleanup guard
+/// (the directory is `work_dir`, which must be empty, or a fresh
+/// `<prefix>-<pid>-<seq>` under the system temp dir) and each shard's
+/// sub-pool as base row ids (empty shards spill nothing).
+pub(crate) fn spill_sub_pools(
+    store: &PoolStore,
+    plan: &ShardPlan,
+    work_dir: Option<&Path>,
+    keep: bool,
+    prefix: &str,
+) -> Result<(SpillDirGuard, Vec<Vec<u32>>), ExecutorError> {
+    let dir = match work_dir {
+        Some(d) => d.to_path_buf(),
+        None => std::env::temp_dir().join(format!(
+            "{prefix}-{}-{}",
+            std::process::id(),
+            WORK_SEQ.fetch_add(1, Ordering::Relaxed)
+        )),
+    };
+    prepare_spill_dir(&dir, work_dir.is_some())?;
+    let guard = SpillDirGuard { dir, keep };
+    let base = store.base_pool();
+    let mut sub_rows = Vec::with_capacity(plan.n);
+    for s in 0..plan.n {
+        let sub = plan.sub_rows(s);
+        if !sub.is_empty() {
+            slab_io::dump_slab_rows_path(base, &sub, shard_slab_path(&guard.dir, s))?;
+        }
+        sub_rows.push(sub);
+    }
+    Ok((guard, sub_rows))
+}
+
+/// The shard sub-pool slab spilled for shard `s` — one naming scheme
+/// across the out-of-core, subprocess, and remote executors, so the
 /// in-process fallback always finds the spilled sub-pool.
 pub(crate) fn shard_slab_path(dir: &Path, s: usize) -> PathBuf {
     dir.join(format!("shard-{s}.slab"))
 }
 
-/// The archive slab worker `s` writes back.
-fn archive_slab_path(dir: &Path, s: usize) -> PathBuf {
-    dir.join(format!("archive-{s}.slab"))
+/// A spawned worker child, killed and reaped when dropped: whichever path
+/// leaves the executor, no child outlives the run (killing one that has
+/// already exited is a no-op).
+struct Reaped(Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
 }
 
-/// Drains a piped child stream on its own thread — `try_wait` polling must
-/// never share a thread with pipe reads, or a chatty child filling the
-/// pipe deadlocks against a parent waiting on exit.
-fn drain_pipe<R: std::io::Read + Send + 'static>(
-    pipe: Option<R>,
-) -> std::thread::JoinHandle<Vec<u8>> {
-    std::thread::spawn(move || {
-        let mut buf = Vec::new();
-        if let Some(mut r) = pipe {
-            let _ = r.read_to_end(&mut buf);
-        }
-        buf
-    })
+/// What a worker's conversation thread returns: the shard's run (or the
+/// typed wire failure) and the time from spawn to the end of the
+/// conversation.
+type Talk = (Result<ShardRun, NetError>, Duration);
+
+/// One running worker: the child, its spawn time, the thread conversing
+/// over its pipes, and the thread draining its stderr.
+struct Worker<'scope> {
+    child: Reaped,
+    spawned: Instant,
+    talk: ScopedJoinHandle<'scope, Talk>,
+    errs: ScopedJoinHandle<'scope, Vec<u8>>,
 }
 
-/// Waits for worker `s` **bounded by `deadline`** (from its spawn time),
-/// validates the handshake + stats record on its stdout, and loads its
-/// archive slab as owned merge patterns. A worker still running at the
-/// deadline is killed and surfaced as a timed-out [`WorkerFailure`]; any
-/// other deviation — death, non-zero exit, unparsable record, missing or
-/// inconsistent archive — is a [`WorkerFailure`] too. Never a hang: every
-/// wait in here is deadline-bounded.
-fn collect_worker(
-    s: usize,
-    mut child: Child,
-    pool_size: usize,
-    dir: &Path,
-    t0: Instant,
-    deadline: Duration,
-) -> Result<ShardRun, WorkerFailure> {
-    let fail = |exit: Option<i32>, detail: String| WorkerFailure {
-        shard: s,
-        exit,
-        detail,
-        timed_out: false,
-    };
-    let out_pipe = drain_pipe(child.stdout.take());
-    let err_pipe = drain_pipe(child.stderr.take());
-    let status = loop {
-        match child.try_wait() {
-            Ok(Some(status)) => break status,
-            Ok(None) => {
-                if t0.elapsed() >= deadline {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    let _ = out_pipe.join();
-                    let stderr = err_pipe.join().unwrap_or_default();
-                    let tail = String::from_utf8_lossy(&stderr);
-                    return Err(WorkerFailure {
-                        shard: s,
-                        exit: None,
-                        detail: match tail.trim() {
-                            "" => format!("worker timed out after {deadline:?} (killed)"),
-                            msg => {
-                                format!("worker timed out after {deadline:?} (killed): {msg}")
-                            }
-                        },
-                        timed_out: true,
-                    });
+impl Worker<'_> {
+    /// Waits for the conversation to end and the child to exit, bounded by
+    /// `deadline` from spawn: a child still running past it is killed,
+    /// which ends the conversation. A completed conversation is the
+    /// shard's run — its frames were CRC-checked and its archive matched
+    /// its stats record, however the child exits afterwards. A failed one
+    /// is a typed [`WorkerFailure`]: timed out, died (non-zero exit, with
+    /// its stderr), or — for a child that exited cleanly — the wire error.
+    fn finish(mut self, s: usize, deadline: Duration) -> Result<ShardRun, WorkerFailure> {
+        let mut timed_out = false;
+        let status: io::Result<ExitStatus> = loop {
+            if self.talk.is_finished() {
+                match self.child.0.try_wait() {
+                    Ok(Some(status)) => break Ok(status),
+                    Ok(None) => {}
+                    Err(e) => break Err(e),
                 }
-                std::thread::sleep(Duration::from_millis(2));
             }
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                let _ = out_pipe.join();
-                let _ = err_pipe.join();
-                return Err(fail(None, format!("wait failed: {e}")));
+            if self.spawned.elapsed() >= deadline {
+                let _ = self.child.0.kill();
+                timed_out = true;
+                break self.child.0.wait();
             }
-        }
-    };
-    let stdout_buf = out_pipe.join().unwrap_or_default();
-    let stderr_buf = err_pipe.join().unwrap_or_default();
-    if !status.success() {
-        let stderr = String::from_utf8_lossy(&stderr_buf);
-        let detail = match stderr.trim() {
-            "" => format!("worker died ({status})"),
-            msg => format!("worker died ({status}): {msg}"),
+            thread::sleep(Duration::from_millis(1));
         };
-        return Err(fail(status.code(), detail));
-    }
-    let stdout = String::from_utf8_lossy(&stdout_buf);
-    let wstats = WorkerStats::parse_record(&stdout, s)
-        .map_err(|why| fail(status.code(), format!("stats record: {why}")))?;
-    if wstats.pool_size != pool_size {
-        return Err(fail(
-            status.code(),
-            format!(
-                "worker mined {} pool rows, parent shipped {pool_size}",
-                wstats.pool_size
+        let (talked, elapsed) = self.talk.join().expect("worker conversation panicked");
+        let err = match talked {
+            Ok(mut run) => {
+                run.stats.elapsed = elapsed;
+                return Ok(run);
+            }
+            Err(e) => e,
+        };
+        let stderr = self.errs.join().unwrap_or_default();
+        let stderr = String::from_utf8_lossy(&stderr);
+        let with_stderr = |head: String| match stderr.trim() {
+            "" => head,
+            msg => format!("{head}: {msg}"),
+        };
+        let (exit, detail) = match status {
+            _ if timed_out => (
+                None,
+                with_stderr(format!("worker timed out after {deadline:?} (killed)")),
             ),
-        ));
-    }
-    let slab = slab_io::load_slab_path(archive_slab_path(dir, s))
-        .map_err(|e| fail(status.code(), format!("archive slab: {e}")))?;
-    if slab.len() != wstats.patterns {
-        return Err(fail(
-            status.code(),
-            format!(
-                "archive slab holds {} patterns, stats record says {}",
-                slab.len(),
-                wstats.patterns
+            Ok(status) if !status.success() => (
+                status.code(),
+                with_stderr(format!("worker died ({status})")),
             ),
-        ));
-    }
-    let outputs = (0..slab.len() as u32)
-        .map(|r| MergePattern::Owned(Pattern::new(slab.itemset(r), slab.tidset(r))))
-        .collect();
-    Ok(ShardRun {
-        outputs,
-        stats: wstats.into_shard_stats(s, t0.elapsed()),
-    })
-}
-
-/// The argv side of the worker protocol: everything a `cfp shard-worker`
-/// child needs to reproduce one shard's fusion loop bit-exactly — the
-/// derived per-shard [`FusionConfig`], the input sub-pool slab, the output
-/// archive slab, and (only when `closure_step` is on) the dataset path.
-/// [`WorkerRequest::to_args`] and [`WorkerRequest::parse`] are exact
-/// inverses; both ends live here so the field list has one home.
-#[derive(Debug, Clone)]
-pub struct WorkerRequest {
-    /// This worker's shard index (echoed in the handshake).
-    pub shard: usize,
-    /// Total shard count of the parent run (diagnostics only).
-    pub shards: usize,
-    /// The sub-pool CFPSLAB file to mine.
-    pub input: PathBuf,
-    /// Where to write the archive CFPSLAB file.
-    pub output: PathBuf,
-    /// The fully derived per-shard config (single-shard sharding; see
-    /// [`shard_config`]).
-    pub config: FusionConfig,
-    /// Dataset path for the closure step's vertical index, if any.
-    pub db: Option<PathBuf>,
-}
-
-/// Worker protocol version spoken by this build (argv `--protocol` and the
-/// stdout handshake line).
-pub const WORKER_PROTOCOL_VERSION: u32 = 1;
-
-/// Serializes a per-shard [`FusionConfig`] as the worker protocol's flag
-/// list — the one home of the config field set, shared by the argv request
-/// (protocol v1, [`WorkerRequest::to_args`]) and the network request frame
-/// (protocol v2, `cfp_core::net`).
-pub(crate) fn config_flag_args(c: &FusionConfig) -> Vec<String> {
-    let mut args = vec![
-        "--k".into(),
-        c.k.to_string(),
-        "--mincount".into(),
-        c.min_count.to_string(),
-        "--tau".into(),
-        c.tau.to_string(),
-        "--pool-len".into(),
-        c.pool_max_len.to_string(),
-        "--attempts".into(),
-        c.attempts_per_seed.to_string(),
-        "--max-results".into(),
-        c.max_results_per_seed.to_string(),
-        "--max-iterations".into(),
-        c.max_iterations.to_string(),
-        "--max-ball-size".into(),
-        c.max_ball_size.to_string(),
-        "--ball-pivots".into(),
-        c.ball_pivots.to_string(),
-        "--seed".into(),
-        c.seed.to_string(),
-    ];
-    if let Some(cap) = c.archive_cap {
-        args.push("--archive-cap".into());
-        args.push(cap.to_string());
-    }
-    if !c.archive {
-        args.push("--no-archive".into());
-    }
-    if !c.parallel {
-        args.push("--no-parallel".into());
-    }
-    if let Some(t) = c.threads {
-        args.push("--threads".into());
-        args.push(t.to_string());
-    }
-    if c.closure_step {
-        args.push("--closure".into());
-    }
-    args
-}
-
-/// Applies one **unary** config flag from the worker protocol's flag list.
-/// `false` = not a config flag (the caller decides whether that's an
-/// error).
-pub(crate) fn apply_config_unary(cfg: &mut FusionConfig, flag: &str) -> bool {
-    match flag {
-        "--no-archive" => cfg.archive = false,
-        "--no-parallel" => cfg.parallel = false,
-        "--closure" => cfg.closure_step = true,
-        _ => return false,
-    }
-    true
-}
-
-/// Applies one **valued** config flag from the worker protocol's flag
-/// list. `Ok(false)` = not a config flag; `Err` = it is one, but the value
-/// does not parse.
-pub(crate) fn apply_config_value(
-    cfg: &mut FusionConfig,
-    flag: &str,
-    v: &str,
-) -> Result<bool, String> {
-    let bad = |what: &str| format!("invalid {flag} value '{v}' ({what})");
-    match flag {
-        "--k" => cfg.k = v.parse().map_err(|_| bad("usize"))?,
-        "--mincount" => cfg.min_count = v.parse().map_err(|_| bad("usize"))?,
-        "--tau" => cfg.tau = v.parse().map_err(|_| bad("f64"))?,
-        "--pool-len" => cfg.pool_max_len = v.parse().map_err(|_| bad("usize"))?,
-        "--attempts" => cfg.attempts_per_seed = v.parse().map_err(|_| bad("usize"))?,
-        "--max-results" => cfg.max_results_per_seed = v.parse().map_err(|_| bad("usize"))?,
-        "--max-iterations" => cfg.max_iterations = v.parse().map_err(|_| bad("usize"))?,
-        "--max-ball-size" => cfg.max_ball_size = v.parse().map_err(|_| bad("usize"))?,
-        "--ball-pivots" => cfg.ball_pivots = v.parse().map_err(|_| bad("usize"))?,
-        "--seed" => cfg.seed = v.parse().map_err(|_| bad("u64"))?,
-        "--archive-cap" => cfg.archive_cap = Some(v.parse().map_err(|_| bad("usize"))?),
-        "--threads" => cfg.threads = Some(v.parse().map_err(|_| bad("usize"))?),
-        _ => return Ok(false),
-    }
-    Ok(true)
-}
-
-/// The env-independent base config the worker protocol's flag list applies
-/// onto: single-shard sharding, every other field shipped explicitly.
-pub(crate) fn base_worker_config() -> FusionConfig {
-    FusionConfig::new(1, 1).with_shards(1)
-}
-
-impl WorkerRequest {
-    /// Serializes the request as `cfp shard-worker` argv (without the
-    /// subcommand itself).
-    pub fn to_args(&self) -> Vec<String> {
-        let mut args = vec![
-            "--protocol".into(),
-            WORKER_PROTOCOL_VERSION.to_string(),
-            "--shard".into(),
-            self.shard.to_string(),
-            "--shards".into(),
-            self.shards.to_string(),
-            "--input".into(),
-            self.input.display().to_string(),
-            "--output".into(),
-            self.output.display().to_string(),
-        ];
-        args.extend(config_flag_args(&self.config));
-        if let Some(db) = &self.db {
-            args.push("--db".into());
-            args.push(db.display().to_string());
-        }
-        args
-    }
-
-    /// Parses worker argv back into a request. Strict: unknown flags,
-    /// missing required flags, and protocol version mismatches are hard
-    /// errors (exit code 3 in the worker).
-    pub fn parse(args: &[String]) -> Result<Self, String> {
-        let mut shard: Option<usize> = None;
-        let mut shards: Option<usize> = None;
-        let mut input: Option<PathBuf> = None;
-        let mut output: Option<PathBuf> = None;
-        let mut db: Option<PathBuf> = None;
-        let mut protocol: Option<u32> = None;
-        // Start from the env-independent base config: the parent ships
-        // every field explicitly.
-        let mut cfg = base_worker_config();
-        let mut i = 0usize;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            if apply_config_unary(&mut cfg, flag) {
-                i += 1;
-                continue;
-            }
-            let v = args
-                .get(i + 1)
-                .ok_or_else(|| format!("{flag} needs a value"))?
-                .clone();
-            let bad = |what: &str| format!("invalid {flag} value '{v}' ({what})");
-            match flag {
-                "--protocol" => protocol = Some(v.parse().map_err(|_| bad("u32"))?),
-                "--shard" => shard = Some(v.parse().map_err(|_| bad("usize"))?),
-                "--shards" => shards = Some(v.parse().map_err(|_| bad("usize"))?),
-                "--input" => input = Some(PathBuf::from(v)),
-                "--output" => output = Some(PathBuf::from(v)),
-                "--db" => db = Some(PathBuf::from(v)),
-                other => {
-                    if !apply_config_value(&mut cfg, other, &v)? {
-                        return Err(format!("unknown shard-worker flag '{other}'"));
-                    }
-                }
-            }
-            i += 2;
-        }
-        match protocol {
-            Some(WORKER_PROTOCOL_VERSION) => {}
-            Some(v) => {
-                return Err(format!(
-                    "protocol version {v} not supported (worker speaks {WORKER_PROTOCOL_VERSION})"
-                ))
-            }
-            None => return Err("missing --protocol".into()),
-        }
-        Ok(WorkerRequest {
-            shard: shard.ok_or("missing --shard")?,
-            shards: shards.ok_or("missing --shards")?,
-            input: input.ok_or("missing --input")?,
-            output: output.ok_or("missing --output")?,
-            config: cfg,
-            db,
+            Ok(status) => (status.code(), err.to_string()),
+            Err(e) => (None, format!("wait failed: {e}")),
+        };
+        Err(WorkerFailure {
+            shard: s,
+            exit,
+            detail,
+            timed_out,
         })
     }
-}
-
-/// The stats record a worker prints on stdout: the per-shard counters the
-/// parent stamps into [`ShardStats`], already rolled up on the worker side
-/// (so the record is a fixed, versioned set of scalars, not a dump of
-/// internal iteration records).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Sub-pool rows the worker mined.
-    pub pool_size: usize,
-    /// Archived patterns written to the output slab.
-    pub patterns: usize,
-    /// Fusion iterations run.
-    pub iterations: usize,
-    /// Whether the shard's loop converged.
-    pub converged: bool,
-    /// Ball-query pruning counters, rolled up over the shard's run.
-    pub ball: BallQueryStats,
-    /// Index tombstones over the shard's run.
-    pub tombstoned: u64,
-    /// Index side-buffer insertions over the shard's run.
-    pub inserted: u64,
-    /// Index compaction rebuilds over the shard's run.
-    pub compactions: usize,
-}
-
-impl WorkerStats {
-    /// Rolls up a shard run's [`RunStats`] into the wire record.
-    pub fn from_run(pool_size: usize, patterns: usize, run: &RunStats) -> Self {
-        Self {
-            pool_size,
-            patterns,
-            iterations: run.iterations.len(),
-            converged: run.converged,
-            ball: run.ball(),
-            tombstoned: run.tombstoned(),
-            inserted: run.inserted(),
-            compactions: run.compactions(),
-        }
-    }
-
-    /// The parent-side conversion into the driver's per-shard counters.
-    pub(crate) fn into_shard_stats(self, shard: usize, elapsed: std::time::Duration) -> ShardStats {
-        ShardStats {
-            shard,
-            pool_size: self.pool_size,
-            patterns: self.patterns,
-            iterations: self.iterations,
-            converged: self.converged,
-            ball: self.ball,
-            tombstoned: self.tombstoned,
-            inserted: self.inserted,
-            compactions: self.compactions,
-            elapsed,
-        }
-    }
-
-    /// Serializes the record: the `cfp-shard-worker <version> shard=<s>`
-    /// handshake line, one `key value` line per counter (ball pivot-prune
-    /// counts as a space-separated row), and a terminating `end`.
-    pub fn to_record(&self, shard: usize) -> String {
-        let b = &self.ball;
-        let pivots: Vec<String> = b.pivot_prune_counts.iter().map(u64::to_string).collect();
-        format!(
-            "cfp-shard-worker {WORKER_PROTOCOL_VERSION} shard={shard}\n\
-             pool_size {}\npatterns {}\niterations {}\nconverged {}\n\
-             tombstoned {}\ninserted {}\ncompactions {}\n\
-             ball.pairs_total {}\nball.cardinality_pruned {}\nball.pivot_pruned {}\n\
-             ball.exact_checked {}\nball.ball_members {}\nball.side_hits {}\n\
-             ball.tombstone_skips {}\nball.pivots_active {}\n\
-             ball.pivot_prune_counts {}\nend\n",
-            self.pool_size,
-            self.patterns,
-            self.iterations,
-            self.converged as u8,
-            self.tombstoned,
-            self.inserted,
-            self.compactions,
-            b.pairs_total,
-            b.cardinality_pruned,
-            b.pivot_pruned,
-            b.exact_checked,
-            b.ball_members,
-            b.side_hits,
-            b.tombstone_skips,
-            b.pivots_active,
-            pivots.join(" "),
-        )
-    }
-
-    /// Parses a stats record, validating the handshake (version AND shard
-    /// index) and the terminator. Strict on every field: a truncated or
-    /// reordered record from a half-dead worker must fail typed, not load
-    /// zeros into the merge.
-    pub fn parse_record(text: &str, shard: usize) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let head = lines.next().ok_or("empty stats record")?;
-        let want = format!("cfp-shard-worker {WORKER_PROTOCOL_VERSION} shard={shard}");
-        if head != want {
-            return Err(format!("bad handshake '{head}' (expected '{want}')"));
-        }
-        let mut out = WorkerStats::default();
-        let mut ended = false;
-        for line in lines {
-            if line == "end" {
-                ended = true;
-                break;
-            }
-            let (key, value) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("malformed line '{line}'"))?;
-            let num = |v: &str| -> Result<u64, String> {
-                v.parse::<u64>()
-                    .map_err(|_| format!("non-numeric value '{v}' for {key}"))
-            };
-            match key {
-                "pool_size" => out.pool_size = num(value)? as usize,
-                "patterns" => out.patterns = num(value)? as usize,
-                "iterations" => out.iterations = num(value)? as usize,
-                "converged" => out.converged = num(value)? != 0,
-                "tombstoned" => out.tombstoned = num(value)?,
-                "inserted" => out.inserted = num(value)?,
-                "compactions" => out.compactions = num(value)? as usize,
-                "ball.pairs_total" => out.ball.pairs_total = num(value)?,
-                "ball.cardinality_pruned" => out.ball.cardinality_pruned = num(value)?,
-                "ball.pivot_pruned" => out.ball.pivot_pruned = num(value)?,
-                "ball.exact_checked" => out.ball.exact_checked = num(value)?,
-                "ball.ball_members" => out.ball.ball_members = num(value)?,
-                "ball.side_hits" => out.ball.side_hits = num(value)?,
-                "ball.tombstone_skips" => out.ball.tombstone_skips = num(value)?,
-                "ball.pivots_active" => out.ball.pivots_active = num(value)?,
-                "ball.pivot_prune_counts" => {
-                    let counts: Vec<u64> = value
-                        .split(' ')
-                        .map(num)
-                        .collect::<Result<Vec<u64>, String>>()?;
-                    if counts.len() != MAX_PIVOTS {
-                        return Err(format!(
-                            "pivot_prune_counts has {} entries, expected {MAX_PIVOTS}",
-                            counts.len()
-                        ));
-                    }
-                    out.ball.pivot_prune_counts.copy_from_slice(&counts);
-                }
-                other => return Err(format!("unknown stats key '{other}'")),
-            }
-        }
-        if !ended {
-            return Err("stats record not terminated by 'end' (worker died mid-write?)".into());
-        }
-        Ok(out)
-    }
-}
-
-/// What went wrong inside a `cfp shard-worker` child. The CLI maps the
-/// variants to the protocol's typed exit codes: slab I/O → 2, request /
-/// dataset problems → 3.
-#[derive(Debug)]
-pub enum WorkerError {
-    /// Input or output slab failed to read, write, or validate.
-    Slab(SlabIoError),
-    /// The dataset shipped for the closure step failed to load.
-    Db(String),
-}
-
-impl fmt::Display for WorkerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Slab(e) => write!(f, "slab: {e}"),
-            Self::Db(e) => write!(f, "dataset: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for WorkerError {}
-
-impl From<SlabIoError> for WorkerError {
-    fn from(e: SlabIoError) -> Self {
-        Self::Slab(e)
-    }
-}
-
-/// The worker side of the subprocess protocol: load the shard slab, run
-/// the per-shard fusion loop under the shipped config, write the archive
-/// slab in output order, and return the stats record to print on stdout.
-/// The database is rebuilt from [`WorkerRequest::db`] only when the
-/// closure step needs it; otherwise the fusion loop never consults it and
-/// an empty database stands in.
-pub fn run_shard_worker(req: &WorkerRequest) -> Result<WorkerStats, WorkerError> {
-    // Deterministic fault injection (no-op unless compiled in AND the
-    // worker's own CFP_FAULT names this shard): a stalled mine here is how
-    // tests reach the parent's deadline machinery.
-    crate::net::FaultPlan::from_env().maybe_stall(req.shard, 0);
-    let db = match &req.db {
-        Some(path) => cfp_itemset::read_fimi(path)
-            .map_err(|e| WorkerError::Db(format!("{}: {e}", path.display())))?,
-        None => cfp_itemset::DbBuilder::new().build(),
-    };
-    let pf = PatternFusion::new(&db, req.config.clone());
-    let slab = slab_io::load_slab_path(&req.input)?;
-    let (archive, wstats) = mine_shard_slab(&pf, slab);
-    slab_io::dump_slab_path(&archive, &req.output)?;
-    Ok(wstats)
-}
-
-/// The mining body shared by the subprocess worker and the network host
-/// (`cfp_core::net`): run the per-shard fusion loop over a shipped
-/// sub-pool slab under the already-applied config, returning the archive
-/// pool (in deterministic output order) and the wire stats record.
-pub(crate) fn mine_shard_slab(pf: &PatternFusion, slab: PatternPool) -> (PatternPool, WorkerStats) {
-    let universe = slab.universe();
-    let pool_size = slab.len();
-    let mut store = PoolStore::new(slab);
-    let (out_rows, run) = if pool_size == 0 {
-        // Mirror the in-thread engine's empty-shard synthesis (the parent
-        // skips spawning for empty shards, but a hand-driven worker must
-        // agree).
-        (
-            Vec::new(),
-            RunStats {
-                converged: true,
-                ..Default::default()
-            },
-        )
-    } else {
-        let rows: Vec<u32> = (0..pool_size as u32).collect();
-        pf.run_rows_with(&mut store, rows, pf.config())
-    };
-    // The archive slab, in output order — the one materialization on the
-    // worker side (≤ archive-cap patterns), mirroring the out-of-core
-    // driver's owned-archive hand-off.
-    let mut archive = PatternPool::new(universe);
-    for &r in &out_rows {
-        let p = store.pattern(r);
-        archive.push_tidset(p.items.items(), &p.tids);
-    }
-    let wstats = WorkerStats::from_run(pool_size, out_rows.len(), &run);
-    (archive, wstats)
 }
 
 #[cfg(test)]
@@ -1429,108 +937,6 @@ mod tests {
         ));
         assert!(ExecutorKind::parse("gpu").is_none());
         assert!(ExecutorKind::parse("").is_none());
-    }
-
-    #[test]
-    fn worker_request_round_trips_through_argv() {
-        let mut cfg = FusionConfig::new(7, 3)
-            .with_shards(1)
-            .with_tau(0.625)
-            .with_seed(0xDEAD_BEEF)
-            .with_max_ball_size(48)
-            .with_threads(1)
-            .with_archive_cap(21);
-        cfg.max_iterations = 9;
-        cfg.attempts_per_seed = 4;
-        cfg.closure_step = true;
-        let req = WorkerRequest {
-            shard: 2,
-            shards: 4,
-            input: PathBuf::from("/tmp/in.slab"),
-            output: PathBuf::from("/tmp/out.slab"),
-            config: cfg.clone(),
-            db: Some(PathBuf::from("/tmp/data.dat")),
-        };
-        let parsed = WorkerRequest::parse(&req.to_args()).expect("round trip");
-        assert_eq!(parsed.shard, 2);
-        assert_eq!(parsed.shards, 4);
-        assert_eq!(parsed.input, req.input);
-        assert_eq!(parsed.output, req.output);
-        assert_eq!(parsed.db, req.db);
-        let (a, b) = (&parsed.config, &cfg);
-        assert_eq!(a.k, b.k);
-        assert_eq!(a.min_count, b.min_count);
-        assert_eq!(a.tau, b.tau);
-        assert_eq!(a.pool_max_len, b.pool_max_len);
-        assert_eq!(a.attempts_per_seed, b.attempts_per_seed);
-        assert_eq!(a.max_results_per_seed, b.max_results_per_seed);
-        assert_eq!(a.max_iterations, b.max_iterations);
-        assert_eq!(a.max_ball_size, b.max_ball_size);
-        assert_eq!(a.ball_pivots, b.ball_pivots);
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(a.archive, b.archive);
-        assert_eq!(a.archive_cap, b.archive_cap);
-        assert_eq!(a.parallel, b.parallel);
-        assert_eq!(a.threads, b.threads);
-        assert_eq!(a.closure_step, b.closure_step);
-        assert_eq!(a.sharding.shards, 1);
-    }
-
-    #[test]
-    fn worker_request_rejects_malformed_argv() {
-        let strs = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(WorkerRequest::parse(&strs(&["--shard"])).is_err());
-        assert!(WorkerRequest::parse(&strs(&["--bogus", "1"])).is_err());
-        // Missing --protocol, and an unsupported version.
-        assert!(WorkerRequest::parse(&[]).is_err());
-        let mut args = strs(&["--protocol", "99"]);
-        assert!(WorkerRequest::parse(&args)
-            .unwrap_err()
-            .contains("protocol"));
-        args = strs(&["--protocol", "1", "--shard", "0", "--shards", "2"]);
-        assert!(WorkerRequest::parse(&args).unwrap_err().contains("input"));
-    }
-
-    #[test]
-    fn worker_stats_record_round_trips() {
-        let mut stats = WorkerStats {
-            pool_size: 12,
-            patterns: 3,
-            iterations: 5,
-            converged: true,
-            tombstoned: 77,
-            inserted: 9,
-            compactions: 1,
-            ..Default::default()
-        };
-        stats.ball.pairs_total = 1_000_000;
-        stats.ball.pivot_pruned = 123_456;
-        stats.ball.pivot_prune_counts[0] = 100_000;
-        stats.ball.pivot_prune_counts[3] = 23_456;
-        stats.ball.pivots_active = 6;
-        let record = stats.to_record(2);
-        assert!(record.starts_with("cfp-shard-worker 1 shard=2\n"));
-        assert!(record.ends_with("end\n"));
-        let parsed = WorkerStats::parse_record(&record, 2).expect("round trip");
-        assert_eq!(parsed, stats);
-    }
-
-    #[test]
-    fn worker_stats_record_rejects_corruption() {
-        let record = WorkerStats::default().to_record(0);
-        // Wrong shard in the handshake.
-        assert!(WorkerStats::parse_record(&record, 1).is_err());
-        // Truncated (no `end`): a worker that died mid-write.
-        let cut = record.trim_end_matches("end\n");
-        assert!(WorkerStats::parse_record(cut, 0)
-            .unwrap_err()
-            .contains("end"));
-        // Garbage value.
-        let bad = record.replace("pool_size 0", "pool_size zero");
-        assert!(WorkerStats::parse_record(&bad, 0).is_err());
-        // Unknown key.
-        let unk = record.replace("pool_size", "pool_sizes");
-        assert!(WorkerStats::parse_record(&unk, 0).is_err());
     }
 
     #[test]

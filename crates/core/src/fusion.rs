@@ -31,7 +31,7 @@
 //! flag. A live member is then tested cheapest first, each test exact:
 //!
 //! 1. cached supports: `min(|D(fused)|, |D(β)|)` below the member's
-//!    [`core_floor`] — the least support that passes both the frequency and
+//!    `core_floor` — the least support that passes both the frequency and
 //!    the core-ratio test — rejects without reading a tid row;
 //! 2. item spans: β's items already inside the fusion reject;
 //! 3. one bounded intersection kernel with the floor as its threshold, which

@@ -131,12 +131,12 @@ pub use distance::{ball_radius, pattern_distance};
 pub use engine::{Engine, EngineError, Source};
 pub use env::EnvError;
 pub use executor::{
-    ExecutorError, ExecutorKind, NetFailure, SubprocessConfig, WorkerError, WorkerFailure,
-    WorkerRequest, WorkerStats, DEFAULT_WORKER_DEADLINE,
+    ExecutorError, ExecutorKind, NetFailure, SubprocessConfig, WorkerFailure,
+    DEFAULT_WORKER_DEADLINE,
 };
 pub use net::{
-    retry_backoff, serve, spawn_host, FaultAction, FaultPlan, HostOptions, NetError, NetPhase,
-    NetRequest, RemoteConfig, NET_PROTOCOL_VERSION,
+    retry_backoff, serve, serve_session, spawn_host, FaultAction, FaultPlan, HostOptions, NetError,
+    NetPhase, NetRequest, RemoteConfig, SessionError, NET_PROTOCOL_VERSION,
 };
 pub use oocore::{OocoreConfig, OocoreError};
 pub use pattern::Pattern;

@@ -1,17 +1,23 @@
-//! Networked shard workers: the coordinator + host pair behind
-//! [`ExecutorKind::Remote`](crate::executor::ExecutorKind).
+//! Worker interchange protocol v2: the coordinator + host pair behind
+//! both process-based shard executors —
+//! [`ExecutorKind::Subprocess`](crate::executor::ExecutorKind) over a
+//! child's pipes and [`ExecutorKind::Remote`](crate::executor::ExecutorKind)
+//! over TCP.
 //!
 //! The partitioned driver ([`crate::executor`]) stays untouched: this
 //! module only supplies the middle of partition → execute → merge. Each
-//! non-empty shard's sub-pool streams to a `cfp shard-host` process over
-//! std TCP as CRC-checked frames (worker interchange protocol **version
-//! 2** — spec in [`cfp_itemset::store`]'s module docs), the host mines it
-//! with the shared [`mine_shard_slab`] body, and the archive slab plus the
-//! v1 stats record come back the same way. Bit-identity is the contract:
-//! the host runs the identical derived config over identical sub-pool
-//! bytes, so a remote run's archives match the in-thread engine's exactly.
+//! non-empty shard's sub-pool streams to a `cfp shard-host` process as
+//! CRC-checked frames (spec in [`cfp_itemset::store`]'s module docs), the
+//! host mines it with the per-shard loop, and the stats record plus the
+//! archive slab come back the same way. The frame codec and both halves of
+//! a conversation take any [`Read`]/[`Write`] pair: the coordinator's
+//! `converse` runs over a socket or a child's pipes, and [`serve_session`]
+//! is what a TCP host runs per connection and `cfp shard-host --stdio`
+//! runs once on its stdin and stdout. Bit-identity is the contract: the
+//! host runs the identical derived config over identical sub-pool bytes,
+//! so a worker's archives match the in-thread engine's exactly.
 //!
-//! # Failure model
+//! # Failure model (remote executor)
 //!
 //! Every wait is bounded and every failure is typed ([`NetError`]):
 //!
@@ -24,35 +30,39 @@
 //!   wall-clock randomness, so a given fault schedule replays identically.
 //!   Consecutive attempts rotate to the next worker address.
 //! * **Graceful degradation** — a shard that exhausts its attempts is
-//!   re-mined in-thread from its already-spilled slab (the shared
-//!   subprocess fallback path), so a dying fleet converges to the
-//!   single-machine answer instead of erroring.
+//!   re-mined in-thread from its already-spilled slab (the fallback path
+//!   shared with the subprocess executor), so a dying fleet converges to
+//!   the single-machine answer instead of erroring.
 //! * **Fault injection** — [`FaultPlan`] (`CFP_FAULT`) makes each failure
 //!   path deterministically reachable from tests; compiled out of release
 //!   builds unless the `fault-inject` feature is on.
+//!
+//! The subprocess executor has no socket deadlines: it bounds each child
+//! by one deadline from spawn and kills a child that outlives it, which
+//! ends the conversation (see [`crate::executor`]).
 
 use crate::algorithm::{splitmix64, PatternFusion};
+use crate::ball::MAX_PIVOTS;
 use crate::config::FusionConfig;
 use crate::executor::{
-    apply_config_unary, apply_config_value, base_worker_config, config_flag_args, empty_shard_run,
-    mine_shard_slab, prepare_spill_dir, shard_config, shard_slab_path, ExecutorError, NetFailure,
-    ShardExecution, ShardPlan, ShardRun, SpillDirGuard, WorkerStats,
+    empty_shard_run, shard_config, spill_sub_pools, ExecutorError, NetFailure, ShardExecution,
+    ShardPlan, ShardRun,
 };
 use crate::pattern::Pattern;
 use crate::pool::PoolStore;
 use crate::shard::MergePattern;
-use crate::stats::{NetStats, RunStats};
+use crate::stats::{NetStats, RunStats, ShardStats};
 use cfp_itemset::slab_io::{self, Crc32};
 use cfp_itemset::{PatternPool, SlabIoError};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Network protocol version spoken by this build (the request handshake
-/// line; protocol v1 is the subprocess argv/stdout interchange).
+/// Worker interchange protocol version spoken by this build (the request
+/// and stats-record handshake lines).
 pub const NET_PROTOCOL_VERSION: u32 = 2;
 
 /// Frame kinds (the `kind` byte of every frame).
@@ -65,7 +75,7 @@ pub const FRAME_SLAB_CHUNK: u8 = 2;
 pub const FRAME_SLAB_END: u8 = 3;
 /// Mine-phase liveness beacon (empty payload).
 pub const FRAME_HEARTBEAT: u8 = 4;
-/// The worker's stats record (protocol v1 text, UTF-8).
+/// The worker's per-shard stats record (UTF-8 text).
 pub const FRAME_STATS: u8 = 5;
 /// Typed remote failure: payload is `exit=<code>\n<message>` (UTF-8).
 pub const FRAME_ERROR: u8 = 6;
@@ -83,10 +93,6 @@ pub const SLAB_CHUNK_BYTES: usize = 128 << 10;
 /// deadline, far below forever (the enclosing process is always killed or
 /// exits first).
 const STALL_SLEEP: Duration = Duration::from_secs(600);
-
-/// Distinguishes concurrently running remote executors' spill directories
-/// within one coordinator process (the name also carries the pid).
-static NET_WORK_SEQ: AtomicU64 = AtomicU64::new(0);
 
 // ---------------------------------------------------------------------------
 // Frame primitives
@@ -417,10 +423,9 @@ fn invalid_data(msg: impl Into<String>) -> io::Error {
 // Request
 // ---------------------------------------------------------------------------
 
-/// The request frame's contents: the v2 handshake line plus the worker
-/// protocol's config flag list (one token per line, shared verbatim with
-/// the v1 argv encoding). [`NetRequest::to_text`] and
-/// [`NetRequest::parse`] are exact inverses.
+/// The request frame's contents: the v2 handshake line plus the derived
+/// per-shard config as a flag list, one token per line.
+/// [`NetRequest::to_text`] and [`NetRequest::parse`] are exact inverses.
 #[derive(Debug, Clone)]
 pub struct NetRequest {
     /// This shard's index.
@@ -474,22 +479,18 @@ impl NetRequest {
         let shards = index(fields[3], "shards=")?;
         let attempt = index(fields[4], "attempt=")?;
         let mut config = base_worker_config();
-        let tokens: Vec<&str> = lines.collect();
-        let mut i = 0;
-        while i < tokens.len() {
-            let flag = tokens[i];
-            if apply_config_unary(&mut config, flag) {
-                i += 1;
-                continue;
+        while let Some(flag) = lines.next() {
+            match flag {
+                "--no-archive" => config.archive = false,
+                "--no-parallel" => config.parallel = false,
+                "--closure" => config.closure_step = true,
+                _ => {
+                    let v = lines
+                        .next()
+                        .ok_or_else(|| format!("flag {flag} is missing its value"))?;
+                    apply_config_value(&mut config, flag, v)?;
+                }
             }
-            let v = tokens
-                .get(i + 1)
-                .ok_or_else(|| format!("flag {flag} is missing its value"))?;
-            if apply_config_value(&mut config, flag, v)? {
-                i += 2;
-                continue;
-            }
-            return Err(format!("unknown config flag '{flag}'"));
         }
         Ok(Self {
             shard,
@@ -498,6 +499,185 @@ impl NetRequest {
             config,
         })
     }
+}
+
+/// Serializes a per-shard [`FusionConfig`] as the request's flag list —
+/// the one home of the shipped config field set.
+fn config_flag_args(c: &FusionConfig) -> Vec<String> {
+    let mut args = vec![
+        "--k".into(),
+        c.k.to_string(),
+        "--mincount".into(),
+        c.min_count.to_string(),
+        "--tau".into(),
+        c.tau.to_string(),
+        "--pool-len".into(),
+        c.pool_max_len.to_string(),
+        "--attempts".into(),
+        c.attempts_per_seed.to_string(),
+        "--max-results".into(),
+        c.max_results_per_seed.to_string(),
+        "--max-iterations".into(),
+        c.max_iterations.to_string(),
+        "--max-ball-size".into(),
+        c.max_ball_size.to_string(),
+        "--ball-pivots".into(),
+        c.ball_pivots.to_string(),
+        "--seed".into(),
+        c.seed.to_string(),
+    ];
+    if let Some(cap) = c.archive_cap {
+        args.push("--archive-cap".into());
+        args.push(cap.to_string());
+    }
+    if !c.archive {
+        args.push("--no-archive".into());
+    }
+    if !c.parallel {
+        args.push("--no-parallel".into());
+    }
+    if let Some(t) = c.threads {
+        args.push("--threads".into());
+        args.push(t.to_string());
+    }
+    if c.closure_step {
+        args.push("--closure".into());
+    }
+    args
+}
+
+/// Applies one valued config flag from the request's flag list; an unknown
+/// flag or an unparsable value is an error.
+fn apply_config_value(cfg: &mut FusionConfig, flag: &str, v: &str) -> Result<(), String> {
+    let bad = |what: &str| format!("invalid {flag} value '{v}' ({what})");
+    match flag {
+        "--k" => cfg.k = v.parse().map_err(|_| bad("usize"))?,
+        "--mincount" => cfg.min_count = v.parse().map_err(|_| bad("usize"))?,
+        "--tau" => cfg.tau = v.parse().map_err(|_| bad("f64"))?,
+        "--pool-len" => cfg.pool_max_len = v.parse().map_err(|_| bad("usize"))?,
+        "--attempts" => cfg.attempts_per_seed = v.parse().map_err(|_| bad("usize"))?,
+        "--max-results" => cfg.max_results_per_seed = v.parse().map_err(|_| bad("usize"))?,
+        "--max-iterations" => cfg.max_iterations = v.parse().map_err(|_| bad("usize"))?,
+        "--max-ball-size" => cfg.max_ball_size = v.parse().map_err(|_| bad("usize"))?,
+        "--ball-pivots" => cfg.ball_pivots = v.parse().map_err(|_| bad("usize"))?,
+        "--seed" => cfg.seed = v.parse().map_err(|_| bad("u64"))?,
+        "--archive-cap" => cfg.archive_cap = Some(v.parse().map_err(|_| bad("usize"))?),
+        "--threads" => cfg.threads = Some(v.parse().map_err(|_| bad("usize"))?),
+        _ => return Err(format!("unknown config flag '{flag}'")),
+    }
+    Ok(())
+}
+
+/// The env-independent base config a request's flag list applies onto:
+/// single-shard sharding, every other field shipped explicitly.
+fn base_worker_config() -> FusionConfig {
+    FusionConfig::new(1, 1).with_shards(1)
+}
+
+// ---------------------------------------------------------------------------
+// Stats record
+// ---------------------------------------------------------------------------
+
+/// Serializes a shard's counters as the stats frame's payload: the
+/// `cfp-stats <version> shard=<s>` handshake line, one `key value` line per
+/// counter (the pivot-prune counts as one space-separated row), and a
+/// terminating `end`. Wall-clock `elapsed` stays off the wire: the
+/// coordinator stamps its own.
+fn stats_record(st: &ShardStats) -> String {
+    let b = &st.ball;
+    let pivots: Vec<String> = b.pivot_prune_counts.iter().map(u64::to_string).collect();
+    format!(
+        "cfp-stats {NET_PROTOCOL_VERSION} shard={}\n\
+         pool_size {}\npatterns {}\niterations {}\nconverged {}\n\
+         tombstoned {}\ninserted {}\ncompactions {}\n\
+         ball.pairs_total {}\nball.cardinality_pruned {}\nball.pivot_pruned {}\n\
+         ball.exact_checked {}\nball.ball_members {}\nball.side_hits {}\n\
+         ball.tombstone_skips {}\nball.pivots_active {}\n\
+         ball.pivot_prune_counts {}\nend\n",
+        st.shard,
+        st.pool_size,
+        st.patterns,
+        st.iterations,
+        st.converged as u8,
+        st.tombstoned,
+        st.inserted,
+        st.compactions,
+        b.pairs_total,
+        b.cardinality_pruned,
+        b.pivot_pruned,
+        b.exact_checked,
+        b.ball_members,
+        b.side_hits,
+        b.tombstone_skips,
+        b.pivots_active,
+        pivots.join(" "),
+    )
+}
+
+/// Parses a stats record, validating the handshake (version AND shard
+/// index) and the terminator. Strict on every field: a truncated or
+/// reordered record from a half-dead worker must fail typed, not load
+/// zeros into the merge. `elapsed` comes back zero.
+fn parse_stats_record(text: &str, shard: usize) -> Result<ShardStats, String> {
+    let mut lines = text.lines();
+    let head = lines.next().ok_or("empty stats record")?;
+    let want = format!("cfp-stats {NET_PROTOCOL_VERSION} shard={shard}");
+    if head != want {
+        return Err(format!("bad handshake '{head}' (expected '{want}')"));
+    }
+    let mut out = ShardStats {
+        shard,
+        ..Default::default()
+    };
+    let mut ended = false;
+    for line in lines {
+        if line == "end" {
+            ended = true;
+            break;
+        }
+        let (key, value) = line
+            .split_once(' ')
+            .ok_or_else(|| format!("malformed line '{line}'"))?;
+        let num = |v: &str| -> Result<u64, String> {
+            v.parse::<u64>()
+                .map_err(|_| format!("non-numeric value '{v}' for {key}"))
+        };
+        match key {
+            "pool_size" => out.pool_size = num(value)? as usize,
+            "patterns" => out.patterns = num(value)? as usize,
+            "iterations" => out.iterations = num(value)? as usize,
+            "converged" => out.converged = num(value)? != 0,
+            "tombstoned" => out.tombstoned = num(value)?,
+            "inserted" => out.inserted = num(value)?,
+            "compactions" => out.compactions = num(value)? as usize,
+            "ball.pairs_total" => out.ball.pairs_total = num(value)?,
+            "ball.cardinality_pruned" => out.ball.cardinality_pruned = num(value)?,
+            "ball.pivot_pruned" => out.ball.pivot_pruned = num(value)?,
+            "ball.exact_checked" => out.ball.exact_checked = num(value)?,
+            "ball.ball_members" => out.ball.ball_members = num(value)?,
+            "ball.side_hits" => out.ball.side_hits = num(value)?,
+            "ball.tombstone_skips" => out.ball.tombstone_skips = num(value)?,
+            "ball.pivots_active" => out.ball.pivots_active = num(value)?,
+            "ball.pivot_prune_counts" => {
+                let counts: Vec<u64> = value
+                    .split(' ')
+                    .map(num)
+                    .collect::<Result<Vec<u64>, String>>()?;
+                if counts.len() != MAX_PIVOTS {
+                    return Err(format!(
+                        "pivot_prune_counts has {} entries, expected {MAX_PIVOTS}",
+                        counts.len()
+                    ));
+                }
+                out.ball.pivot_prune_counts.copy_from_slice(&counts);
+            }
+            other => return Err(format!("unknown stats key '{other}'")),
+        }
+    }
+    if !ended {
+        return Err("stats record not terminated by 'end' (worker died mid-write?)".into());
+    }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -531,7 +711,7 @@ impl NetPhase {
 
 /// One remote attempt's typed failure — every variant is retryable; the
 /// variant that survives retry exhaustion is what
-/// [`NetFailure`](crate::executor::NetFailure) carries to the caller.
+/// [`NetFailure`] carries to the caller.
 #[derive(Debug, Clone)]
 pub enum NetError {
     /// Could not resolve or connect to the worker address.
@@ -618,7 +798,8 @@ pub enum FaultAction {
     /// Coordinator side: fail the attempt before connecting.
     DropConn,
     /// Worker side: sleep without heartbeating before mining (reaches the
-    /// mine-phase deadline; also honored by `cfp shard-worker`).
+    /// remote mine-phase deadline, and the subprocess executor's deadline
+    /// from spawn).
     StallMine,
     /// Worker side: flip a payload byte in the first archive chunk after
     /// computing its CRC (reaches the CRC check).
@@ -626,8 +807,8 @@ pub enum FaultAction {
     /// Worker side: die halfway through an archive chunk's payload
     /// (reaches the mid-frame-close path).
     TruncateFrame,
-    /// Worker side: drop the connection right after reading the sub-pool
-    /// (reaches the closed-while-mining path).
+    /// Worker side: end the session with no response right after reading
+    /// the sub-pool (reaches the closed-while-mining path).
     KillWorker,
 }
 
@@ -885,20 +1066,9 @@ pub fn attempts_from_env() -> Option<usize> {
     crate::env::net_attempts().ok().flatten()
 }
 
-/// Validates the net-related environment up front so the CLI fails loudly
-/// on a malformed `CFP_NET_TIMEOUT` / `CFP_NET_ATTEMPTS` / `CFP_FAULT`
-/// instead of silently ignoring it. Kept as a `String`-error shim over the
-/// typed [`crate::env`] module, which now owns the parsing.
-pub fn validate_env() -> Result<(), String> {
-    crate::env::net_timeout().map_err(|e| e.to_string())?;
-    crate::env::net_attempts().map_err(|e| e.to_string())?;
-    crate::env::fault_spec().map_err(|e| e.to_string())?;
-    Ok(())
-}
-
 /// The deterministic retry pause before attempt `attempt` (≥ 1) of
 /// `shard`: an exponential window `base·2^min(attempt,10)` jittered into
-/// `[window/2, window]` by a [`splitmix64`] hash of
+/// `[window/2, window]` by a `splitmix64` hash of
 /// `(seed, shard, attempt)` — no wall-clock randomness, so a given fault
 /// schedule replays with identical pacing.
 pub fn retry_backoff(seed: u64, shard: usize, attempt: usize, base: Duration) -> Duration {
@@ -943,36 +1113,22 @@ impl PatternFusion<'_> {
                     .into(),
             ));
         }
-        let dir = match &rc.work_dir {
-            Some(d) => d.clone(),
-            None => std::env::temp_dir().join(format!(
-                "cfp-netshard-{}-{}",
-                std::process::id(),
-                NET_WORK_SEQ.fetch_add(1, Ordering::Relaxed)
-            )),
-        };
-        prepare_spill_dir(&dir, rc.work_dir.is_some())?;
-        let _cleanup = SpillDirGuard {
-            dir: dir.clone(),
-            keep: rc.keep_work,
-        };
         // Spill up front: the slab file is the fallback's input, written
         // once whether or not any attempt fails. (The network send
         // streams from the base slab directly, not from this file.)
+        let (spill, sub_rows_all) = spill_sub_pools(
+            &store,
+            plan,
+            rc.work_dir.as_deref(),
+            rc.keep_work,
+            "cfp-netshard",
+        )?;
         let base = store.base_pool();
-        let mut sub_rows_all: Vec<Vec<u32>> = Vec::with_capacity(plan.n);
-        for s in 0..plan.n {
-            let sub = plan.sub_rows(s);
-            if !sub.is_empty() {
-                slab_io::dump_slab_rows_path(base, &sub, shard_slab_path(&dir, s))?;
-            }
-            sub_rows_all.push(sub);
-        }
         let results: Vec<(Result<ShardRun, ExecutorError>, NetStats)> = thread::scope(|scope| {
             let handles: Vec<_> = (0..plan.n)
                 .map(|s| {
                     let sub_rows = &sub_rows_all[s];
-                    let dir = &dir;
+                    let dir = &spill.dir;
                     scope.spawn(move || self.remote_shard(s, plan, rc, base, sub_rows, dir))
                 })
                 .collect();
@@ -1042,16 +1198,8 @@ impl PatternFusion<'_> {
                 config: scfg.clone(),
             };
             match remote_attempt(addr, &req, base, sub_rows, rc, &mut net) {
-                Ok((slab, wstats)) => {
-                    // Archive rows intern into the merge store as owned
-                    // patterns — same hand-off as the subprocess backend.
-                    let outputs = (0..slab.len() as u32)
-                        .map(|r| MergePattern::Owned(Pattern::new(slab.itemset(r), slab.tidset(r))))
-                        .collect();
-                    let run = ShardRun {
-                        stats: wstats.into_shard_stats(s, t0.elapsed()),
-                        outputs,
-                    };
+                Ok(mut run) => {
+                    run.stats.elapsed = t0.elapsed();
                     return (Ok(run), net);
                 }
                 Err(e) => last = e,
@@ -1073,10 +1221,9 @@ impl PatternFusion<'_> {
     }
 }
 
-/// One attempt against one worker: connect under the deadline, stream
-/// request + sub-pool, wait out the mine phase on heartbeats, read the
-/// stats and archive back, cross-checking every declared count. Any
-/// failure is typed and leaves no state behind (the connection drops).
+/// One attempt against one worker: dial under the deadline, then run the
+/// conversation over the socket. Any failure is typed and leaves no state
+/// behind (the connection drops).
 fn remote_attempt(
     addr: &str,
     req: &NetRequest,
@@ -1084,7 +1231,7 @@ fn remote_attempt(
     sub_rows: &[u32],
     rc: &RemoteConfig,
     net: &mut NetStats,
-) -> Result<(PatternPool, WorkerStats), NetError> {
+) -> Result<ShardRun, NetError> {
     if rc
         .fault
         .fires(FaultAction::DropConn, req.shard, req.attempt)
@@ -1122,32 +1269,48 @@ fn remote_attempt(
     let sock = |e: io::Error| NetError::Connect(format!("socket deadline: {e}"));
     stream.set_read_timeout(Some(timeout)).map_err(sock)?;
     stream.set_write_timeout(Some(timeout)).map_err(sock)?;
+    converse(
+        io::BufReader::new(&stream),
+        io::BufWriter::new(&stream),
+        req,
+        base,
+        sub_rows,
+        net,
+    )
+}
 
+/// The coordinator's half of one conversation, over any byte pipe pair (a
+/// socket, or a child's stdout and stdin): stream the request and the
+/// sub-pool, wait out the mine phase on heartbeats, read the stats record
+/// and the archive back, cross-checking every declared count, then say
+/// bye. The archive comes back as owned merge patterns with the shard's
+/// counters (`elapsed` left for the caller to stamp).
+pub(crate) fn converse<R: Read, W: Write>(
+    mut r: R,
+    mut w: W,
+    req: &NetRequest,
+    base: &PatternPool,
+    sub_rows: &[u32],
+    net: &mut NetStats,
+) -> Result<ShardRun, NetError> {
     // Send: the request frame, then the sub-pool streamed row-wise from
     // the shared base slab through the chunking sink — no whole-slab
     // buffer on this side of the wire.
     let text = req.to_text();
-    let mut w = io::BufWriter::new(&stream);
     write_frame(&mut w, FRAME_REQUEST, text.as_bytes()).map_err(|e| io_error(NetPhase::Send, e))?;
     net.bytes_sent += text.len() as u64;
-    let sink = FrameSink::new(&mut w);
-    let sent = stream_slab_rows(base, sub_rows, sink)?;
-    w.flush().map_err(|e| io_error(NetPhase::Send, e))?;
-    drop(w);
-    net.bytes_sent += sent;
+    net.bytes_sent += stream_slab_rows(base, sub_rows, FrameSink::new(&mut w))?;
 
     // Mine: heartbeats keep the read deadline alive until the stats
     // record (or a typed worker error) arrives.
-    let mut r = io::BufReader::new(&stream);
-    let wstats = loop {
+    let stats = loop {
         match read_frame(&mut r) {
             Ok((FRAME_HEARTBEAT, _)) => net.heartbeats += 1,
             Ok((FRAME_STATS, payload)) => {
                 let text = String::from_utf8(payload)
                     .map_err(|_| NetError::FrameCorrupt("stats record is not UTF-8".into()))?;
                 net.bytes_received += text.len() as u64;
-                break WorkerStats::parse_record(&text, req.shard)
-                    .map_err(NetError::FrameCorrupt)?;
+                break parse_stats_record(&text, req.shard).map_err(NetError::FrameCorrupt)?;
             }
             Ok((FRAME_ERROR, payload)) => return Err(parse_error_frame(&payload)),
             Ok((k, _)) => {
@@ -1158,10 +1321,10 @@ fn remote_attempt(
             Err(e) => return Err(frame_error(NetPhase::Mine, e)),
         }
     };
-    if wstats.pool_size != sub_rows.len() {
+    if stats.pool_size != sub_rows.len() {
         return Err(NetError::FrameCorrupt(format!(
             "worker mined {} rows but {} were shipped",
-            wstats.pool_size,
+            stats.pool_size,
             sub_rows.len()
         )));
     }
@@ -1175,17 +1338,20 @@ fn remote_attempt(
         .map_err(|e| io_error(NetPhase::Receive, e))?;
     net.bytes_received += bytes;
     net.heartbeats += beats;
-    if slab.len() != wstats.patterns {
+    if slab.len() != stats.patterns {
         return Err(NetError::FrameCorrupt(format!(
             "archive slab has {} patterns but the stats record declared {}",
             slab.len(),
-            wstats.patterns
+            stats.patterns
         )));
     }
     // Best-effort teardown; the host may already be gone.
-    let mut ws: &TcpStream = &stream;
-    let _ = write_frame(&mut ws, FRAME_BYE, &[]);
-    Ok((slab, wstats))
+    let _ = write_frame(&mut w, FRAME_BYE, &[]).and_then(|()| w.flush());
+    // Archive rows intern into the merge store as owned patterns.
+    let outputs = (0..slab.len() as u32)
+        .map(|r| MergePattern::Owned(Pattern::new(slab.itemset(r), slab.tidset(r))))
+        .collect();
+    Ok(ShardRun { outputs, stats })
 }
 
 /// Streams `rows` of `base` through a [`FrameSink`], folding slab-encode
@@ -1333,106 +1499,166 @@ pub fn spawn_host(
     Ok((addr, handle))
 }
 
-/// Serves one connection: request frame → sub-pool slab → (faults) →
-/// mine with heartbeats → stats frame → archive slab → await the
-/// coordinator's teardown. Failures before mining are answered with a
-/// typed error frame (protocol exit codes: 2 = slab, 3 = request) so the
-/// coordinator distinguishes "worker rejected this" from "wire broke".
-fn handle_conn(stream: TcpStream, opts: &HostOptions) -> Result<(), String> {
+/// Serves one connection: socket deadlines, then one [`serve_session`]
+/// over the socket (TCP hosts have no dataset, so closure requests are
+/// refused).
+fn handle_conn(stream: TcpStream, opts: &HostOptions) -> Result<(), SessionError> {
     let _ = stream.set_nodelay(true);
     let io_timeout = opts.io_timeout.max(Duration::from_millis(1));
-    let sock = |e: io::Error| format!("socket deadline: {e}");
+    let sock = |e: io::Error| SessionError {
+        exit: 1,
+        reason: format!("socket deadline: {e}"),
+    };
     stream.set_read_timeout(Some(io_timeout)).map_err(sock)?;
     stream.set_write_timeout(Some(io_timeout)).map_err(sock)?;
-    let mut r = io::BufReader::new(&stream);
+    serve_session(
+        io::BufReader::new(&stream),
+        io::BufWriter::new(&stream),
+        None,
+        opts,
+    )
+}
 
+/// Why a host session ended without serving its shard.
+#[derive(Debug)]
+pub struct SessionError {
+    /// The exit code a `cfp shard-host --stdio` process ends with: the
+    /// error frame's code when one was sent (2 = slab, 3 = request or
+    /// dataset), else 1.
+    pub exit: i32,
+    /// What went wrong.
+    pub reason: String,
+}
+
+impl std::fmt::Display for SessionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.reason)
+    }
+}
+
+impl std::error::Error for SessionError {}
+
+/// The host's half of one conversation, over any byte pipe pair — what a
+/// TCP host runs per connection and `cfp shard-host --stdio` runs once on
+/// its stdin and stdout: request frame → sub-pool slab → (faults) → mine
+/// with heartbeats → stats frame → archive slab → await the coordinator's
+/// teardown. `db` is the dataset a closure request's vertical index is
+/// built from; it is read only for such a request, and a closure request
+/// without one is refused. Failures before mining are answered with a
+/// typed error frame (exit codes: 2 = slab, 3 = request or dataset) so the
+/// coordinator distinguishes "worker rejected this" from "wire broke".
+pub fn serve_session<R: Read, W: Write>(
+    mut r: R,
+    mut w: W,
+    db: Option<&Path>,
+    opts: &HostOptions,
+) -> Result<(), SessionError> {
+    let fail = |reason: String| SessionError { exit: 1, reason };
     let req = match read_frame(&mut r) {
         Ok((FRAME_REQUEST, payload)) => {
-            let text =
-                String::from_utf8(payload).map_err(|_| "request frame is not UTF-8".to_string())?;
-            match NetRequest::parse(&text) {
+            let parsed = String::from_utf8(payload)
+                .map_err(|_| "request frame is not UTF-8".to_string())
+                .and_then(|text| NetRequest::parse(&text));
+            match parsed {
                 Ok(req) => req,
-                Err(e) => {
-                    send_error_frame(&stream, 3, &e);
-                    return Err(format!("bad request: {e}"));
-                }
+                Err(e) => return Err(reject(&mut w, 3, format!("bad request: {e}"))),
             }
         }
-        Ok((k, _)) => return Err(format!("expected a request frame, got kind {k}")),
-        Err(e) => return Err(format!("reading request: {e}")),
+        Ok((k, _)) => return Err(fail(format!("expected a request frame, got kind {k}"))),
+        Err(e) => return Err(fail(format!("reading request: {e}"))),
     };
 
     let mut source = FrameSource::new(&mut r);
     let slab = match slab_io::read_slab(&mut source) {
         Ok(slab) => slab,
-        Err(e) => {
-            send_error_frame(&stream, 2, &format!("input slab: {e}"));
-            return Err(format!("input slab: {e}"));
-        }
+        Err(e) => return Err(reject(&mut w, 2, format!("input slab: {e}"))),
     };
     if let Err(e) = source.finish() {
-        send_error_frame(&stream, 2, &format!("input slab stream: {e}"));
-        return Err(format!("input slab stream: {e}"));
+        return Err(reject(&mut w, 2, format!("input slab stream: {e}")));
     }
 
     if opts
         .fault
         .fires(FaultAction::KillWorker, req.shard, req.attempt)
     {
-        // Injected worker death: drop the connection with no response at
-        // all — the coordinator must see a closed stream, not a hang.
-        return Err("injected kill-worker: dropping the connection".into());
+        // Injected worker death: end with no response at all — the
+        // coordinator must see a closed stream, not a hang.
+        return Err(fail("injected kill-worker: dropping the connection".into()));
     }
     opts.fault.maybe_stall(req.shard, req.attempt);
 
+    let dataset = match (req.config.closure_step, db) {
+        (false, _) => cfp_itemset::DbBuilder::new().build(),
+        (true, None) => {
+            let why =
+                "closure request, but this host has no dataset (shard-host --stdio --db FILE)";
+            return Err(reject(&mut w, 3, why.into()));
+        }
+        (true, Some(path)) => cfp_itemset::read_fimi(path)
+            .map_err(|e| reject(&mut w, 3, format!("dataset {}: {e}", path.display())))?,
+    };
+
     // Mine on a scoped thread while this one heartbeats — a long shard
     // must look alive, a hung one must not. A heartbeat write failure
-    // means the coordinator is gone; stop beating but still join the
-    // miner (its result is simply discarded with the connection).
-    let db = cfp_itemset::DbBuilder::new().build();
-    let pf = PatternFusion::new(&db, req.config.clone());
-    let (archive, wstats) = thread::scope(|scope| {
-        let miner = scope.spawn(|| mine_shard_slab(&pf, slab));
-        let mut last_beat = Instant::now();
+    // means the coordinator is gone; stop beating but still wait for the
+    // miner (its result is simply discarded with the conversation).
+    let pf = PatternFusion::new(&dataset, req.config.clone());
+    let universe = slab.universe();
+    let (pf, shard) = (&pf, req.shard);
+    let (store, out_rows, stats) = thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel();
+        scope.spawn(move || {
+            let _ = tx.send(pf.mine_shard_slab(slab, pf.config(), shard));
+        });
         let mut beating = true;
-        while !miner.is_finished() {
-            thread::sleep(Duration::from_millis(10));
-            if beating && last_beat.elapsed() >= opts.heartbeat {
-                let mut ws: &TcpStream = &stream;
-                if write_frame(&mut ws, FRAME_HEARTBEAT, &[]).is_err() {
-                    beating = false;
+        loop {
+            match rx.recv_timeout(opts.heartbeat) {
+                Ok(done) => break done,
+                Err(RecvTimeoutError::Timeout) => {
+                    beating = beating
+                        && write_frame(&mut w, FRAME_HEARTBEAT, &[])
+                            .and_then(|()| w.flush())
+                            .is_ok();
                 }
-                last_beat = Instant::now();
+                Err(RecvTimeoutError::Disconnected) => panic!("miner thread panicked"),
             }
         }
-        miner.join().expect("miner thread panicked")
     });
 
-    let record = wstats.to_record(req.shard);
-    let mut w = io::BufWriter::new(&stream);
-    write_frame(&mut w, FRAME_STATS, record.as_bytes())
-        .map_err(|e| format!("sending stats: {e}"))?;
+    // The archive slab, in output order — the one materialization on the
+    // host side (≤ archive-cap patterns).
+    let mut archive = PatternPool::new(universe);
+    for &r in &out_rows {
+        let p = store.pattern(r);
+        archive.push_tidset(p.items.items(), &p.tids);
+    }
+    write_frame(&mut w, FRAME_STATS, stats_record(&stats).as_bytes())
+        .map_err(|e| fail(format!("sending stats: {e}")))?;
     let sabotage = [FaultAction::CorruptFrame, FaultAction::TruncateFrame]
         .into_iter()
         .find(|&a| opts.fault.fires(a, req.shard, req.attempt));
     let mut sink = FrameSink::new(&mut w).with_sabotage(sabotage);
-    slab_io::write_slab(&archive, &mut sink).map_err(|e| format!("sending archive: {e}"))?;
-    sink.finish().map_err(|e| format!("sending archive: {e}"))?;
-    w.flush().map_err(|e| format!("flush: {e}"))?;
-    drop(w);
+    slab_io::write_slab(&archive, &mut sink).map_err(|e| fail(format!("sending archive: {e}")))?;
+    sink.finish()
+        .map_err(|e| fail(format!("sending archive: {e}")))?;
     // Best-effort teardown: wait for the coordinator's Bye (or its
-    // close); nothing to do with the result either way.
+    // hang-up); nothing to do with the result either way.
     let _ = read_frame(&mut r);
     Ok(())
+}
+
+/// Sends a typed error frame and returns the matching session error.
+fn reject(w: &mut impl Write, exit: i32, reason: String) -> SessionError {
+    send_error_frame(w, exit, &reason);
+    SessionError { exit, reason }
 }
 
 /// Sends a typed [`FRAME_ERROR`] (best-effort — the peer may be gone).
 /// Shared with the v3 query service ([`crate::serve`]), whose error frames
 /// carry the same `exit=<code>\n<message>` payload shape.
-pub(crate) fn send_error_frame(stream: &TcpStream, exit: i32, msg: &str) {
+pub(crate) fn send_error_frame(mut w: impl Write, exit: i32, msg: &str) {
     let payload = format!("exit={exit}\n{msg}");
-    let mut ws: &TcpStream = stream;
-    let _ = write_frame(&mut ws, FRAME_ERROR, payload.as_bytes());
+    let _ = write_frame(&mut w, FRAME_ERROR, payload.as_bytes()).and_then(|()| w.flush());
 }
 
 #[cfg(test)]
@@ -1546,10 +1772,18 @@ mod tests {
         config.k = 17;
         config.min_count = 4;
         config.tau = 0.85;
+        config.pool_max_len = 5;
+        config.attempts_per_seed = 4;
+        config.max_results_per_seed = 11;
+        config.max_iterations = 9;
+        config.max_ball_size = 48;
+        config.ball_pivots = 6;
         config.seed = 1234;
         config.archive_cap = Some(99);
+        config.archive = false;
         config.threads = Some(1);
         config.parallel = false;
+        config.closure_step = true;
         let req = NetRequest {
             shard: 2,
             shards: 4,
@@ -1567,6 +1801,47 @@ mod tests {
         assert!(err.contains("version 1 not supported"), "{err}");
         assert!(NetRequest::parse("garbage\n--k 3").is_err());
         assert!(NetRequest::parse("cfp-net 2 shard=0 shards=1 attempt=0\n--no-such-flag").is_err());
+    }
+
+    #[test]
+    fn stats_record_round_trips() {
+        let mut stats = ShardStats {
+            shard: 2,
+            pool_size: 12,
+            patterns: 3,
+            iterations: 5,
+            converged: true,
+            tombstoned: 77,
+            inserted: 9,
+            compactions: 1,
+            ..Default::default()
+        };
+        stats.ball.pairs_total = 1_000_000;
+        stats.ball.pivot_pruned = 123_456;
+        stats.ball.pivot_prune_counts[0] = 100_000;
+        stats.ball.pivot_prune_counts[3] = 23_456;
+        stats.ball.pivots_active = 6;
+        let record = stats_record(&stats);
+        assert!(record.starts_with("cfp-stats 2 shard=2\n"));
+        assert!(record.ends_with("end\n"));
+        let parsed = parse_stats_record(&record, 2).expect("round trip");
+        assert_eq!(parsed, stats);
+    }
+
+    #[test]
+    fn stats_record_rejects_corruption() {
+        let record = stats_record(&ShardStats::default());
+        // Wrong shard in the handshake.
+        assert!(parse_stats_record(&record, 1).is_err());
+        // Truncated (no `end`): a worker that died mid-write.
+        let cut = record.trim_end_matches("end\n");
+        assert!(parse_stats_record(cut, 0).unwrap_err().contains("end"));
+        // Garbage value.
+        let bad = record.replace("pool_size 0", "pool_size zero");
+        assert!(parse_stats_record(&bad, 0).is_err());
+        // Unknown key.
+        let unk = record.replace("pool_size", "pool_sizes");
+        assert!(parse_stats_record(&unk, 0).is_err());
     }
 
     #[test]

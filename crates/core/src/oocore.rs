@@ -12,7 +12,7 @@
 //! as owned patterns, and evicted before the next batch. The per-shard
 //! archives then run through the *same* deterministic merge + boundary
 //! repair as the in-memory sharded engine
-//! ([`PatternFusion::merge_shard_outputs`]).
+//! (`PatternFusion::merge_shard_outputs`).
 //!
 //! # The memory budget
 //!
@@ -231,33 +231,12 @@ struct ShardOutcome {
 }
 
 impl PatternFusion<'_> {
-    /// Runs the full algorithm out-of-core: mines the initial pool, spills
-    /// it as per-shard slabs, evicts it, and mines/fuses the shards in
-    /// batches bounded by `oo.mem_budget` — bit-identical to
-    /// [`PatternFusion::run`] at the same config (see the module docs).
-    #[deprecated(
-        note = "use `FusionConfig::engine(&db).with_executor(ExecutorKind::OutOfCore(oo)).mine(Source::Transactions)` (crate::engine)"
-    )]
-    pub fn run_out_of_core(&self, oo: &OocoreConfig) -> Result<FusionResult, OocoreError> {
-        let (store, mine) = self.mine_store();
-        self.run_oocore_store(store, mine, oo)
-    }
-
-    /// [`PatternFusion::run_out_of_core`] from a caller-supplied slab
-    /// (phase 2 only) — the out-of-core counterpart of
-    /// [`PatternFusion::run_with_slab`] / `run_sharded_with_slab`.
-    #[deprecated(
-        note = "use `FusionConfig::engine(&db).with_executor(ExecutorKind::OutOfCore(oo)).mine(Source::Slab(slab))` (crate::engine)"
-    )]
-    pub fn run_out_of_core_with_slab(
-        &self,
-        slab: PatternPool,
-        oo: &OocoreConfig,
-    ) -> Result<FusionResult, OocoreError> {
-        self.run_oocore_store(PoolStore::new(slab), PoolMineStats::default(), oo)
-    }
-
-    fn run_oocore_store(
+    /// The out-of-core tail behind [`Engine::mine`](crate::Engine::mine):
+    /// spill the pool as per-shard slabs, evict it, and mine/fuse the
+    /// shards in batches bounded by `oo.mem_budget` — bit-identical to the
+    /// in-memory engine at the same config (see the module docs). Stamps its
+    /// own pool statistics, because the pool it reports on is evicted.
+    pub(crate) fn run_oocore_store(
         &self,
         store: PoolStore,
         mine: PoolMineStats,

@@ -87,7 +87,8 @@ use std::time::Duration;
 
 /// Version tag of the query-service request/response protocol. Bumped on
 /// any incompatible change to the request text, response text, or framing
-/// (versions 1–2 are the shard-worker protocols of [`crate::net`]).
+/// (version 2 is the worker interchange protocol of [`crate::net`]; version
+/// 1 was its retired subprocess predecessor).
 pub const SERVE_PROTOCOL_VERSION: u32 = 3;
 
 /// Default `k` for a `topk` request that does not specify one.

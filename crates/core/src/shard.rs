@@ -11,8 +11,9 @@
 //! merged through a deterministic dedup / re-rank pass followed by a
 //! cross-shard **boundary repair** step. *Where* the shards execute —
 //! in-thread on the work-stealing pool, out-of-core in budgeted passes, or
-//! in `cfp shard-worker` OS processes — is the [`crate::executor`] seam's
-//! business; every backend funnels back through the merge here.
+//! in `cfp shard-host` worker processes over pipes or TCP — is the
+//! [`crate::executor`] seam's business; every backend funnels back through
+//! the merge here.
 //!
 //! # Zero-copy sub-pools
 //!
@@ -65,9 +66,9 @@
 //!   merge/repair passes are order-keyed — so output is identical at any
 //!   thread count (and on any machine) for a fixed partition strategy.
 
-use crate::algorithm::{splitmix64, threads_for, FusionResult, PatternFusion};
+use crate::algorithm::{splitmix64, threads_for, PatternFusion};
 use crate::parallel::run_tasks;
-use crate::pool::{materialize, rank_rows, PoolStore};
+use crate::pool::{rank_rows, PoolStore};
 use crate::stats::RunStats;
 use cfp_itemset::store::sorted_subset;
 use rand::SeedableRng;
@@ -309,46 +310,6 @@ pub fn partition(
 }
 
 impl PatternFusion<'_> {
-    /// Runs iterative fusion from a caller-supplied pool through the
-    /// sharded engine, regardless of `FusionConfig::sharding` — the config
-    /// only chooses shard count and strategy. [`PatternFusion::run_with_pool`]
-    /// routes here automatically when `sharding.shards > 1`.
-    #[deprecated(
-        note = "use `FusionConfig::engine(&db).partitioned().mine(Source::Pool(pool))` (crate::engine)"
-    )]
-    pub fn run_sharded_with_pool(&self, pool: Vec<crate::Pattern>) -> FusionResult {
-        self.run_sharded_with_slab_store(PoolStore::from_patterns(&pool))
-    }
-
-    /// [`PatternFusion::run_sharded_with_pool`] over a columnar slab — the
-    /// zero-copy entry (see [`PatternFusion::run_with_slab`]).
-    #[deprecated(
-        note = "use `FusionConfig::engine(&db).partitioned().mine(Source::Slab(slab))` (crate::engine)"
-    )]
-    pub fn run_sharded_with_slab(&self, slab: cfp_itemset::PatternPool) -> FusionResult {
-        self.run_sharded_with_slab_store(PoolStore::new(slab))
-    }
-
-    fn run_sharded_with_slab_store(&self, store: PoolStore) -> FusionResult {
-        let rows: Vec<u32> = (0..store.base_len() as u32).collect();
-        let (store, final_rows, mut stats) = self
-            .run_partitioned(store, rows, &crate::executor::ExecutorKind::InThread)
-            .unwrap_or_else(|e| unreachable!("in-thread executor is infallible: {e}"));
-        // Pool supplied pre-mined: no mine evidence, but the slab footprint
-        // is real — stamp it like `run_from_store` does.
-        stats.pool = crate::stats::PoolStats {
-            rows: store.len_rows(),
-            initial_rows: store.base_len(),
-            tid_bytes: store.tid_bytes(),
-            peak_bytes: store.resident_bytes(),
-            ..Default::default()
-        };
-        FusionResult {
-            patterns: materialize(&store, &final_rows),
-            stats,
-        }
-    }
-
     /// The deterministic merge tail shared by the in-memory sharded engine
     /// and the out-of-core driver ([`crate::oocore`]): first-occurrence
     /// dedup in shard order (row identity is itemset identity, so interning

@@ -53,8 +53,9 @@ pub struct IterationStats {
 
 /// What one shard of a sharded run did (see [`crate::shard`]): the summary
 /// of its private fusion loop, recorded in shard-index order so the roll-up
-/// is deterministic at any thread count.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// is deterministic at any thread count. Process-based workers ship it
+/// back in the stats frame ([`crate::net`]), all but `elapsed`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Shard index (0-based, stable for a given pool + strategy).
     pub shard: usize,

@@ -14,7 +14,7 @@
 //!
 //! Every kernel has three implementations behind the [`Backend`] enum:
 //!
-//! * [`Backend::Scalar`] — portable `u64` loops ([`scalar`]); the reference
+//! * [`Backend::Scalar`] — portable `u64` loops (`scalar`); the reference
 //!   semantics, available everywhere.
 //! * [`Backend::Sse2`] — the same loops compiled with the hardware `POPCNT`
 //!   instruction (requires the `popcnt` CPU feature; SSE2 itself is baseline
@@ -662,7 +662,7 @@ fn jaccard_within_via(
 
 /// `Some(distance)` when `jaccard(a, b) ≤ radius`, else `None`, with the
 /// bounded early-exit intersection kernel doing the heavy lifting (see
-/// [`jaccard_within_via`] for the threshold contract).
+/// `jaccard_within_via` for the threshold contract).
 #[inline]
 pub fn jaccard_within_words(
     a: &[u64],

@@ -115,9 +115,12 @@ impl From<io::Error> for SlabIoError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup table.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) slice-by-8
+/// lookup tables: `CRC_TABLES[0]` is the classic byte-at-a-time table, and
+/// `CRC_TABLES[k][b]` is the CRC contribution of byte `b` followed by `k`
+/// zero bytes — so eight lookups fold eight input bytes per step.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -130,24 +133,50 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
+/// Folds `bytes` into a running (pre-inverted) CRC, eight bytes per step,
+/// finishing the tail byte by byte.
 fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let t = &CRC_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc
 }
 
 /// Streaming CRC-32 over arbitrary byte runs — the exact checksum the
 /// CFPSLAB footer uses (IEEE 802.3 reflected, init `0xFFFF_FFFF`, final
-/// XOR), exposed so other interchange layers (the shard-worker network
-/// frames of `cfp_core::net`) checksum with the same machinery instead of
-/// a second table.
+/// XOR), exposed so other interchange layers (the worker protocol frames
+/// of `cfp_core::net`) checksum with the same machinery instead of a second
+/// table.
 #[derive(Debug, Clone, Copy)]
 pub struct Crc32(u32);
 
@@ -798,8 +827,36 @@ mod tests {
         ));
     }
 
+    /// The byte-at-a-time reference loop the slice-by-8 update must match.
+    fn crc32_update_bytewise(mut crc: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        crc
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Slice-by-8 equals the byte-at-a-time loop on random bytes, fed
+        /// as streaming `update` calls split at random points.
+        #[test]
+        fn slice_by_8_matches_the_bytewise_crc(
+            bytes in proptest::collection::vec(any::<u8>(), 0..300),
+            cuts in proptest::collection::vec(0usize..300, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut c = Crc32::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                c.update(&bytes[at..cut]);
+                at = cut;
+            }
+            let want = crc32_update_bytewise(0xFFFF_FFFF, &bytes) ^ 0xFFFF_FFFF;
+            prop_assert_eq!(c.finish(), want);
+            prop_assert_eq!(crc32(&bytes), want);
+        }
 
         /// `load ∘ dump ≡ id` on random slabs, including ragged universes
         /// (not lane multiples) and empty pools.

@@ -60,55 +60,17 @@
 //! bit-flips, and mismatched section tables each surface as a typed
 //! [`crate::slab_io::SlabIoError`], never a panic.
 //!
-//! # Worker interchange protocol (version 1)
+//! # Worker interchange protocol (version 2)
 //!
-//! CFPSLAB doubles as the interchange format of the subprocess shard
-//! executor (`cfp_core::executor`): the parent ships each shard to a
-//! `cfp shard-worker` child as a slab file and reads the shard's archive
-//! back as another. The protocol is deliberately file-plus-argv — no
-//! streaming over pipes — so a worker's inputs are inspectable and
-//! replayable after a failure.
-//!
-//! **Request** (argv): the parent spawns `<worker> shard-worker
-//! --protocol 1 --shard S --shards N --input IN.slab --output OUT.slab`
-//! followed by the full fusion configuration (`--k`, `--mincount`,
-//! `--tau`, `--pool-len`, `--attempts`, `--max-results`,
-//! `--max-iterations`, `--max-ball-size`, `--ball-pivots`, `--seed`, and
-//! the optional `--archive-cap`, `--no-archive`, `--no-parallel`,
-//! `--threads`, `--closure`, `--db`). A worker rejects any protocol
-//! version or flag it does not know — unknown flags are a hard error,
-//! never silently ignored, so parent/worker version skew cannot mine
-//! with a half-applied configuration.
-//!
-//! **Slab layout**: `IN.slab` holds the shard's sub-pool in the parent's
-//! partition order — the worker mines rows `0..rows` in slab order, so
-//! the sub-pool's row order (not content hashing) carries the
-//! determinism contract across the process boundary. `OUT.slab` holds
-//! the shard's archive rows in the worker's deterministic output order;
-//! the parent re-interns them against its own base slab, restoring
-//! row-id identity for the deterministic merge.
-//!
-//! **Stats record** (worker stdout, line-oriented ASCII): a handshake
-//! line `cfp-shard-worker <version> shard=<S>`, then `key value` pairs
-//! (`pool_size`, `patterns`, `iterations`, `converged`, `tombstoned`,
-//! `inserted`, `compactions`, and the `ball.*` counters, with
-//! `ball.pivot_prune_counts` as one space-separated row of per-pivot
-//! totals), closed by a literal `end` line. The parent parses strictly —
-//! a missing terminator, an unknown key, or a `pool_size` that does not
-//! match what was shipped is a typed worker failure, because per-shard
-//! counters are part of the bit-identity gate, not best-effort telemetry.
-//!
-//! **Exit codes**: `0` success (record on stdout); `2` slab I/O failure
-//! (the typed `SlabIoError` text goes to stderr); `3` malformed request
-//! or dataset. Anything else — a crash, a kill, a wrong binary — is
-//! surfaced by the parent as a typed worker-death error carrying the
-//! shard index, exit status, and captured stderr.
-//!
-//! # Worker interchange protocol (version 2, networked)
-//!
-//! The networked shard executor (`cfp_core::net`: coordinator ↔
-//! `cfp shard-host` over TCP) speaks version 2: the same CFPSLAB bytes,
-//! re-framed for a socket. Every frame is
+//! CFPSLAB doubles as the shard interchange of the process-based shard
+//! executors (`cfp_core::net`): a coordinator ships each shard's sub-pool
+//! to a `cfp shard-host` worker and reads the shard's archive back, both
+//! as CFPSLAB bytes re-framed for a byte stream. The protocol runs over
+//! two transports with the same frames: **TCP** (the remote executor
+//! dials a `cfp shard-host` listener, one connection per shard attempt)
+//! and **pipes** (the subprocess executor spawns `<worker> shard-host
+//! --stdio [--db FILE]` per shard and converses over the child's stdin
+//! and stdout, which carries frames only). Every frame is
 //!
 //! ```text
 //! offset  size   field
@@ -126,32 +88,60 @@
 //! failure — never a panic, never a partial merge.
 //!
 //! **Handshake** (request payload, ASCII): `cfp-net 2 shard=<S>
-//! shards=<N> attempt=<A>` on the first line, then the same
-//! configuration flags as the version-1 argv request, one token per
-//! line. A host rejects unknown versions and unknown flags exactly as a
-//! version-1 worker does. `attempt` makes redelivery explicit: a host
-//! treats every attempt as idempotent (same sub-pool → same answer).
+//! shards=<N> attempt=<A>` on the first line, then the full per-shard
+//! fusion configuration as flags, one token per line (`--k`,
+//! `--mincount`, `--tau`, `--pool-len`, `--attempts`, `--max-results`,
+//! `--max-iterations`, `--max-ball-size`, `--ball-pivots`, `--seed`,
+//! each followed by its value, and the optional `--archive-cap N`,
+//! `--no-archive`, `--no-parallel`, `--threads N`, `--closure`). A host
+//! rejects any version or flag it does not know — never silently
+//! ignored, so coordinator/host version skew cannot mine with a
+//! half-applied configuration. `attempt` makes redelivery explicit: a
+//! host treats every attempt as idempotent (same sub-pool → same answer).
 //!
-//! **Slab streaming**: the coordinator frames the shard's sub-pool —
-//! byte-identical to the version-1 `IN.slab` image, row order and all —
+//! **Slab streaming**: the coordinator frames the shard's sub-pool — a
+//! CFPSLAB image of the shard's rows in the parent's partition order —
 //! as chunk frames (128 KiB each) closed by a slab-end frame whose
-//! payload is the total byte count (u64 LE); the host streams the
-//! archive slab back the same way after its stats frame. End-total
-//! mismatches and trailing bytes are corrupt-frame failures.
+//! payload is the total byte count (u64 LE). The host mines rows
+//! `0..rows` in slab order, so the sub-pool's row order (not content
+//! hashing) carries the determinism contract across the process
+//! boundary. After its stats frame the host streams the archive slab
+//! back the same way, rows in its deterministic output order; the
+//! coordinator re-interns them against its own base slab, restoring
+//! row-id identity for the deterministic merge. End-total mismatches
+//! and trailing bytes are corrupt-frame failures.
+//!
+//! **Stats record** (stats-frame payload, line-oriented ASCII): a
+//! handshake line `cfp-stats 2 shard=<S>`, then `key value` pairs
+//! (`pool_size`, `patterns`, `iterations`, `converged`, `tombstoned`,
+//! `inserted`, `compactions`, and the `ball.*` counters, with
+//! `ball.pivot_prune_counts` as one space-separated row of per-pivot
+//! totals), closed by a literal `end` line. The coordinator parses
+//! strictly — a missing terminator, an unknown key, a `pool_size` that
+//! does not match what was shipped, or an archive whose row count does
+//! not match `patterns` is a typed failure, because per-shard counters
+//! are part of the bit-identity gate, not best-effort telemetry.
 //!
 //! **Liveness**: while mining, the host emits a heartbeat frame at a
-//! configurable cadence; the coordinator arms `SO_RCVTIMEO` /
+//! configurable cadence. Over TCP the coordinator arms `SO_RCVTIMEO` /
 //! `SO_SNDTIMEO` per phase (connect, send, mine, receive), so a dead
-//! peer surfaces as a typed per-phase timeout, never a hang.
+//! peer surfaces as a typed per-phase timeout, never a hang. Over pipes
+//! the coordinator bounds each child by one deadline from its spawn and
+//! kills a child that outlives it, which ends the conversation.
 //!
-//! **Errors**: an error frame carries `exit=<code>` (reusing the
-//! version-1 exit codes: `2` slab I/O, `3` malformed request) and the
-//! failure text on the following lines; the coordinator maps it to a
-//! typed remote-worker failure, retries the shard with deterministic
-//! backoff on a rotated host, and — when retries are exhausted — either
-//! re-mines the shard in-thread from its spilled slab or surfaces a
-//! typed network failure naming the shard, the attempt count, and the
-//! last error.
+//! **Errors**: an error frame carries `exit=<code>` (`2` slab I/O, `3`
+//! malformed request, or a dataset problem — a closure request to a host
+//! without a dataset, or one that fails to load) and the failure text on
+//! the following lines. A `--stdio` host then exits with that code (`1`
+//! for any failure that sent no error frame). Over TCP the coordinator
+//! maps an error frame to a typed remote-worker failure, retries the
+//! shard with deterministic backoff on a rotated host, and — when
+//! retries are exhausted — either re-mines the shard in-thread from its
+//! spilled slab or surfaces a typed network failure naming the shard,
+//! the attempt count, and the last error. Over pipes a failed
+//! conversation is a typed worker failure carrying the shard index, the
+//! child's exit status, and its captured stderr, with an opt-in
+//! in-process re-mine from the spilled slab.
 //!
 //! # Query service protocol (version 3)
 //!

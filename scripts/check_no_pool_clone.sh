@@ -64,13 +64,14 @@ check_absent crates/itemset/src/slab_io.rs \
     'permuted\(|\.to_vec\(\)|clone\(\)' \
     'slab writer streams column borrows (no intermediate pool or column copies)'
 
-# 7. The subprocess executor ships each shard by streaming base-slab row
-#    borrows into a CFPSLAB file (`dump_slab_rows_path`) and reads archives
-#    back as slab rows: no cloned sub-pools or whole-slab copies may appear
-#    on the worker send/receive path (config/path clones are fine).
+# 7. The subprocess executor spills each shard's fallback slab by streaming
+#    base-slab row borrows into a CFPSLAB file (`dump_slab_rows_path`) and
+#    pipes the same borrows to its `shard-host --stdio` child as frames
+#    (`converse`): no cloned sub-pools or whole-slab copies may appear on
+#    the spill or pipe path (config/path clones are fine).
 check_absent crates/core/src/executor.rs \
     'pool\.clone\(\)|slab\.clone\(\)|base\.clone\(\)|\.permuted\(|Vec<Pattern>|\.tids\.clone' \
-    'worker interchange streams slab rows (no cloned sub-pools or slab copies)'
+    'spill and pipe stream slab rows to workers (no cloned sub-pools or slab copies)'
 
 # 8. The networked executor frames each shard's sub-pool over TCP straight
 #    from base-slab row borrows (`write_slab_rows` into the chunking

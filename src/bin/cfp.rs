@@ -16,25 +16,26 @@
 //! labels) with sizes and supports; `--mem-budget` (or `CFP_MEM_BUDGET`)
 //! routes it through the out-of-core driver, and `--executor` (or
 //! `CFP_EXECUTOR`) picks the shard execution backend — `thread` (default),
-//! `oocore`, or `process` (one `cfp shard-worker` OS process per shard;
-//! bit-identical output either way). `dump` mines just the initial
+//! `oocore`, `process` (one `cfp shard-host --stdio` child per shard), or
+//! `remote` (`cfp shard-host` workers over TCP); bit-identical output
+//! either way. `dump` mines just the initial
 //! pool and persists it as a `CFPSLAB` binary slab; `load` validates a slab
 //! and summarizes it; `mine --pool` starts fusion from a dumped slab
 //! instead of re-mining. `stats` summarizes a dataset. `generate` writes
 //! one of the paper's workloads in FIMI format.
 //!
-//! There is also a hidden `shard-worker` subcommand — the child half of the
-//! subprocess executor's worker protocol (see the CFPSLAB spec in
-//! `cfp_itemset::store`). It is spawned by the parent `cfp mine
-//! --executor process`, not by people, so it stays out of the usage text.
+//! `shard-host` is the worker half of both process-based executors
+//! (worker interchange protocol v2; see the CFPSLAB spec in
+//! `cfp_itemset::store`): over TCP it serves remote coordinators, and with
+//! `--stdio` it serves one shard on stdin/stdout for the `process`
+//! executor that spawned it.
 
 use colossal::fusion::env as cfp_env;
-use colossal::fusion::executor::run_shard_worker;
 use colossal::fusion::net;
 use colossal::fusion::oocore::{parse_budget, OocoreConfig};
 use colossal::fusion::{
     serve_queries, ExecutorKind, FusionConfig, FusionResult, HostOptions, QueryClient,
-    RemoteConfig, ServeOptions, Source, SubprocessConfig, WorkerError, WorkerRequest,
+    RemoteConfig, ServeOptions, Source, SubprocessConfig,
 };
 use colossal::itemset::slab_io;
 use colossal::itemset::{read_fimi, write_fimi, TransactionDb};
@@ -63,10 +64,12 @@ fn main() -> ExitCode {
         "generate" => cmd_generate(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
         "query" => cmd_query(&args[1..]),
+        // One shard on stdin/stdout, with the protocol's exit codes (0 ok,
+        // 2 slab I/O, 3 request/dataset, 1 anything else).
+        "shard-host" if parse_flag(&args[1..], "--stdio") => {
+            return cmd_shard_host_stdio(&args[1..])
+        }
         "shard-host" => cmd_shard_host(&args[1..]),
-        // Hidden: the subprocess executor's worker half, with its own
-        // protocol exit codes (0 ok, 2 slab I/O, 3 request/dataset).
-        "shard-worker" => return cmd_shard_worker(&args[1..]),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             Ok(())
@@ -102,8 +105,8 @@ usage:
                        pass; overrides CFP_MEM_BUDGET; bit-identical output)
       --executor E     shard execution backend: thread | oocore | process
                        | remote (overrides CFP_EXECUTOR; process spawns
-                       one cfp shard-worker per shard, remote streams each
-                       shard to a cfp shard-host over TCP; bit-identical
+                       one cfp shard-host --stdio per shard, remote streams
+                       each shard to a cfp shard-host over TCP; bit-identical
                        output; CFP_EXECUTOR_FALLBACK=1 re-runs a dead
                        worker's shard in-process instead of failing, =0
                        disables the remote executor's default fallback)
@@ -158,6 +161,12 @@ usage:
       --io-timeout MS  socket deadline (also CFP_NET_TIMEOUT) [default 60000]
       --verbose        log per-connection failures to stderr
       (prints the bound address on stdout once listening)
+      --stdio          serve one shard on stdin/stdout instead, with the
+                       default heartbeat (how --executor process runs its
+                       workers; stdout carries protocol frames only; the
+                       TCP options above do not apply)
+      --db FILE        with --stdio: the dataset a --closure shard's
+                       vertical index is built from
   cfp generate <kind> [--out FILE] [--seed S]
       kinds: diag40, diag-plus (the intro's Diag40+20), replace, all, quest";
 
@@ -264,8 +273,9 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
             Ok::<ExecutorKind, String>(match parsed {
                 ExecutorKind::OutOfCore(_) => ExecutorKind::OutOfCore(make_oo(budget.unwrap_or(0))),
                 ExecutorKind::Subprocess(_) => {
-                    // Workers re-read the dataset (needed only for
-                    // --closure); worker death falls back in-process when
+                    // Closure-step workers rebuild the vertical index from
+                    // the dataset (the executor hands it to no others); a
+                    // failed worker falls back in-process when
                     // CFP_EXECUTOR_FALLBACK=1.
                     let mut sp = SubprocessConfig::new()
                         .with_db_path(path)
@@ -690,31 +700,24 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The hidden `shard-worker` subcommand — the child half of the subprocess
-/// executor. Parses the argv request, mines the shipped shard slab, writes
-/// the archive slab, and prints the stats record on stdout. Exit codes are
-/// part of the worker protocol: 0 success, 2 slab I/O failure, 3 malformed
-/// request or dataset failure.
-fn cmd_shard_worker(args: &[String]) -> ExitCode {
-    let req = match WorkerRequest::parse(args) {
-        Ok(req) => req,
+/// `shard-host --stdio` — the worker half of the subprocess executor:
+/// serves one shard conversation (worker interchange protocol v2) on
+/// stdin/stdout, which carries frames only, then exits with the session's
+/// code (0 ok, 2 slab I/O, 3 malformed request or dataset, 1 otherwise).
+fn cmd_shard_host_stdio(args: &[String]) -> ExitCode {
+    // A `String` value always parses.
+    let db = parse_value::<String>(args, "--db").ok().flatten();
+    let session = net::serve_session(
+        std::io::stdin().lock(),
+        std::io::BufWriter::with_capacity(net::SLAB_CHUNK_BYTES, std::io::stdout().lock()),
+        db.as_deref().map(std::path::Path::new),
+        &HostOptions::default().with_fault(net::FaultPlan::from_env()),
+    );
+    match session {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("shard-worker: {e}");
-            return ExitCode::from(3);
-        }
-    };
-    match run_shard_worker(&req) {
-        Ok(stats) => {
-            print!("{}", stats.to_record(req.shard));
-            ExitCode::SUCCESS
-        }
-        Err(e @ WorkerError::Slab(_)) => {
-            eprintln!("shard-worker: {e}");
-            ExitCode::from(2)
-        }
-        Err(e) => {
-            eprintln!("shard-worker: {e}");
-            ExitCode::from(3)
+            eprintln!("cfp shard-host: {e}");
+            ExitCode::from(u8::try_from(e.exit).unwrap_or(1))
         }
     }
 }
@@ -724,6 +727,9 @@ fn cmd_shard_worker(args: &[String]) -> ExitCode {
 /// stdout (an OS-assigned `:0` port is the fixture-friendly default), and
 /// serves one shard request per connection until `--max-conns` runs out.
 fn cmd_shard_host(args: &[String]) -> Result<(), String> {
+    if parse_flag(args, "--db") {
+        return Err("shard-host: --db needs --stdio (TCP hosts serve no dataset)".into());
+    }
     let bind = parse_value::<String>(args, "--bind")?.unwrap_or_else(|| "127.0.0.1:0".into());
     let listener =
         std::net::TcpListener::bind(&bind).map_err(|e| format!("binding {bind}: {e}"))?;

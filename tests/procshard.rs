@@ -1,16 +1,20 @@
 //! Contracts of the subprocess shard executor
 //! (`cfp_core::executor::ExecutorKind::Subprocess`), driven against the
-//! real `cfp` binary (`cfp shard-worker` children):
+//! real `cfp` binary (`cfp shard-host --stdio` children speaking protocol
+//! v2 over their pipes):
 //!
 //! 1. **bit-identity** — the subprocess executor returns bit-for-bit the
 //!    in-thread sharded engine's output for both partition strategies at
 //!    1–4 shards and 1/2/8 worker threads — itemsets AND support sets,
-//!    plus the per-shard counters shipped back over the stats record;
-//! 2. **worker death is typed** — a worker that dies (or never spawns)
-//!    surfaces as [`colossal::fusion::ExecutorError::Worker`] with the
-//!    shard index and exit status, never a hang or a partial merge; with
-//!    `fallback_in_process` the dead worker's shard is re-mined in-process
-//!    and the run still returns the bit-identical result;
+//!    plus the per-shard counters shipped back in the stats frame — and a
+//!    closure-step run matches the in-thread closure run;
+//! 2. **worker failure is typed** — a worker that dies, stalls, never
+//!    spawns, or breaks the wire (corrupt or truncated frame, killed
+//!    mid-conversation) surfaces as
+//!    [`colossal::fusion::ExecutorError::Worker`] with the shard index,
+//!    never a hang or a partial merge; with `fallback_in_process` the
+//!    failed worker's shard is re-mined in-process and the run still
+//!    returns the bit-identical result;
 //! 3. **configuration edges** — `closure_step` without a dataset path is
 //!    rejected up front, a non-empty user work dir is refused with the
 //!    typed spill-dir error, and empty pools never spawn anything.
@@ -333,4 +337,97 @@ fn empty_pool_spawns_nothing_and_returns_empty() {
     .expect("empty pool run");
     assert!(r.patterns.is_empty());
     assert!(r.stats.shards.is_empty());
+}
+
+#[test]
+fn host_side_faults_fail_typed_and_fall_back_bit_identically() {
+    let data = planted_db();
+    let inm = PatternFusion::new(&data.db, config(2, ShardStrategy::SupportStratum, 1)).run();
+    // Faults the worker host injects into its own half of the
+    // conversation: a corrupt archive chunk, an archive chunk cut off
+    // mid-frame, and a worker that dies right after reading its sub-pool.
+    for fault in [
+        "corrupt-frame:shard0",
+        "truncate-frame:shard0",
+        "kill-worker:shard0",
+    ] {
+        let sp = SubprocessConfig::new()
+            .with_worker_cmd(worker_cmd())
+            .with_fault(fault);
+        match run_proc(
+            &data.db,
+            config(2, ShardStrategy::SupportStratum, 1),
+            ExecutorKind::Subprocess(sp.clone()),
+            Source::Transactions,
+        ) {
+            Err(ExecutorError::Worker(wf)) => {
+                assert_eq!(wf.shard, 0, "{fault}: {wf}");
+                assert!(!wf.timed_out, "{fault}: {wf}");
+            }
+            other => panic!("{fault}: expected a typed worker failure, got {other:?}"),
+        }
+        let rec = run_proc(
+            &data.db,
+            config(2, ShardStrategy::SupportStratum, 1),
+            ExecutorKind::Subprocess(sp.with_fallback_in_process(true)),
+            Source::Transactions,
+        )
+        .expect("fallback run");
+        assert_identical(&inm.patterns, &rec.patterns, fault);
+        assert_eq!(
+            shards_without_time(&inm.stats),
+            shards_without_time(&rec.stats),
+            "{fault}: per-shard counters drifted"
+        );
+    }
+}
+
+#[test]
+fn closure_step_workers_match_the_in_thread_closure_run() {
+    // Workers rebuild the vertical index from the dataset file, so both
+    // sides mine the database as read back from that file.
+    let dir = std::env::temp_dir().join(format!("cfp-procshard-closure-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("planted.dat");
+    let mut file = std::fs::File::create(&path).unwrap();
+    colossal::itemset::write_fimi(&planted_db().db, &mut file).unwrap();
+    drop(file);
+    let db = colossal::itemset::read_fimi(&path).unwrap();
+
+    let cfg = config(2, ShardStrategy::SupportStratum, 1).with_closure_step(true);
+    let inm = PatternFusion::new(&db, cfg.clone()).run();
+    let ex = ExecutorKind::Subprocess(
+        SubprocessConfig::new()
+            .with_worker_cmd(worker_cmd())
+            .with_db_path(&path),
+    );
+    let proc = run_proc(&db, cfg, ex, Source::Transactions).expect("closure run");
+    assert_identical(&inm.patterns, &proc.patterns, "closure");
+    assert_eq!(
+        shards_without_time(&inm.stats),
+        shards_without_time(&proc.stats),
+        "closure: per-shard counters drifted"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn workers_without_the_closure_step_never_read_the_dataset() {
+    let data = planted_db();
+    let inm = PatternFusion::new(&data.db, config(2, ShardStrategy::SupportStratum, 1)).run();
+    // The dataset goes only to closure-step workers: a path that does not
+    // exist is never opened by a run without the closure step.
+    let ex = ExecutorKind::Subprocess(
+        SubprocessConfig::new()
+            .with_worker_cmd(worker_cmd())
+            .with_db_path("/nonexistent/cfp-dataset.dat"),
+    );
+    let proc = run_proc(
+        &data.db,
+        config(2, ShardStrategy::SupportStratum, 1),
+        ex,
+        Source::Transactions,
+    )
+    .expect("a non-closure run never loads the dataset");
+    assert_identical(&inm.patterns, &proc.patterns, "no closure");
 }
