@@ -1,34 +1,21 @@
 //! Ball-query engine benchmarks.
 //!
-//! **Single iteration** (`ball` group): metric-pruned [`BallIndex`] vs the
-//! brute-force O(K·|Pool|) scan it replaced. The workload is what a
-//! low-support Pattern-Fusion iteration sees: a pool of ≥ 10k small patterns
-//! over a ≥ 4096-transaction universe, clustered into support-set families
-//! (core patterns of common colossal ancestors) spread across a wide support
+//! Metric-pruned [`BallIndex`] vs the brute-force O(K·|Pool|) scan it
+//! replaced (`ball` group). The workload is what a low-support
+//! Pattern-Fusion iteration sees: a pool of ≥ 10k small patterns over a
+//! ≥ 4096-transaction universe, clustered into support-set families (core
+//! patterns of common colossal ancestors) spread across a wide support
 //! spectrum. Each measured unit is one iteration's worth of ball queries —
 //! K seeds against the whole pool — and the engine side pays its
 //! per-iteration index build inside the timed region, exactly as
 //! `PatternFusion` does.
 //!
-//! **Multi-iteration** (`ball_iter` group): the persistent index vs
-//! rebuilding it from scratch every iteration. The pool evolves the way the
-//! fusion loop evolves it — a shrinking survivor majority plus a trickle of
-//! freshly fused patterns — and each measured unit is the whole
-//! multi-iteration run: per-iteration queries plus either a fresh
-//! [`BallIndex::build`] (rebuild strategy) or one initial build followed by
-//! [`BallIndex::apply_delta`] tombstone/insert updates with the
-//! deterministic compaction policy (persistent strategy). Both strategies
-//! return identical balls (gated before timing); the persistent one
-//! amortizes the arena + pivot-table build, the dominant index cost.
-//!
-//! Besides the criterion output, the run writes `BENCH_ball.json` and
-//! `BENCH_ball_iter.json` to the workspace root: median times, speedups,
-//! the pruning counters, and (for the iteration bench) the maintenance
-//! counters — tombstones, inserts, side-buffer hits, compactions.
+//! Besides the criterion output, the run writes `BENCH_ball.json` to the
+//! workspace root: median times, the speedup, and the pruning counters.
 
-use cfp_core::{ball_radius, BallIndex, BallQueryStats, Pattern, PoolDelta, PoolStore};
+use cfp_core::{ball_radius, BallIndex, BallQueryStats, Pattern, PoolStore};
 use cfp_itemset::kernels::Backend;
-use cfp_itemset::{Itemset, PatternPool, TidSet};
+use cfp_itemset::{PatternPool, TidSet};
 use criterion::{black_box, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -127,221 +114,6 @@ fn bench_ball(c: &mut Criterion) {
     group.finish();
 
     export_summary(c, &gate_stats);
-}
-
-// ---------------------------------------------------------------------------
-// Multi-iteration bench: persistent index vs rebuild-per-iteration.
-// ---------------------------------------------------------------------------
-
-/// Fusion iterations simulated (pool generations after the initial one).
-const ITERATIONS: usize = 7;
-/// Survivor fraction per generation, in percent — the monotone shrink the
-/// paper's loop exhibits. 80%/iteration drives live density through the
-/// compaction threshold near the end, so the bench exercises tombstoning,
-/// side inserts, *and* a compaction rebuild.
-const KEEP_PCT: u64 = 80;
-/// Freshly fused patterns inserted per generation, as a fraction of the
-/// surviving pool (percent).
-const INSERT_PCT: usize = 1;
-/// Seed queries per generation — the K-to-pool ratio of the paper's
-/// experiments (K = 20 on Diag40's 820-pattern pool ≈ 2%; here 24/12288).
-const SEEDS_ITER: usize = 24;
-/// Pivots for the multi-iteration bench: heavier than the single-shot
-/// default because a persistent index amortizes the pivot-table build over
-/// every subsequent iteration, which shifts the optimum toward more pivots.
-const PIVOTS_ITER: usize = 16;
-
-/// Evolves one pool generation: keep a deterministic ~KEEP_PCT% of the
-/// pool, then insert fresh patterns derived from surviving members (dropping
-/// a slice of their tids — the "newly fused core descendant" shape), with
-/// globally unique itemset ids.
-fn evolve_pool(pool: &[Pattern], generation: u64, next_id: &mut u32) -> Vec<Pattern> {
-    let mut next: Vec<Pattern> = pool
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| {
-            let h = (*i as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(generation)
-                .wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            (h >> 33) % 100 < KEEP_PCT
-        })
-        .map(|(_, p)| p.clone())
-        .collect();
-    let inserts = (next.len() * INSERT_PCT / 100).max(1);
-    for v in 0..inserts {
-        let src = &next[(v * 97 + generation as usize * 31) % next.len()];
-        let tids: Vec<usize> = src
-            .tids
-            .iter()
-            .enumerate()
-            .filter(|(k, _)| (k + v) % 10 != 0)
-            .map(|(_, t)| t)
-            .collect();
-        next.push(Pattern::new(
-            Itemset::from_items(&[*next_id]),
-            TidSet::from_tids(UNIVERSE, tids),
-        ));
-        *next_id += 1;
-    }
-    next
-}
-
-fn bench_ball_iter(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(2026);
-    // Precompute the pool trajectory and seed draws outside the timed
-    // region: both strategies consume identical inputs. Deltas are NOT
-    // precomputed for timing — the real fusion loop pays PoolDelta::compute
-    // every iteration on the persistent path (the rebuild path needs none),
-    // so the persistent closure recomputes them inside the timed region.
-    let mut pools: Vec<Vec<Pattern>> = vec![build_pool(&mut rng)];
-    let mut next_id = 1_000_000u32;
-    for g in 1..=ITERATIONS {
-        let next = evolve_pool(&pools[g - 1], g as u64, &mut next_id);
-        pools.push(next);
-    }
-    // One shared slab store for the whole trajectory (the fusion loop
-    // interns each generation's fresh patterns the same way).
-    let mut store = PoolStore::from_patterns(&pools[0]);
-    let gen_rows: Vec<Vec<u32>> = pools
-        .iter()
-        .enumerate()
-        .map(|(g, pool)| {
-            if g == 0 {
-                (0..pool.len() as u32).collect()
-            } else {
-                pool.iter().map(|p| store.intern(p)).collect()
-            }
-        })
-        .collect();
-    let store = store;
-    let deltas: Vec<PoolDelta> = (1..=ITERATIONS)
-        .map(|g| PoolDelta::compute(&gen_rows[g - 1], &gen_rows[g], store.len_rows()))
-        .collect();
-    let seeds: Vec<Vec<usize>> = pools
-        .iter()
-        .map(|p| rand::seq::index::sample(&mut rng, p.len(), SEEDS_ITER).into_vec())
-        .collect();
-    let radius = ball_radius(TAU);
-
-    // Correctness + counter gate before timing: the persistent index must
-    // return the fresh index's balls at every generation.
-    let mut gate_stats = BallQueryStats::default();
-    let mut maintenance = Vec::new();
-    {
-        let mut index = BallIndex::build(&store, &gen_rows[0], radius, PIVOTS_ITER);
-        for g in 0..=ITERATIONS {
-            if g > 0 {
-                maintenance.push(index.apply_delta(&store, &gen_rows[g], &deltas[g - 1], 1));
-            }
-            let fresh = BallIndex::build(&store, &gen_rows[g], radius, PIVOTS_ITER);
-            let mut fresh_stats = BallQueryStats::default();
-            for &q in &seeds[g] {
-                assert_eq!(
-                    index.ball(&store, q, &mut gate_stats),
-                    fresh.ball(&store, q, &mut fresh_stats),
-                    "persistent index diverged at generation {g}, seed {q}"
-                );
-            }
-        }
-        assert!(
-            maintenance.iter().any(|m| m.rebuilt),
-            "trajectory must trigger at least one compaction"
-        );
-        assert!(maintenance.iter().any(|m| !m.rebuilt && m.tombstoned > 0));
-    }
-
-    let mut group = c.benchmark_group("ball_iter");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(500))
-        .measurement_time(Duration::from_secs(5));
-
-    group.bench_function("rebuild_per_iteration", |b| {
-        b.iter(|| {
-            let mut members = 0usize;
-            let mut stats = BallQueryStats::default();
-            for g in 0..=ITERATIONS {
-                let index = BallIndex::build(black_box(&store), &gen_rows[g], radius, PIVOTS_ITER);
-                for &q in &seeds[g] {
-                    members += index.ball(&store, q, &mut stats).len();
-                }
-            }
-            (members, stats)
-        })
-    });
-
-    group.bench_function("persistent_incremental", |b| {
-        b.iter(|| {
-            let mut members = 0usize;
-            let mut stats = BallQueryStats::default();
-            let mut index = BallIndex::build(black_box(&store), &gen_rows[0], radius, PIVOTS_ITER);
-            for g in 0..=ITERATIONS {
-                if g > 0 {
-                    // Delta computation is part of this strategy's cost.
-                    let delta =
-                        PoolDelta::compute(&gen_rows[g - 1], &gen_rows[g], store.len_rows());
-                    black_box(index.apply_delta(&store, &gen_rows[g], &delta, 1));
-                }
-                for &q in &seeds[g] {
-                    members += index.ball(&store, q, &mut stats).len();
-                }
-            }
-            (members, stats)
-        })
-    });
-    group.finish();
-
-    export_iter_summary(c, &gate_stats, &maintenance, pools[0].len());
-}
-
-/// Writes `BENCH_ball_iter.json` at the workspace root: medians, the
-/// amortization speedup, and the maintenance counters from the gate run.
-fn export_iter_summary(
-    c: &Criterion,
-    stats: &BallQueryStats,
-    maintenance: &[cfp_core::IndexMaintenance],
-    initial_pool: usize,
-) {
-    let brute = median_ns(c, "rebuild_per_iteration");
-    let engine = median_ns(c, "persistent_incremental");
-    let (brute_min, engine_min) = (
-        min_ns(c, "rebuild_per_iteration"),
-        min_ns(c, "persistent_incremental"),
-    );
-    let speedup = if engine_min == 0 {
-        0.0
-    } else {
-        brute_min as f64 / engine_min as f64
-    };
-    let tombstoned: u64 = maintenance.iter().map(|m| m.tombstoned).sum();
-    let inserted: u64 = maintenance.iter().map(|m| m.inserted).sum();
-    let compactions = maintenance.iter().filter(|m| m.rebuilt).count();
-    let json = format!(
-        "{{\n  \"benchmark\": \"persistent incremental BallIndex vs rebuild-per-iteration\",\n  \
-         \"initial_pool_patterns\": {initial_pool},\n  \"universe_tids\": {UNIVERSE},\n  \
-         \"iterations\": {},\n  \"keep_pct\": {KEEP_PCT},\n  \"insert_pct\": {INSERT_PCT},\n  \
-         \"seed_queries_per_iteration\": {SEEDS_ITER},\n  \"tau\": {TAU},\n  \
-         \"radius\": {:.6},\n  \"pivots\": {PIVOTS_ITER},\n  \
-         \"rebuild_median_ns\": {brute},\n  \"persistent_median_ns\": {engine},\n  \
-         \"rebuild_min_ns\": {brute_min},\n  \"persistent_min_ns\": {engine_min},\n  \
-         \"speedup_estimator\": \"min\",\n  \
-         \"speedup\": {:.2},\n  \"meets_1_25x_target\": {},\n  \
-         \"target_note\": \"target rebased from 1.5x when the SIMD kernel layer cut the \
-         amortized index-build cost ~2.5x; both strategies' absolute times improved, which \
-         shrinks the attainable rebuild-vs-persistent ratio\",\n  \
-         \"tombstoned\": {tombstoned},\n  \"inserted\": {inserted},\n  \
-         \"compactions\": {compactions},\n  \"side_hits\": {},\n  \
-         \"tombstone_skips\": {},\n  \"pruned_fraction\": {:.4}\n}}\n",
-        ITERATIONS + 1,
-        ball_radius(TAU),
-        speedup,
-        speedup >= 1.25,
-        stats.side_hits,
-        stats.tombstone_skips,
-        stats.pruned_fraction(),
-    );
-    write_summary("BENCH_ball_iter.json", &json);
 }
 
 fn median_ns(c: &Criterion, needle: &str) -> u128 {
@@ -589,5 +361,4 @@ fn main() {
     let mut criterion = Criterion::default();
     bench_kernels(&mut criterion);
     bench_ball(&mut criterion);
-    bench_ball_iter(&mut criterion);
 }

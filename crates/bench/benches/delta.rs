@@ -221,18 +221,13 @@ fn main() {
     };
     println!(
         "\ndelta append {:.3}s vs from-scratch {:.3}s -> {speedup:.1}x \
-         ({} dirty items, {} subtrees re-mined, {} of {} rows spliced, index {})",
+         ({} dirty items, {} subtrees re-mined, {} of {} rows spliced)",
         delta_min as f64 / 1e9,
         scratch_min as f64 / 1e9,
         last_stats.dirty_items,
         last_stats.subtrees_remined,
         last_stats.rows_spliced,
         last_stats.pool_rows,
-        if last_stats.index_carried {
-            "carried"
-        } else {
-            "rebuilt"
-        },
     );
 
     let threads_available = std::thread::available_parallelism()
@@ -247,7 +242,6 @@ fn main() {
          \"scratch_min_ns\": {scratch_min},\n  \"delta_min_ns\": {delta_min},\n  \
          \"delta_speedup\": {speedup:.2},\n  \"meets_5x_target\": {},\n  \
          \"dirty_items\": {},\n  \"subtrees_remined\": {},\n  \"rows_spliced\": {},\n  \
-         \"index_carried\": {},\n  \
          \"gate\": \"append bit-identical to a from-scratch re-mine (itemsets, support sets, \
          per-shard counters) across threads 1/2/8 x both shard strategies on the scaled \
          replica, and at full scale, before any timing\",\n  \
@@ -261,7 +255,6 @@ fn main() {
         last_stats.dirty_items,
         last_stats.subtrees_remined,
         last_stats.rows_spliced,
-        last_stats.index_carried,
     );
     let path = format!("{}/../../BENCH_delta.json", env!("CARGO_MANIFEST_DIR"));
     match std::fs::write(&path, &json) {

@@ -3,8 +3,8 @@
 //!
 //! Each measured unit is one **complete sharded fusion run** (the engine
 //! facade's forced-partition path, `engine.partitioned()`): partition, per-shard
-//! persistent-index fusion, deterministic archive merge, and boundary
-//! repair. K = 1 is the baseline — the same machinery with one shard, which
+//! fusion, deterministic archive merge, and boundary repair. K = 1 is the
+//! baseline — the same machinery with one shard, which
 //! is bit-identical to the unsharded engine (gated below before anything is
 //! timed). The headline number is the wall-clock speedup of K = 4 over
 //! K = 1 under the default `SupportStratum` strategy; `MinhashBucket` is

@@ -7,7 +7,6 @@
 //! | file                  | field                 | target  |
 //! |-----------------------|-----------------------|---------|
 //! | `BENCH_ball.json`     | `speedup`             | ≥ 4.5×  |
-//! | `BENCH_ball_iter.json`| `speedup`             | ≥ 1.25× |
 //! | `BENCH_kernels.json`  | `batched_hot_speedup` | ≥ 2×    |
 //! | `BENCH_shard.json`    | `speedup_k4`          | ≥ 1.3×  |
 //! | `BENCH_pool.json`     | `mine_speedup`        | ≥ 2×    |
@@ -78,21 +77,13 @@ struct Gate {
     bench: &'static str,
 }
 
-const GATES: [Gate; 11] = [
+const GATES: [Gate; 10] = [
     Gate {
         file: "BENCH_ball.json",
         field: "speedup",
         target: 4.5,
         direction: Direction::AtLeast,
         what: "ball-query engine vs brute-force scan",
-        bench: "cargo bench -p cfp-bench --bench ball",
-    },
-    Gate {
-        file: "BENCH_ball_iter.json",
-        field: "speedup",
-        target: 1.25,
-        direction: Direction::AtLeast,
-        what: "persistent BallIndex vs rebuild-per-iteration",
         bench: "cargo bench -p cfp-bench --bench ball",
     },
     Gate {

@@ -69,15 +69,14 @@ fn main() {
     let ball = result.stats.ball();
     println!(
         "ball engine: {:.1}% of {} pairs pruned ({} cardinality, {} pivot); \
-         persistent index: {} tombstoned, {} inserted, {} side hits, {} compactions",
+         index rebuilt {} times between pools ({} patterns left, {} entered)",
         ball.pruned_fraction() * 100.0,
         ball.pairs_total,
         ball.cardinality_pruned,
         ball.pivot_pruned,
+        result.stats.compactions(),
         result.stats.tombstoned(),
         result.stats.inserted(),
-        ball.side_hits,
-        result.stats.compactions(),
     );
     println!("{}", engine_line(&result.stats));
 

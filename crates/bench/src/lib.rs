@@ -149,8 +149,8 @@ pub fn clustered_pool(
 }
 
 /// The uniform engine-statistics line every `exp_*` binary prints: kernel
-/// backend, iteration count, ball-prune percentage, the persistent-index
-/// maintenance aggregates, and the slab pool-store footprint — one schema
+/// backend, iteration count, ball-prune percentage, the index-rebuild
+/// aggregates, and the slab pool-store footprint — one schema
 /// across all binaries, for sharded and unsharded runs alike. Sharded runs
 /// append `shards=`/`repair_iters=`, and out-of-core runs append the
 /// `oocore_*` spill/load counters ([`cfp_core::stats::OocoreStats`]).

@@ -37,15 +37,14 @@
 //! ball scans and the per-seed fusions are distributed over a work-stealing
 //! task queue ([`crate::parallel`]) rather than fixed per-thread chunks.
 //!
-//! The index is **persistent across iterations**: it is built once from the
-//! initial pool and then advanced via [`BallIndex::apply_delta`] —
-//! survivors keep their arena slots, departures are tombstoned, new fused
-//! patterns enter a sorted side buffer (row ids only), and a deterministic
-//! compaction policy rebuilds only when the arena decays (see the lifecycle
-//! notes in [`crate::ball`]). The [`PoolDelta`] between consecutive pools
-//! is plain row membership — interning makes row equality itemset equality.
-//! None of this changes results — balls stay exactly brute-force over the
-//! live pool.
+//! The index is **rebuilt for every pool**: the loop builds it over the
+//! initial pool and, whenever it continues, rebuilds it over the next pool
+//! through [`BallIndex::apply_delta`]. Algorithm 1 replaces the pool
+//! wholesale, so there is little an index could carry from one pool to the
+//! next (see the lifecycle notes in [`crate::ball`]). The [`PoolDelta`]
+//! between consecutive pools — plain row membership, since interning makes
+//! row equality itemset equality — only prices each step for the
+//! maintenance counters.
 
 use crate::ball::{BallIndex, BallQueryStats, PoolDelta};
 use crate::config::FusionConfig;
@@ -63,11 +62,9 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::time::Instant;
 
-/// Live candidates per ball-scan task: small enough that one seed's
-/// oversized ball spreads across workers, large enough to amortize task
-/// claiming. Segmentation counts *live* candidates
-/// ([`crate::ball::BallQuery::segments`]) so tombstone-riddled windows don't
-/// produce skewed tasks.
+/// Candidates per ball-scan task ([`crate::ball::BallQuery::segments`]):
+/// small enough that one seed's oversized ball spreads across workers,
+/// large enough to amortize task claiming.
 const SCAN_TASK_CANDIDATES: usize = 2048;
 
 /// A configured Pattern-Fusion run over one database.
@@ -187,21 +184,13 @@ impl<'a> PatternFusion<'a> {
     /// iterates fusion until at most K patterns remain.
     pub fn run(&self) -> FusionResult {
         let (store, mine) = self.mine_store();
-        self.run_from_store(store, mine, None)
+        self.run_from_store(store, mine)
     }
 
     /// The in-thread tail: [`PatternFusion::run_from_store_on`] on the
-    /// in-process backend, which cannot fail. The incremental driver
-    /// ([`crate::delta`]) passes a `prebuilt` ball index carried across
-    /// database generations via [`BallIndex::apply_generation_delta`], so
-    /// only delta-sized index work is paid per append.
-    pub(crate) fn run_from_store(
-        &self,
-        store: PoolStore,
-        mine: PoolMineStats,
-        prebuilt: Option<BallIndex>,
-    ) -> FusionResult {
-        self.run_from_store_on(store, mine, prebuilt, &ExecutorKind::InThread, false)
+    /// in-process backend, which cannot fail.
+    pub(crate) fn run_from_store(&self, store: PoolStore, mine: PoolMineStats) -> FusionResult {
+        self.run_from_store_on(store, mine, &ExecutorKind::InThread, false)
             .unwrap_or_else(|e| unreachable!("in-thread executor is infallible: {e}"))
     }
 
@@ -211,15 +200,12 @@ impl<'a> PatternFusion<'a> {
     /// run is partitioned — through the partitioned driver, on `executor` —
     /// when it has more than one shard, when `partitioned` forces it, or
     /// when `executor` is not the in-thread backend; otherwise it is the
-    /// plain loop, over the `prebuilt` ball index if one is given (sharded
-    /// runs build one index per shard and must not pass one). The
-    /// out-of-core backend evicts the pool and stamps its own statistics
-    /// instead (`run_oocore_store`).
+    /// plain loop. The out-of-core backend evicts the pool and stamps its
+    /// own statistics instead (`run_oocore_store`).
     pub(crate) fn run_from_store_on(
         &self,
         mut store: PoolStore,
         mine: PoolMineStats,
-        prebuilt: Option<BallIndex>,
         executor: &ExecutorKind,
         partitioned: bool,
     ) -> Result<FusionResult, ExecutorError> {
@@ -228,11 +214,9 @@ impl<'a> PatternFusion<'a> {
             || self.config.sharding.shards > 1
             || !matches!(executor, ExecutorKind::InThread);
         let (store, final_rows, mut stats) = if partitioned {
-            debug_assert!(prebuilt.is_none(), "sharded runs build one index per shard");
             self.run_partitioned(store, rows, executor)?
         } else {
-            let (final_rows, stats) =
-                self.run_rows_with_index(&mut store, rows, &self.config, prebuilt);
+            let (final_rows, stats) = self.run_rows_with(&mut store, rows, &self.config);
             (store, final_rows, stats)
         };
         stats.pool = PoolStats {
@@ -256,23 +240,8 @@ impl<'a> PatternFusion<'a> {
     pub(crate) fn run_rows_with(
         &self,
         store: &mut PoolStore,
-        rows: Vec<u32>,
-        cfg: &FusionConfig,
-    ) -> (Vec<u32>, RunStats) {
-        self.run_rows_with_index(store, rows, cfg, None)
-    }
-
-    /// [`PatternFusion::run_rows_with`] with an optional pre-built
-    /// [`BallIndex`] mirroring exactly `rows` over `store` — the generation
-    /// carry seam. Results are identical with and without a prebuilt index
-    /// (balls are exact either way); only the index-build cost and the
-    /// maintenance counters differ.
-    pub(crate) fn run_rows_with_index(
-        &self,
-        store: &mut PoolStore,
         mut rows: Vec<u32>,
         cfg: &FusionConfig,
-        prebuilt: Option<BallIndex>,
     ) -> (Vec<u32>, RunStats) {
         let mut stats = RunStats {
             initial_pool_size: rows.len(),
@@ -293,35 +262,16 @@ impl<'a> PatternFusion<'a> {
         // pattern costs 4 bytes, not a clone.
         let mut archive: Vec<u32> = Vec::new();
 
-        // The long-lived ball index: built once here, then advanced by
-        // pool deltas (tombstones + side-buffer inserts) at the end of each
-        // iteration instead of being rebuilt from scratch.
+        // The first pool's ball index; each continuing iteration rebuilds it
+        // over the next pool.
         let t_build = Instant::now();
-        let (mut index, mut maintenance) = match prebuilt {
-            Some(index) => {
-                debug_assert_eq!(index.len(), rows.len(), "prebuilt index out of sync");
-                let maintenance = IndexMaintenance {
-                    rebuilt: false,
-                    live: index.len(),
-                    arena: index.arena_slots(),
-                    side: index.side_len(),
-                    elapsed: t_build.elapsed(),
-                    ..Default::default()
-                };
-                (index, maintenance)
-            }
-            None => {
-                let index =
-                    BallIndex::build_with_threads(store, &rows, radius, cfg.ball_pivots, threads);
-                let maintenance = IndexMaintenance {
-                    rebuilt: true,
-                    live: index.len(),
-                    arena: index.arena_slots(),
-                    elapsed: t_build.elapsed(),
-                    ..Default::default()
-                };
-                (index, maintenance)
-            }
+        let mut index =
+            BallIndex::build_with_threads(store, &rows, radius, cfg.ball_pivots, threads);
+        let mut maintenance = IndexMaintenance {
+            rebuilt: true,
+            live: index.len(),
+            elapsed: t_build.elapsed(),
+            ..Default::default()
         };
 
         for iteration in 0..cfg.max_iterations {
@@ -390,14 +340,12 @@ impl<'a> PatternFusion<'a> {
             };
             let continuing = next.len() > cfg.k && !stagnated && iteration + 1 < cfg.max_iterations;
             if continuing {
-                // Let the measured prune rates steer the pivot count the
-                // next compaction rebuild will request — never the live
-                // table, so results stay bit-identical (satellite of the
-                // incremental-mining work).
+                // Let the measured prune rates steer the next index's pivot
+                // count; balls are exact at any count, so results stay
+                // bit-identical.
                 index.adapt_pivot_target(&ball_stats);
-                // Advance the index to the next pool while both pools are
-                // still alive: survivors keep their slots, departures are
-                // tombstoned, fresh fusions enter the side buffer.
+                // Rebuild over the next pool while both pools are alive, so
+                // the step is priced by its departures and arrivals.
                 let t_update = Instant::now();
                 let delta = PoolDelta::compute(&rows, &next, store.len_rows());
                 maintenance = index.apply_delta(store, &next, &delta, threads);
@@ -432,9 +380,9 @@ impl<'a> PatternFusion<'a> {
     ///
     /// Two work-stealing phases per iteration:
     ///
-    /// 1. **Ball scans** — against the caller's long-lived [`BallIndex`],
-    ///    every seed's pruned candidate window is cut into segments holding
-    ///    ≈[`SCAN_TASK_CANDIDATES`] live candidates that workers claim off a
+    /// 1. **Ball scans** — against the current pool's [`BallIndex`],
+    ///    every seed's pruned candidate window is cut into segments of
+    ///    [`SCAN_TASK_CANDIDATES`] candidates that workers claim off a
     ///    shared queue, so a single huge ball cannot serialize the phase.
     ///    Segments merge in task order and each ball sorts ascending —
     ///    exactly the brute-force scan's output.

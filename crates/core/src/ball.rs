@@ -1,5 +1,5 @@
-//! The metric-pruned ball-query engine, maintained incrementally across
-//! fusion iterations, over **borrowed pool-slab rows**.
+//! The metric-pruned ball-query engine, built once per pool, over
+//! **borrowed pool-slab rows**.
 //!
 //! Every Pattern-Fusion iteration asks, for each of K seeds α, for the ball
 //! `{β ∈ Pool : Dist(α, β) ≤ r(τ)}`. The naive scan is O(K · |Pool|) full
@@ -29,60 +29,31 @@
 //!
 //! # Zero-copy arenas
 //!
-//! The index used to copy every tid-set (and its suffix table) into private
-//! arenas on every build. It now **borrows** the [`PoolStore`] slab instead:
-//! the "arena" is a support-sorted list of global row ids plus the small
-//! derived columns the prunes need (cards, pivot-distance rows). Tid words
-//! and suffix tables are gathered from the slab at scan time through the
-//! kernels' gather entry points — slab rows are frozen and row ids stable
-//! (see [`cfp_itemset::store`]'s ownership contract), so the index can
-//! persist across iterations while the overlay slab grows. Every query
-//! method therefore takes the store it indexes; passing a different store
-//! than the one the index was built over is a logic error.
+//! The index **borrows** the [`PoolStore`] slab: its "arena" is a
+//! support-sorted list of global row ids plus the small derived columns the
+//! prunes need (cards, pivot-distance rows). Tid words and suffix tables
+//! are gathered from the slab at scan time through the kernels' gather
+//! entry points — slab rows are frozen and row ids stable (see
+//! [`cfp_itemset::store`]'s ownership contract), so the index stays valid
+//! while the iteration interns its fused patterns into the overlay slab.
+//! Every query method therefore takes the store it indexes; passing a
+//! different store than the one the index was built over is a logic error.
 //!
-//! # Lifecycle: the persistent index
+//! # Lifecycle: one index per pool
 //!
-//! The fusion loop replaces its pool every iteration, but most of each new
-//! pool is carried over from the old one (fused patterns reproduce
-//! themselves once they saturate), so rebuilding per iteration would waste
-//! the dominant index cost. The index is a long-lived structure updated
-//! through [`BallIndex::apply_delta`] with a [`PoolDelta`] (computed by the
-//! caller, which owns pool identity). Its state is two regions sharing one
-//! global position space:
+//! Pattern-Fusion replaces its whole pool every iteration (Algorithm 1,
+//! `Pool ← S`), and the fused set shares few rows with the pool it came
+//! from, so an index is built over exactly one pool and never outlives it.
+//! [`BallIndex::apply_delta`] — the fusion loop's step from one pool to the
+//! next — is a fresh [`BallIndex::build_with_threads`] over the new pool at
+//! the [`BallIndex::pivot_target`] the previous iteration's prune rates
+//! chose ([`BallIndex::adapt_pivot_target`]). The [`PoolDelta`] it takes
+//! only prices the step for [`IndexMaintenance`]: how many patterns left
+//! the pool and how many entered it. [`BallIndex::compactions`] counts the
+//! steps.
 //!
-//! * **Main arena** — positions `0..arena_slots()`, support-sorted at the
-//!   last full (re)build. Slots are *frozen*: a pattern that leaves the pool
-//!   is tombstoned (its `live` bit cleared) but its row binding stays, so
-//!   pivot reference data and every live slot's binding remain valid. A
-//!   prefix-sum of live bits (`live_prefix`) prices any window's live
-//!   population in O(1), which keeps stats accounting exact and lets
-//!   [`BallQuery::segments`] hand workers near-equal *live* work.
-//! * **Side buffer** — positions `arena_slots()..`, the patterns inserted
-//!   since the last rebuild. Rebuilt (filtered, merged, re-sorted by
-//!   support) on every `apply_delta`, which is cheap because compaction
-//!   bounds its size and entries are row ids, not words; every side entry
-//!   is live, and its pivot row is computed once at insert time.
-//!
-//! Invariants maintained by every update:
-//!
-//! * `live_main + side_len() == |pool|`, and `pos_of` / `pool_of` are exact
-//!   inverses over live entries — a query for any pool member resolves.
-//! * Both regions are support-sorted, so a ball query is two binary-searched
-//!   windows; their concatenation is the candidate set.
-//! * Tombstoned slots are never reported, never counted as pairs, and never
-//!   consulted except as pivot reference rows (a pivot need not be a live
-//!   pool member for the triangle inequality to hold).
-//!
-//! **Compaction** is lazy and deterministic (a pure function of index
-//! state): when live density falls below [`MIN_LIVE_DENSITY`] or the side
-//! buffer outgrows [`MAX_SIDE_RATIO`] of the arena, the whole index is
-//! rebuilt from the current pool (fresh sort, fresh pivots, empty side).
-//!
-//! None of this machinery is visible in results: balls are exact over the
-//! live set, so fusion output is bit-identical to the rebuild-per-iteration
-//! engine at any thread count. Only the maintenance counters
-//! ([`IndexMaintenance`], [`BallQueryStats::side_hits`],
-//! [`BallQueryStats::tombstone_skips`]) reveal the difference.
+//! Balls are exact at any pivot count, so fusion output is bit-identical
+//! at any thread count; only the pruning counters depend on the pivots.
 
 use crate::parallel::run_tasks;
 use crate::pool::PoolStore;
@@ -99,25 +70,12 @@ const SLACK: f64 = 1e-9;
 /// rounding of both table entries with two orders of magnitude to spare.
 const PIVOT_SLACK: f64 = 1e-5;
 
-/// Compact when fewer than this fraction of main-arena slots are live:
-/// below it, tombstone hops and the dead share of every binary-searched
-/// window cost more than a (now much smaller) rebuild.
-pub const MIN_LIVE_DENSITY: f64 = 0.5;
-
-/// Compact when the side buffer exceeds this fraction of the main arena
-/// (plus `SIDE_COMPACT_SLACK`): the side is rebuilt on every update, so it
-/// must stay small relative to the frozen arena.
-pub const MAX_SIDE_RATIO: f64 = 0.25;
-
-/// Absolute side-buffer allowance before the ratio test bites, so tiny
-/// pools don't thrash on rebuilds that cost less than the bookkeeping.
-const SIDE_COMPACT_SLACK: usize = 32;
-
-/// Sentinel in `pool_of` marking a tombstoned arena slot.
-const DEAD: u32 = u32::MAX;
+/// Sentinel in [`PoolDelta::compute`]'s row map: the row is not in the old
+/// pool.
+const ABSENT: u32 = u32::MAX;
 
 /// Work counters proving what the pruning layers skipped. All counts are
-/// pairs (seed, candidate) over the *live* pool.
+/// pairs (seed, candidate) over the pool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BallQueryStats {
     /// Pairs a brute-force scan would have evaluated (`|Pool| − 1` per seed).
@@ -130,13 +88,6 @@ pub struct BallQueryStats {
     pub exact_checked: u64,
     /// Pairs accepted into a ball.
     pub ball_members: u64,
-    /// Exact-checked pairs whose candidate lived in the side buffer —
-    /// queries served (in part) by incrementally inserted patterns.
-    pub side_hits: u64,
-    /// Tombstoned arena slots hopped over during scans. Not pairs (dead
-    /// slots are not pool members), so excluded from `pairs_total` and the
-    /// partition identity below.
-    pub tombstone_skips: u64,
     /// `pivot_pruned` broken down by pivot index: a pruned pair is
     /// attributed to the *first* pivot whose triangle-inequality bound
     /// rejected it (the scan checks pivots in order). Entries beyond the
@@ -160,8 +111,6 @@ impl BallQueryStats {
         self.pivot_pruned += other.pivot_pruned;
         self.exact_checked += other.exact_checked;
         self.ball_members += other.ball_members;
-        self.side_hits += other.side_hits;
-        self.tombstone_skips += other.tombstone_skips;
         for (mine, theirs) in self
             .pivot_prune_counts
             .iter_mut()
@@ -183,18 +132,16 @@ impl BallQueryStats {
     }
 }
 
-/// The difference between one iteration's pool and the next, in the
-/// vocabulary the index understands: which old entries survive (and under
-/// which new pool index) and which new pool entries need insertion.
+/// The difference between one iteration's pool and the next: which old
+/// entries survive (and under which new pool index) and which new pool
+/// entries are new to the pool.
 ///
-/// Old pool indices absent from `survivors` are implicit deaths.
+/// Old pool indices absent from `survivors` left the pool.
 #[derive(Debug, Clone, Default)]
 pub struct PoolDelta {
     /// `(old pool index, new pool index)` for every pattern present in both
     /// pools. Pools are row-id lists over one interning [`PoolStore`], so
-    /// "present in both" is plain row-id equality — the itemset-hashing
-    /// matching pass the `Vec<Pattern>` pipeline paid every iteration is
-    /// gone.
+    /// "present in both" is plain row-id equality.
     pub survivors: Vec<(u32, u32)>,
     /// New pool indices with no counterpart in the old pool.
     pub inserts: Vec<u32>,
@@ -205,16 +152,16 @@ impl PoolDelta {
     /// (`total_rows` = [`PoolStore::len_rows`], the row-id space bound).
     /// O(|old| + |new|) array writes — no hashing, no itemset reads.
     pub fn compute(old: &[u32], new: &[u32], total_rows: usize) -> Self {
-        let mut old_pos = vec![DEAD; total_rows];
+        let mut old_pos = vec![ABSENT; total_rows];
         for (i, &r) in old.iter().enumerate() {
-            debug_assert_eq!(old_pos[r as usize], DEAD, "old pool has duplicate rows");
+            debug_assert_eq!(old_pos[r as usize], ABSENT, "old pool has duplicate rows");
             old_pos[r as usize] = i as u32;
         }
         let mut survivors = Vec::new();
         let mut inserts = Vec::new();
         for (j, &r) in new.iter().enumerate() {
             match old_pos[r as usize] {
-                DEAD => inserts.push(j as u32),
+                ABSENT => inserts.push(j as u32),
                 i => survivors.push((i, j as u32)),
             }
         }
@@ -275,60 +222,33 @@ impl SlabGather {
     }
 }
 
-/// A persistent index over the pool for radius-`r` ball queries.
+/// An index over one pool for radius-`r` ball queries.
 ///
 /// Construction sorts the pool's row ids by support and computes the pivot
 /// distance table — O(P · |Pool|) batched Jaccards over the slab, amortized
-/// over K seed queries per iteration *and* over subsequent iterations via
-/// [`BallIndex::apply_delta`]. No tid words are copied: the arena holds row
-/// ids and derived prune columns only (see the module docs).
-///
-/// `Clone` snapshots the whole index (small: row ids, cards, f32 pivot
-/// table) — the incremental-mining driver clones the freshly built index of
-/// one database generation so the next generation can start from it via
-/// [`BallIndex::apply_generation_delta`] instead of a from-scratch build.
-#[derive(Clone)]
+/// over the iteration's K seed queries. No tid words are copied: the arena
+/// holds row ids and derived prune columns only (see the module docs).
 pub struct BallIndex {
-    /// Arena position → global store row, in **support-sorted order** as of
-    /// the last rebuild. Slots are frozen: tombstoned entries keep their
-    /// binding (pivot reference data must not move).
+    /// Arena position → global store row, in **support-sorted order**.
     arena_rows: Vec<u32>,
     /// Cardinalities in arena (ascending) order — the binary-search key.
-    /// Retains tombstoned entries' cards; windows may include dead slots,
-    /// which the scan hops.
     cards: Vec<u32>,
     /// `pivot_dists[pos * n_pivots + p]` = Dist(pivot_p, arena[pos]) —
     /// candidate-major, so one candidate's whole pivot row is one cache
     /// line.
     pivot_dists: Vec<f32>,
-    /// The pivots' reference data: (global store row, cardinality). Row ids
-    /// are stable for the store's lifetime, so pivots survive overlay
-    /// growth; refreshed on rebuild.
+    /// The pivots' reference data: (global store row, cardinality).
     pivots: Vec<(u32, usize)>,
-    /// Number of pivots in use (≤ [`MAX_PIVOTS`], ≤ arena size at rebuild).
+    /// Number of pivots in use (≤ [`MAX_PIVOTS`], ≤ pool size).
     n_pivots: usize,
-    /// The caller-requested pivot count, before clamping — compaction
-    /// rebuilds re-clamp against the new pool size.
+    /// The requested pivot count, before clamping — the next rebuild
+    /// re-clamps it against the new pool size.
     pivot_target: usize,
-    /// Live bit per arena position (`false` = tombstoned).
-    live: Vec<bool>,
-    /// `live_prefix[pos]` = live slots in `0..pos`; length `arena + 1`.
-    live_prefix: Vec<u32>,
-    /// Live arena entries (`== live_prefix[arena]`).
-    live_main: usize,
-    /// Side-buffer rows (global store ids), support-sorted, rebuilt on every
-    /// update. All side entries are live. Global position of side entry `s`
-    /// is `cards.len() + s`.
-    side_rows: Vec<u32>,
-    /// Side-buffer cardinalities (ascending).
-    side_cards: Vec<u32>,
-    /// Side-buffer pivot rows (computed at insert).
-    side_pivot_dists: Vec<f32>,
-    /// Global position → pool index ([`DEAD`] for tombstones).
+    /// Arena position → pool index.
     pool_of: Vec<u32>,
-    /// Pool index → global position (inverse of `pool_of` on live entries).
+    /// Pool index → arena position (inverse of `pool_of`).
     pos_of: Vec<u32>,
-    /// Full rebuilds triggered by the compaction policy since construction.
+    /// Rebuilds by [`BallIndex::apply_delta`] since construction.
     compactions: u64,
     /// Query radius r(τ).
     radius: f64,
@@ -411,7 +331,6 @@ impl BallIndex {
             .concat()
         };
 
-        let live_prefix: Vec<u32> = (0..=n as u32).collect();
         Self {
             arena_rows,
             cards,
@@ -419,12 +338,6 @@ impl BallIndex {
             pivots,
             n_pivots,
             pivot_target,
-            live: vec![true; n],
-            live_prefix,
-            live_main: n,
-            side_rows: Vec::new(),
-            side_cards: Vec::new(),
-            side_pivot_dists: Vec::new(),
             pool_of,
             pos_of,
             compactions: 0,
@@ -432,12 +345,12 @@ impl BallIndex {
         }
     }
 
-    /// Number of live patterns indexed (the current pool size).
+    /// Number of patterns indexed (the pool size).
     pub fn len(&self) -> usize {
-        self.live_main + self.side_cards.len()
+        self.arena_rows.len()
     }
 
-    /// Whether no live patterns are indexed.
+    /// Whether no patterns are indexed.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -447,41 +360,18 @@ impl BallIndex {
         self.radius
     }
 
-    /// Main-arena slots, tombstones included.
-    pub fn arena_slots(&self) -> usize {
-        self.cards.len()
-    }
-
-    /// Patterns currently in the side buffer.
-    pub fn side_len(&self) -> usize {
-        self.side_cards.len()
-    }
-
-    /// Fraction of main-arena slots still live (1.0 for an empty arena).
-    pub fn live_density(&self) -> f64 {
-        if self.cards.is_empty() {
-            1.0
-        } else {
-            self.live_main as f64 / self.cards.len() as f64
-        }
-    }
-
-    /// Full rebuilds triggered by the compaction policy so far.
+    /// Rebuilds by [`BallIndex::apply_delta`] so far.
     pub fn compactions(&self) -> u64 {
         self.compactions
     }
 
-    /// Advances the index from the pool it currently mirrors to `new_rows`,
-    /// as described by `delta` (see [`PoolDelta::compute`]): arena survivors
-    /// keep their slots, arena deaths are tombstoned, side survivors and
-    /// inserts are merged into a freshly sorted side buffer (row ids only —
-    /// nothing is copied out of the slab). When the compaction policy fires
-    /// (see module docs), the whole index is rebuilt from `new_rows` instead
-    /// — `threads` parallelizes that rebuild's pivot table exactly like
-    /// [`BallIndex::build_with_threads`].
-    ///
-    /// After return, queries answer for `new_rows` (exactly as a fresh index
-    /// over `new_rows` would, up to counter internals).
+    /// Moves the index from the pool it mirrors to `new_rows`: a fresh
+    /// build over `new_rows` at [`BallIndex::pivot_target`], with `threads`
+    /// parallelizing the pivot table exactly like
+    /// [`BallIndex::build_with_threads`]. `delta` (see
+    /// [`PoolDelta::compute`]) prices the step: the returned record counts
+    /// the patterns that left the pool as `tombstoned` and the ones new to
+    /// it as `inserted`. Every call counts one [`BallIndex::compactions`].
     pub fn apply_delta(
         &mut self,
         store: &PoolStore,
@@ -490,221 +380,28 @@ impl BallIndex {
         threads: usize,
     ) -> IndexMaintenance {
         let t0 = Instant::now();
-        let inserted_hint = delta.inserts.len() as u64;
-        let arena_n = self.cards.len();
-        // An index built over an empty pool has no arena to host inserts —
-        // rebuild unconditionally.
-        if arena_n == 0 && !new_rows.is_empty() {
-            return self.rebuild(store, new_rows, threads, t0, 0, inserted_hint);
-        }
-
-        let old_pos_of = std::mem::take(&mut self.pos_of);
-        let live_before = self.live_main;
-
-        // Partition survivors: arena entries keep their frozen slot, side
-        // entries re-enter the (rebuilt) side buffer.
-        struct SideEntry {
-            card: u32,
-            pool: u32,
-            row: u32,
-            /// `Some(old side position)` to copy the pivot row from.
-            old_side: Option<usize>,
-        }
-        let mut arena_live = vec![false; arena_n];
-        let mut arena_pool = vec![DEAD; arena_n];
-        let mut pending: Vec<SideEntry> = Vec::new();
-        let mut arena_survivors = 0usize;
-        for &(old, new) in &delta.survivors {
-            let g = old_pos_of[old as usize] as usize;
-            if g < arena_n {
-                // A slot claimed twice means the pools violated the
-                // row-dedup contract (two pool entries shared one row);
-                // catching it here beats a DEAD `pos_of` entry blowing up
-                // in a later query.
-                debug_assert!(
-                    !arena_live[g],
-                    "duplicate survivor for arena slot {g}: pools must be row-deduplicated"
-                );
-                arena_live[g] = true;
-                arena_pool[g] = new;
-                arena_survivors += 1;
-            } else {
-                let sp = g - arena_n;
-                pending.push(SideEntry {
-                    card: self.side_cards[sp],
-                    pool: new,
-                    row: self.side_rows[sp],
-                    old_side: Some(sp),
-                });
-            }
-        }
-        for &new in &delta.inserts {
-            let row = new_rows[new as usize];
-            pending.push(SideEntry {
-                card: store.support(row) as u32,
-                pool: new,
-                row,
-                old_side: None,
-            });
-        }
-        // Support-sorted side buffer; pool index breaks card ties
-        // deterministically.
-        pending.sort_unstable_by_key(|e| (e.card, e.pool));
-
-        let np = self.n_pivots;
-        let mut side_rows = Vec::with_capacity(pending.len());
-        let mut side_cards = Vec::with_capacity(pending.len());
-        let mut side_pivot_dists = vec![0.0f32; pending.len() * np];
-        let mut side_pool = Vec::with_capacity(pending.len());
-        let mut pos_of = vec![DEAD; new_rows.len()];
-        // Side ranks of the freshly inserted patterns: their pivot rows are
-        // computed in one batched gather per pivot after the buffer is laid
-        // out, instead of one pivot-row walk per inserted pattern.
-        let mut insert_ranks: Vec<u32> = Vec::with_capacity(delta.inserts.len());
-        for (rank, e) in pending.iter().enumerate() {
-            match e.old_side {
-                Some(sp) => {
-                    side_pivot_dists[rank * np..(rank + 1) * np]
-                        .copy_from_slice(&self.side_pivot_dists[sp * np..(sp + 1) * np]);
-                }
-                None => insert_ranks.push(rank as u32),
-            }
-            side_rows.push(e.row);
-            side_cards.push(e.card);
-            side_pool.push(e.pool);
-            pos_of[e.pool as usize] = (arena_n + rank) as u32;
-        }
-        // Pivot rows for the inserts: each pivot's slab row streams once
-        // against all inserted rows (two gathers, one per slab); `dists` /
-        // `col` are the only scratch buffers, reused across pivots.
-        if !insert_ranks.is_empty() && np > 0 {
-            let gather = SlabGather::plan(
-                store,
-                insert_ranks
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &rank)| (k as u32, side_rows[rank as usize])),
-            );
-            let mut dists = vec![0.0f64; insert_ranks.len()];
-            let mut col: Vec<f64> = Vec::with_capacity(insert_ranks.len());
-            for (p, &(prow, pc)) in self.pivots.iter().enumerate() {
-                gather.jaccard_from(store, prow, pc, &mut dists, &mut col);
-                for (k, &rank) in insert_ranks.iter().enumerate() {
-                    side_pivot_dists[rank as usize * np + p] = dists[k] as f32;
-                }
-            }
-        }
-        for (g, &pidx) in arena_pool.iter().enumerate() {
-            if pidx != DEAD {
-                pos_of[pidx as usize] = g as u32;
-            }
-        }
-
-        let tombstoned = (live_before - arena_survivors) as u64;
-        let inserted = delta.inserts.len() as u64;
-        self.live = arena_live;
-        self.live_main = arena_survivors;
-        let mut prefix = Vec::with_capacity(arena_n + 1);
-        let mut acc = 0u32;
-        prefix.push(acc);
-        for &l in &self.live {
-            acc += l as u32;
-            prefix.push(acc);
-        }
-        self.live_prefix = prefix;
-        self.side_rows = side_rows;
-        self.side_cards = side_cards;
-        self.side_pivot_dists = side_pivot_dists;
-        let mut pool_of = arena_pool;
-        pool_of.extend(side_pool);
-        self.pool_of = pool_of;
-        self.pos_of = pos_of;
-        debug_assert_eq!(self.len(), new_rows.len(), "index out of sync with pool");
-        debug_assert!(
-            self.pos_of.iter().all(|&g| g != DEAD),
-            "some pool member has no index position (duplicate rows?)"
+        debug_assert_eq!(
+            delta.survivors.len() + delta.inserts.len(),
+            new_rows.len(),
+            "delta does not describe the new pool"
         );
-
-        if self.needs_compaction() {
-            return self.rebuild(store, new_rows, threads, t0, tombstoned, inserted);
-        }
+        let tombstoned = (self.len() - delta.survivors.len()) as u64;
+        let compactions = self.compactions + 1;
+        *self = Self::build_with_threads(store, new_rows, self.radius, self.pivot_target, threads);
+        self.compactions = compactions;
         IndexMaintenance {
-            rebuilt: false,
+            rebuilt: true,
             tombstoned,
-            inserted,
+            inserted: delta.inserts.len() as u64,
             live: self.len(),
-            arena: arena_n,
-            side: self.side_cards.len(),
             elapsed: t0.elapsed(),
         }
     }
 
-    /// Advances the index **across database generations**: the pool slab was
-    /// replaced wholesale (transactions were appended, every tid-set grew its
-    /// universe), but `delta.survivors` names the rows whose tid-sets are the
-    /// old ones *zero-extended* — for those, every stored cardinality and
-    /// pivot distance is still exact, because zero-padding changes neither a
-    /// set's count nor any pairwise Jaccard. The index retargets itself onto
-    /// the new store by rewriting survivor row bindings (`old_rows[i] →
-    /// new_rows[j]`), then runs the ordinary [`BallIndex::apply_delta`]
-    /// machinery so deaths tombstone, inserts enter the side buffer with
-    /// pivot rows computed against the **new** store, and the compaction
-    /// policy fires as usual.
-    ///
-    /// Every pivot's reference row must itself survive: pivot rows are
-    /// dereferenced in the new store for insert/external distance
-    /// computations, and a vanished row has no binding there. If any pivot
-    /// dies, the whole index is rebuilt over `new_rows` instead — still
-    /// correct, just not incremental.
-    ///
-    /// Queries afterwards answer exactly as a fresh index over `new_rows`
-    /// would, up to counter internals — the same contract as `apply_delta`.
-    pub fn apply_generation_delta(
-        &mut self,
-        store: &PoolStore,
-        new_rows: &[u32],
-        old_rows: &[u32],
-        delta: &PoolDelta,
-        threads: usize,
-    ) -> IndexMaintenance {
-        let t0 = Instant::now();
-        let mut row_map: std::collections::HashMap<u32, u32> =
-            std::collections::HashMap::with_capacity(delta.survivors.len());
-        for &(i, j) in &delta.survivors {
-            row_map.insert(old_rows[i as usize], new_rows[j as usize]);
-        }
-        if self.pivots.iter().any(|&(r, _)| !row_map.contains_key(&r)) {
-            let tombstoned = self.len().saturating_sub(delta.survivors.len()) as u64;
-            return self.rebuild(
-                store,
-                new_rows,
-                threads,
-                t0,
-                tombstoned,
-                delta.inserts.len() as u64,
-            );
-        }
-        // Rebind survivors onto the new slab. Non-survivor entries keep
-        // their stale old-store row ids; `apply_delta` tombstones them and
-        // dead slots are never dereferenced.
-        for r in self
-            .arena_rows
-            .iter_mut()
-            .chain(self.side_rows.iter_mut())
-            .chain(self.pivots.iter_mut().map(|(r, _)| r))
-        {
-            if let Some(&nr) = row_map.get(r) {
-                *r = nr;
-            }
-        }
-        self.apply_delta(store, new_rows, delta, threads)
-    }
-
     /// Adapts the pivot *count* to the prune rates one iteration actually
-    /// measured (satellite of the incremental-mining work): each pivot
-    /// column costs a |Pool|-sized f32 stripe at rebuild plus one band test
-    /// per surviving pair at scan, so the count should track what the pool's
-    /// geometry lets the triangle inequality earn.
+    /// measured: each pivot column costs a |Pool|-sized f32 stripe at build
+    /// plus one band test per surviving pair at scan, so the count should
+    /// track what the pool's geometry lets the triangle inequality earn.
     ///
     /// Policy, over the pairs that survived the cardinality prune
     /// (`pairs_total − cardinality_pruned`):
@@ -717,10 +414,10 @@ impl BallIndex {
     ///   still reach the exact kernel, request one more pivot (up to
     ///   [`MAX_PIVOTS`]).
     ///
-    /// Only [`BallIndex::pivot_target`](Self) changes; the live table is
+    /// Only [`BallIndex::pivot_target`] changes; the current table is
     /// untouched, so results stay bit-identical and the new count takes
-    /// effect at the next compaction rebuild. Deterministic: the counters
-    /// are exact pair counts, identical at every thread count.
+    /// effect at the next [`BallIndex::apply_delta`]. Deterministic: the
+    /// counters are exact pair counts, identical at every thread count.
     pub fn adapt_pivot_target(&mut self, stats: &BallQueryStats) {
         let survivors = stats.pairs_total.saturating_sub(stats.cardinality_pruned);
         if survivors == 0 {
@@ -744,45 +441,10 @@ impl BallIndex {
         self.n_pivots
     }
 
-    /// The pivot count the next full rebuild will request (the adapted
-    /// target once [`BallIndex::adapt_pivot_target`] has run).
+    /// The pivot count the next rebuild will request (the adapted target
+    /// once [`BallIndex::adapt_pivot_target`] has run).
     pub fn pivot_target(&self) -> usize {
         self.pivot_target
-    }
-
-    /// The deterministic compaction policy: a pure function of index state,
-    /// so thread count and timing never influence when a rebuild happens.
-    fn needs_compaction(&self) -> bool {
-        let n = self.cards.len();
-        n > 0
-            && ((self.live_main as f64) < MIN_LIVE_DENSITY * n as f64
-                || self.side_cards.len()
-                    > (MAX_SIDE_RATIO * n as f64) as usize + SIDE_COMPACT_SLACK)
-    }
-
-    /// Replaces the whole index with a fresh build over `new_rows`, keeping
-    /// the compaction counter.
-    fn rebuild(
-        &mut self,
-        store: &PoolStore,
-        new_rows: &[u32],
-        threads: usize,
-        t0: Instant,
-        tombstoned: u64,
-        inserted: u64,
-    ) -> IndexMaintenance {
-        let compactions = self.compactions + 1;
-        *self = Self::build_with_threads(store, new_rows, self.radius, self.pivot_target, threads);
-        self.compactions = compactions;
-        IndexMaintenance {
-            rebuilt: true,
-            tombstoned,
-            inserted,
-            live: self.len(),
-            arena: self.cards.len(),
-            side: 0,
-            elapsed: t0.elapsed(),
-        }
     }
 
     /// The candidate cardinality window `[lo, hi]` for a seed of support
@@ -819,56 +481,34 @@ impl BallIndex {
         (lo, hi)
     }
 
-    /// Global store row of the pattern at global position `g`.
-    fn row_at(&self, g: usize) -> u32 {
-        let n = self.cards.len();
-        if g < n {
-            self.arena_rows[g]
-        } else {
-            self.side_rows[g - n]
-        }
+    /// The arena positions `lo..hi` whose cardinalities fall in
+    /// [`BallIndex::card_window`] for a seed of support `a`.
+    fn candidate_window(&self, a: f64) -> (usize, usize) {
+        let (lo_card, hi_card) = self.card_window(a);
+        (
+            self.cards.partition_point(|&c| c < lo_card),
+            self.cards.partition_point(|&c| c <= hi_card),
+        )
     }
 
-    /// Pivot row of the pattern at global position `g`.
-    fn pivot_row(&self, g: usize) -> &[f32] {
+    /// Pivot row of the pattern at arena position `pos`.
+    fn pivot_row(&self, pos: usize) -> &[f32] {
         let np = self.n_pivots;
-        let n = self.cards.len();
-        if g < n {
-            &self.pivot_dists[g * np..(g + 1) * np]
-        } else {
-            let sp = g - n;
-            &self.side_pivot_dists[sp * np..(sp + 1) * np]
-        }
+        &self.pivot_dists[pos * np..(pos + 1) * np]
     }
 
     /// Prepares the ball query for pool member `q`: resolves the candidate
-    /// support windows (one per region) and the seed's pivot distances.
-    /// O(log |Pool| + P).
+    /// support window and the seed's pivot distances. O(log |Pool| + P).
     pub fn query(&self, q: usize) -> BallQuery<'_> {
         let q_pos = self.pos_of[q] as usize;
-        debug_assert!(
-            q_pos < self.cards.len() + self.side_cards.len(),
-            "query for a pattern the index does not hold"
-        );
-        let a = if q_pos < self.cards.len() {
-            self.cards[q_pos]
-        } else {
-            self.side_cards[q_pos - self.cards.len()]
-        } as f64;
-        let (lo_card, hi_card) = self.card_window(a);
-        let alo = self.cards.partition_point(|&c| c < lo_card);
-        let ahi = self.cards.partition_point(|&c| c <= hi_card);
-        let slo = self.side_cards.partition_point(|&c| c < lo_card);
-        let shi = self.side_cards.partition_point(|&c| c <= hi_card);
+        let (lo, hi) = self.candidate_window(self.cards[q_pos] as f64);
         let mut seed_pivot_dists = [0.0f32; MAX_PIVOTS];
         seed_pivot_dists[..self.n_pivots].copy_from_slice(self.pivot_row(q_pos));
         BallQuery {
             index: self,
             q_pos,
-            alo,
-            ahi,
-            slo,
-            shi,
+            lo,
+            hi,
             seed_pivot_dists,
             ext: None,
         }
@@ -900,11 +540,7 @@ impl BallIndex {
             store.suf_stride(),
             "query suffix table mis-sized"
         );
-        let (lo_card, hi_card) = self.card_window(card as f64);
-        let alo = self.cards.partition_point(|&c| c < lo_card);
-        let ahi = self.cards.partition_point(|&c| c <= hi_card);
-        let slo = self.side_cards.partition_point(|&c| c < lo_card);
-        let shi = self.side_cards.partition_point(|&c| c <= hi_card);
+        let (lo, hi) = self.candidate_window(card as f64);
         let mut seed_pivot_dists = [0.0f32; MAX_PIVOTS];
         let w = store.words_per_row();
         let mut col: Vec<f64> = Vec::with_capacity(1);
@@ -929,13 +565,11 @@ impl BallIndex {
         }
         BallQuery {
             index: self,
-            // Sentinel: no candidate's global position can equal this, so
+            // Sentinel: no candidate's arena position can equal this, so
             // the member scan's self-skip never fires for an external seed.
             q_pos: usize::MAX,
-            alo,
-            ahi,
-            slo,
-            shi,
+            lo,
+            hi,
             seed_pivot_dists,
             ext: Some((words, sufs)),
         }
@@ -943,7 +577,7 @@ impl BallIndex {
 
     /// Convenience: the full ball of pool member `q`, ascending pool order,
     /// with counters accumulated into `stats`. Exactly the brute-force ball
-    /// over the live pool.
+    /// over the pool.
     pub fn ball(&self, store: &PoolStore, q: usize, stats: &mut BallQueryStats) -> Vec<usize> {
         let query = self.query(q);
         let mut out = Vec::new();
@@ -1081,20 +715,16 @@ fn select_pivots(
     chosen
 }
 
-/// A prepared ball query: candidate windows into the support-sorted arena
-/// and side buffer, plus the seed's pivot-distance row. Scanning is split
-/// into ranges so the parallel pipeline can hand segments of one seed's scan
-/// to idle workers.
+/// A prepared ball query: a candidate window into the support-sorted arena
+/// plus the seed's pivot-distance row. Scanning is split into ranges so the
+/// parallel pipeline can hand segments of one seed's scan to idle workers.
 pub struct BallQuery<'a> {
     index: &'a BallIndex,
-    /// The seed's global position.
+    /// The seed's arena position (`usize::MAX` for an external seed).
     q_pos: usize,
-    /// Arena candidate window (may include tombstoned slots).
-    alo: usize,
-    ahi: usize,
-    /// Side-buffer candidate window (all live).
-    slo: usize,
-    shi: usize,
+    /// Candidate window: arena positions `lo..hi`.
+    lo: usize,
+    hi: usize,
     seed_pivot_dists: [f32; MAX_PIVOTS],
     /// `Some((words, sufs))` for an external (non-member) seed: the slab-
     /// shaped row data the exact kernel reads instead of a store row.
@@ -1102,28 +732,19 @@ pub struct BallQuery<'a> {
 }
 
 impl BallQuery<'_> {
-    /// Number of candidate *slots* surviving the cardinality prune — the
-    /// arena window (tombstones included) concatenated with the side window,
-    /// and the coordinate space [`BallQuery::scan`] segments address. The
-    /// seed itself is included; the scan skips it.
+    /// Number of candidates surviving the cardinality prune — the
+    /// coordinate space [`BallQuery::scan`] segments address. A member
+    /// seed is included; the scan skips it.
     pub fn candidates(&self) -> usize {
-        (self.ahi - self.alo) + (self.shi - self.slo)
-    }
-
-    /// Number of *live* candidates in the window (including the seed), via
-    /// the arena's live prefix sums. What [`BallQuery::account`] prices.
-    pub fn live_candidates(&self) -> usize {
-        let arena_live =
-            (self.index.live_prefix[self.ahi] - self.index.live_prefix[self.alo]) as usize;
-        arena_live + (self.shi - self.slo)
+        self.hi - self.lo
     }
 
     /// Books the pairs this query considers and the cardinality-pruned bulk
     /// into `stats`. Call once per query.
     pub fn account(&self, stats: &mut BallQueryStats) {
         let n = self.index.len() as u64;
-        let in_range = self.live_candidates() as u64;
-        // An external seed holds no pool slot, so every live pattern is a
+        let in_range = self.candidates() as u64;
+        // An external seed holds no pool slot, so every pattern is a
         // candidate pair; a member seed excludes itself (it sits inside its
         // own range — neither a pair nor pruned).
         stats.pairs_total += if self.ext.is_some() { n } else { n - 1 };
@@ -1131,54 +752,34 @@ impl BallQuery<'_> {
         stats.pivots_active = stats.pivots_active.max(self.index.n_pivots as u64);
     }
 
-    /// Cuts `0..candidates()` into ranges holding ≈`target_live` live
-    /// candidates each (tombstone hops are near-free, so live candidates are
-    /// the work unit). Deterministic — a pure function of index state — so
-    /// the parallel pipeline's task split never depends on thread count.
-    pub fn segments(&self, target_live: usize) -> Vec<std::ops::Range<usize>> {
-        let target = target_live.max(1) as u32;
-        let mut out = Vec::new();
-        let arena_span = self.ahi - self.alo;
-        let lp = &self.index.live_prefix;
-        let mut start = self.alo;
-        while start < self.ahi {
-            let want = lp[start] + target;
-            // Smallest end in (start, ahi] reaching `want` live slots.
-            let rel = lp[start + 1..=self.ahi].partition_point(|&v| v < want);
-            let end = (start + 1 + rel).min(self.ahi);
-            out.push(start - self.alo..end - self.alo);
-            start = end;
-        }
-        let side_span = self.shi - self.slo;
-        let mut s = 0;
-        while s < side_span {
-            let e = (s + target as usize).min(side_span);
-            out.push(arena_span + s..arena_span + e);
-            s = e;
-        }
-        out
+    /// Cuts `0..candidates()` into consecutive ranges of `target`
+    /// candidates (the last one shorter). Deterministic — a pure function
+    /// of the window — so the parallel pipeline's task split never depends
+    /// on thread count.
+    pub fn segments(&self, target: usize) -> Vec<std::ops::Range<usize>> {
+        let (n, step) = (self.candidates(), target.max(1));
+        (0..n).step_by(step).map(|s| s..(s + step).min(n)).collect()
     }
 
-    /// Scans candidate positions `seg` (relative to this query's
-    /// concatenated window, arena part first), appending accepted pool
-    /// indices to `out` and counting into `stats`. `store` must be the
-    /// store the index was built over.
+    /// Scans candidate positions `seg` (relative to this query's window),
+    /// appending accepted pool indices to `out` and counting into `stats`.
+    /// `store` must be the store the index was built over.
     ///
-    /// Two passes: the cheap prunes (tombstone hop, seed skip, pivot
-    /// triangle inequality — float compares over the candidate-major pivot
-    /// rows) gather the surviving *slab rows* per region and slab, then
-    /// each surviving batch runs through the **batched** suffix-Jaccard
-    /// gather kernel ([`kernels::jaccard_within_rows`]): the seed's words
-    /// stay hot while the backend streams the pool slab's 32-byte-aligned
-    /// rows — no per-candidate heap pointers, no copies. The acceptance
-    /// test inside the kernel is the exact float comparison `jaccard ≤
-    /// radius` — identical to brute force.
+    /// Two passes: the cheap prunes (seed skip, pivot triangle inequality —
+    /// float compares over the candidate-major pivot rows) gather the
+    /// surviving *slab rows* per slab, then each surviving batch runs
+    /// through the **batched** suffix-Jaccard gather kernel
+    /// ([`kernels::jaccard_within_rows`]): the seed's words stay hot while
+    /// the backend streams the pool slab's 32-byte-aligned rows — no
+    /// per-candidate heap pointers, no copies. The acceptance test inside
+    /// the kernel is the exact float comparison `jaccard ≤ radius` —
+    /// identical to brute force.
     ///
     /// Disjoint segments cover disjoint candidates, so segments can run on
     /// different workers and be concatenated; the final ball only needs one
     /// ascending sort to match the brute-force order. (Within a segment,
-    /// hits are reported region-major and slab-major, not in window order —
-    /// every caller sorts the assembled ball.)
+    /// hits are reported slab-major, not in window order — every caller
+    /// sorts the assembled ball.)
     pub fn scan(
         &self,
         store: &PoolStore,
@@ -1187,11 +788,10 @@ impl BallQuery<'_> {
         stats: &mut BallQueryStats,
     ) {
         let ix = self.index;
-        let arena_span = self.ahi - self.alo;
         let (qw, qs) = match self.ext {
             Some((w, s)) => (w, s),
             None => {
-                let q_row = ix.row_at(self.q_pos);
+                let q_row = ix.arena_rows[self.q_pos];
                 (store.words_of(q_row), store.sufs_of(q_row))
             }
         };
@@ -1204,11 +804,40 @@ impl BallQuery<'_> {
         let mut base_pool: Vec<u32> = Vec::with_capacity(cap);
         let mut local_rows: Vec<u32> = Vec::new();
         let mut local_pool: Vec<u32> = Vec::new();
-        let flush = |rows: &[u32],
-                     pools: &[u32],
-                     slab: &cfp_itemset::PatternPool,
-                     out: &mut Vec<usize>,
-                     stats: &mut BallQueryStats| {
+        for pos in self.lo + seg.start..self.lo + end {
+            if pos == self.q_pos {
+                continue;
+            }
+            // Branchless triangle-inequality band test over the whole
+            // pivot row (auto-vectorizes; a per-pivot early-exit loop
+            // pays a mispredicted branch per pivot instead). The mask's
+            // lowest set bit is the first violating pivot — the same
+            // attribution the ordered loop produced.
+            let row = ix.pivot_row(pos);
+            let mut mask = 0u32;
+            for (p, &pd) in row.iter().enumerate() {
+                mask |= u32::from((self.seed_pivot_dists[p] - pd).abs() > pivot_radius) << p;
+            }
+            if mask != 0 {
+                stats.pivot_pruned += 1;
+                stats.pivot_prune_counts[mask.trailing_zeros() as usize] += 1;
+                continue;
+            }
+            stats.exact_checked += 1;
+            let (is_local, idx) = store.split(ix.arena_rows[pos]);
+            if is_local {
+                local_rows.push(idx);
+                local_pool.push(ix.pool_of[pos]);
+            } else {
+                base_rows.push(idx);
+                base_pool.push(ix.pool_of[pos]);
+            }
+        }
+        // Pass 2: batched exact checks, base slab then overlay slab.
+        for (rows, pools, slab) in [
+            (&base_rows, &base_pool, store.base_pool()),
+            (&local_rows, &local_pool, store.local_pool()),
+        ] {
             kernels::jaccard_within_rows(
                 qw,
                 qs,
@@ -1223,66 +852,6 @@ impl BallQuery<'_> {
                     out.push(pools[k] as usize);
                 },
             );
-        };
-        for region in [0usize, 1] {
-            let (lo, hi) = if region == 0 {
-                (seg.start.min(arena_span), end.min(arena_span))
-            } else {
-                (seg.start.max(arena_span), end)
-            };
-            for off in lo..hi {
-                // Map the window offset to a global position: arena offsets
-                // first (hopping tombstones), then side offsets.
-                let (g, in_side) = if off < arena_span {
-                    let pos = self.alo + off;
-                    if !ix.live[pos] {
-                        stats.tombstone_skips += 1;
-                        continue;
-                    }
-                    (pos, false)
-                } else {
-                    (ix.cards.len() + self.slo + (off - arena_span), true)
-                };
-                if g == self.q_pos {
-                    continue;
-                }
-                // Branchless triangle-inequality band test over the whole
-                // pivot row (auto-vectorizes; a per-pivot early-exit loop
-                // pays a mispredicted branch per pivot instead). The mask's
-                // lowest set bit is the first violating pivot — the same
-                // attribution the ordered loop produced.
-                let row = ix.pivot_row(g);
-                let mut mask = 0u32;
-                for (p, &pd) in row.iter().enumerate() {
-                    mask |= u32::from((self.seed_pivot_dists[p] - pd).abs() > pivot_radius) << p;
-                }
-                if mask != 0 {
-                    stats.pivot_pruned += 1;
-                    stats.pivot_prune_counts[mask.trailing_zeros() as usize] += 1;
-                    continue;
-                }
-                stats.exact_checked += 1;
-                if in_side {
-                    stats.side_hits += 1;
-                }
-                let srow = ix.row_at(g);
-                let (is_local, idx) = store.split(srow);
-                if is_local {
-                    local_rows.push(idx);
-                    local_pool.push(ix.pool_of[g]);
-                } else {
-                    base_rows.push(idx);
-                    base_pool.push(ix.pool_of[g]);
-                }
-            }
-            // Pass 2 (per region): batched exact checks, base slab then
-            // overlay slab.
-            flush(&base_rows, &base_pool, store.base_pool(), out, stats);
-            flush(&local_rows, &local_pool, store.local_pool(), out, stats);
-            base_rows.clear();
-            base_pool.clear();
-            local_rows.clear();
-            local_pool.clear();
         }
     }
 }
@@ -1339,7 +908,7 @@ mod tests {
         pool
     }
 
-    /// Checks every live pattern's engine ball against brute force.
+    /// Checks every pattern's engine ball against brute force.
     fn assert_matches_brute(
         index: &BallIndex,
         store: &PoolStore,
@@ -1450,9 +1019,6 @@ mod tests {
         assert!(stats.pivot_prune_counts[4..].iter().all(|&c| c == 0));
         // The serving index's pivot count is reported alongside the prunes.
         assert_eq!(stats.pivots_active, 4);
-        // A fresh index has no tombstones and no side buffer.
-        assert_eq!(stats.tombstone_skips, 0);
-        assert_eq!(stats.side_hits, 0);
         // The clustered fixture must show real pruning.
         assert!(
             stats.pruned_fraction() > 0.5,
@@ -1491,20 +1057,10 @@ mod tests {
     }
 
     #[test]
-    fn segments_partition_the_window_and_balance_live_work() {
+    fn segments_partition_the_window() {
         let pool = fixture_pool();
-        let (mut store, rows) = store_of(&pool);
-        let mut index = BallIndex::build(&store, &rows, 0.5, 2);
-        // Tombstone a slice of the pool so segmentation sees dead slots.
-        let next: Vec<Pattern> = pool
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % 3 != 0)
-            .map(|(_, p)| p.clone())
-            .collect();
-        let next_rows = intern_all(&mut store, &next);
-        let delta = PoolDelta::compute(&rows, &next_rows, store.len_rows());
-        index.apply_delta(&store, &next_rows, &delta, 1);
+        let (store, rows) = store_of(&pool);
+        let index = BallIndex::build(&store, &rows, 0.5, 2);
         for q in [0usize, 5, 17] {
             let query = index.query(q);
             let segs = query.segments(4);
@@ -1633,8 +1189,11 @@ mod tests {
         assert!(lo >= 1 && hi < u32::MAX);
     }
 
-    /// Drives `apply_delta` through several generations and checks every
-    /// generation against a fresh index and brute force.
+    /// Drives `apply_delta` through several pools the way the fusion loop
+    /// does (adapting the pivot target from each pool's measured prunes):
+    /// every step must answer exactly like a fresh build at the adapted
+    /// target and like brute force, and price the step by its departures
+    /// and arrivals.
     #[test]
     fn incremental_updates_match_fresh_rebuild() {
         let u = 256;
@@ -1643,6 +1202,11 @@ mod tests {
         let mut index = BallIndex::build(&store, &rows, 0.5, 4);
         let mut next_id = 1000u32;
         for step in 0..5usize {
+            let mut measured = BallQueryStats::default();
+            for q in 0..pool.len() {
+                index.ball(&store, q, &mut measured);
+            }
+            index.adapt_pivot_target(&measured);
             // Keep a deterministic ~70%, insert a few new patterns (some
             // resembling cluster members, one empty).
             let mut next: Vec<Pattern> = pool
@@ -1661,13 +1225,19 @@ mod tests {
                 next_id += 1;
             }
             let next_rows = intern_all(&mut store, &next);
+            let departed = rows.iter().filter(|r| !next_rows.contains(r)).count();
+            let arrived = next_rows.iter().filter(|r| !rows.contains(r)).count();
             let delta = PoolDelta::compute(&rows, &next_rows, store.len_rows());
             let m = index.apply_delta(&store, &next_rows, &delta, 1);
+            assert!(m.rebuilt, "step {step}");
+            assert_eq!(m.tombstoned, departed as u64, "step {step}");
+            assert_eq!(m.inserted, arrived as u64, "step {step}");
+            assert_eq!(index.compactions(), step as u64 + 1);
             assert_eq!(m.live, next.len());
             assert_eq!(index.len(), next.len());
             assert_matches_brute(&index, &store, &next, 0.5, &format!("step {step}"));
-            // And equality with a fresh index, member for member.
-            let fresh = BallIndex::build(&store, &next_rows, 0.5, 4);
+            // And equality with a fresh index, member and counter for member.
+            let fresh = BallIndex::build(&store, &next_rows, 0.5, index.pivot_target());
             for q in 0..next.len() {
                 let mut a = BallQueryStats::default();
                 let mut b = BallQueryStats::default();
@@ -1676,6 +1246,7 @@ mod tests {
                     fresh.ball(&store, q, &mut b),
                     "step {step} q={q}"
                 );
+                assert_eq!(a, b, "step {step} q={q}");
             }
             pool = next;
             rows = next_rows;
@@ -1730,181 +1301,15 @@ mod tests {
         index.adapt_pivot_target(&BallQueryStats::default());
         assert_eq!(index.pivot_target(), 5);
 
-        // The adapted target takes effect at the next compaction rebuild.
+        // The adapted target takes effect at the next pool's rebuild.
         index.adapt_pivot_target(&idle);
         assert_eq!(index.pivot_target(), 2);
         let next: Vec<Pattern> = pool[..10].to_vec();
         let next_rows = intern_all(&mut store, &next);
         let delta = PoolDelta::compute(&rows, &next_rows, store.len_rows());
-        let m = index.apply_delta(&store, &next_rows, &delta, 1);
-        assert!(m.rebuilt, "shrinking to 10/44 live must compact");
+        index.apply_delta(&store, &next_rows, &delta, 1);
         assert_eq!(index.pivots_active(), 2);
         assert_matches_brute(&index, &store, &next, 0.5, "after adapted rebuild");
-    }
-
-    /// `apply_generation_delta`: the pool slab is replaced wholesale
-    /// (universe grown by appended transactions), survivors are the old
-    /// tid-sets zero-extended, and the index must retarget in place.
-    #[test]
-    fn generation_delta_retargets_onto_a_grown_store() {
-        let pool = fixture_pool();
-        let (old_store, old_rows) = store_of(&pool);
-        let index0 = BallIndex::build(&old_store, &old_rows, 0.5, 4);
-        let u = 320;
-        let grow = |p: &Pattern| {
-            let mut t = p.tids.clone();
-            t.grow_universe(u);
-            Pattern::new(p.items.clone(), t)
-        };
-
-        // Generation 1: pure zero-extension plus inserts — every pivot
-        // survives, so no rebuild is needed.
-        let mut index = index0.clone();
-        let mut next: Vec<Pattern> = pool.iter().map(grow).collect();
-        let survivors: Vec<(u32, u32)> = (0..pool.len() as u32).map(|i| (i, i)).collect();
-        let mut inserts = Vec::new();
-        for v in 0..3usize {
-            inserts.push(next.len() as u32);
-            next.push(pat(
-                u,
-                2000 + v as u32,
-                &(v * 30..v * 30 + 25).collect::<Vec<_>>(),
-            ));
-        }
-        let (new_store, new_rows) = store_of(&next);
-        let delta = PoolDelta { survivors, inserts };
-        let m = index.apply_generation_delta(&new_store, &new_rows, &old_rows, &delta, 1);
-        assert!(!m.rebuilt, "zero-extension survivors carry the index");
-        assert_eq!(m.inserted, 3);
-        assert_eq!(m.live, next.len());
-        assert_matches_brute(&index, &new_store, &next, 0.5, "generation carry");
-        let fresh = BallIndex::build(&new_store, &new_rows, 0.5, 4);
-        for q in 0..next.len() {
-            let (mut a, mut b) = (BallQueryStats::default(), BallQueryStats::default());
-            assert_eq!(
-                index.ball(&new_store, q, &mut a),
-                fresh.ball(&new_store, q, &mut b),
-                "q={q}"
-            );
-        }
-
-        // Generation with deaths: exact regardless of whether a pivot died
-        // (the rebuild fallback is silent but correct).
-        let mut index = index0.clone();
-        let mut culled: Vec<Pattern> = Vec::new();
-        let mut survivors = Vec::new();
-        for (i, p) in pool.iter().enumerate() {
-            if i % 5 == 4 {
-                continue;
-            }
-            survivors.push((i as u32, culled.len() as u32));
-            culled.push(grow(p));
-        }
-        let (culled_store, culled_rows) = store_of(&culled);
-        let delta = PoolDelta {
-            survivors,
-            inserts: vec![],
-        };
-        let m = index.apply_generation_delta(&culled_store, &culled_rows, &old_rows, &delta, 1);
-        assert_eq!(m.live, culled.len());
-        assert_matches_brute(&index, &culled_store, &culled, 0.5, "generation deaths");
-
-        // Nothing survives: the pivots are gone, so the index must rebuild
-        // itself over the new pool.
-        let mut index = index0.clone();
-        let fresh_pool: Vec<Pattern> = (0..6)
-            .map(|v| pat(u, 3000 + v as u32, &[v * 2, v * 2 + 1]))
-            .collect();
-        let (s2, r2) = store_of(&fresh_pool);
-        let d2 = PoolDelta {
-            survivors: vec![],
-            inserts: (0..fresh_pool.len() as u32).collect(),
-        };
-        let m2 = index.apply_generation_delta(&s2, &r2, &old_rows, &d2, 1);
-        assert!(m2.rebuilt, "dead pivots must force a full rebuild");
-        assert_matches_brute(&index, &s2, &fresh_pool, 0.5, "rebuild fallback");
-    }
-
-    #[test]
-    fn side_buffer_queries_hit_and_count() {
-        let pool = fixture_pool();
-        let (mut store, rows) = store_of(&pool);
-        let mut index = BallIndex::build(&store, &rows, 0.5, 4);
-        // Insert a clone-like neighbour of pattern 0 (same cluster shape).
-        let mut next = pool.clone();
-        let mut tids: Vec<usize> = (0..38).collect();
-        tids.push(210);
-        next.push(pat(256, 999, &tids));
-        let next_rows = intern_all(&mut store, &next);
-        let delta = PoolDelta::compute(&rows, &next_rows, store.len_rows());
-        let m = index.apply_delta(&store, &next_rows, &delta, 1);
-        assert!(!m.rebuilt);
-        assert_eq!(m.inserted, 1);
-        assert_eq!(index.side_len(), 1);
-        // Query the inserted pattern itself (seed in the side buffer).
-        let q = next.len() - 1;
-        let mut stats = BallQueryStats::default();
-        assert_eq!(index.ball(&store, q, &mut stats), brute_ball(&next, q, 0.5));
-        // Query an arena pattern whose ball contains the insert.
-        let mut stats = BallQueryStats::default();
-        let ball0 = index.ball(&store, 0, &mut stats);
-        assert_eq!(ball0, brute_ball(&next, 0, 0.5));
-        assert!(ball0.contains(&q), "insert must be found from the arena");
-        assert!(stats.side_hits > 0, "side-buffer hit must be counted");
-    }
-
-    #[test]
-    fn compaction_triggers_and_preserves_exactness() {
-        let mut pool = fixture_pool();
-        let (mut store, mut rows) = store_of(&pool);
-        let mut index = BallIndex::build(&store, &rows, 0.5, 4);
-        let arena_before = index.arena_slots();
-        // Shrink hard until the live-density policy must fire.
-        let mut rebuilt = false;
-        for step in 0..6usize {
-            let next: Vec<Pattern> = pool
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| (i + step) % 2 == 0)
-                .map(|(_, p)| p.clone())
-                .collect();
-            if next.is_empty() {
-                break;
-            }
-            let next_rows = intern_all(&mut store, &next);
-            let delta = PoolDelta::compute(&rows, &next_rows, store.len_rows());
-            let m = index.apply_delta(&store, &next_rows, &delta, 1);
-            rebuilt |= m.rebuilt;
-            assert_matches_brute(&index, &store, &next, 0.5, &format!("compact step {step}"));
-            pool = next;
-            rows = next_rows;
-        }
-        assert!(rebuilt, "halving the pool repeatedly must compact");
-        assert!(index.compactions() >= 1);
-        assert!(index.arena_slots() < arena_before);
-        assert_eq!(index.side_len(), 0, "compaction empties the side buffer");
-        assert_eq!(index.live_density(), 1.0);
-    }
-
-    #[test]
-    fn side_buffer_growth_triggers_compaction() {
-        let u = 256;
-        let pool = fixture_pool_small(u);
-        let (mut store, rows) = store_of(&pool);
-        let mut index = BallIndex::build(&store, &rows, 0.5, 2);
-        // Insert far more than MAX_SIDE_RATIO · arena + slack new patterns.
-        let mut next = pool.clone();
-        for v in 0..64u32 {
-            let tids: Vec<usize> = (v as usize..v as usize + 10).collect();
-            next.push(pat(u, 500 + v, &tids));
-        }
-        let next_rows = intern_all(&mut store, &next);
-        let delta = PoolDelta::compute(&rows, &next_rows, store.len_rows());
-        let m = index.apply_delta(&store, &next_rows, &delta, 1);
-        assert!(m.rebuilt, "side-buffer overflow must rebuild");
-        assert_eq!(index.side_len(), 0);
-        assert_eq!(index.len(), next.len());
-        assert_matches_brute(&index, &store, &next, 0.5, "after side overflow");
     }
 
     #[test]

@@ -18,21 +18,16 @@
 //!   (zero-extended) — those subtrees are bulk-copied from the previous
 //!   pool ([`cfp_itemset::PatternPool::splice_rows`]); only *dirty*
 //!   subtrees (first item touched by the delta, or newly frequent) are
-//!   re-expanded;
-//! * the **ball index** is carried across generations
-//!   ([`crate::BallIndex::apply_generation_delta`]): spliced rows are the
-//!   old tid-sets zero-extended, which changes neither cardinalities nor
-//!   pairwise Jaccards, so the previous generation's index retargets onto
-//!   the new slab and only delta-sized index work is paid.
+//!   re-expanded.
 //!
-//! The fusion phase itself then runs unchanged over the rebuilt pool —
+//! The fusion phase itself then runs unchanged over the rebuilt pool,
+//! building its ball index per pool exactly as a cold mine does —
 //! determinism is inherited, not re-proven: the spliced pool is
 //! byte-identical to a from-scratch mine, so every downstream decision
 //! (seed draws, ball queries, fusion RNG, shard assignment) replays
 //! identically. Sharded configurations take the stratified copy of the
 //! plain pool ([`cfp_miners::stratified_copy`]) and run the ordinary
-//! partitioned engine with fresh per-shard indexes, so even per-shard
-//! counters match a cold run.
+//! partitioned engine, so even per-shard counters match a cold run.
 //!
 //! # Append semantics
 //!
@@ -43,9 +38,7 @@
 //! `cfp mine --append` CLI does exactly that).
 
 use crate::algorithm::{threads_for, FusionResult, PatternFusion};
-use crate::ball::{BallIndex, PoolDelta};
 use crate::config::FusionConfig;
-use crate::distance::ball_radius;
 use crate::pool::PoolStore;
 use cfp_itemset::{DbDelta, PatternPool, RowTable, TransactionDb, VerticalIndex};
 use cfp_miners::PoolMineStats;
@@ -64,23 +57,23 @@ pub struct AppendStats {
     pub dirty_items: usize,
     /// First-item subtrees re-expanded by the pool rebuild.
     pub subtrees_remined: usize,
-    /// Pool rows bulk-copied from the previous generation's slab.
+    /// Pool rows bulk-copied from the previous generation's slab (the
+    /// splice plan's total, [`cfp_miners::PoolMineStats::rows_spliced`]).
     pub rows_spliced: usize,
     /// Total rows in the rebuilt initial pool.
     pub pool_rows: usize,
-    /// Whether the ball index was carried across the generation
-    /// ([`BallIndex::apply_generation_delta`]) rather than rebuilt. Always
-    /// `false` for sharded configurations (shards build private indexes).
+    /// Whether a ball index was carried from the previous generation.
+    /// Always `false`: every generation's fusion builds its own index.
     pub index_carried: bool,
-    /// Wall-clock time of the whole append (absorb + pool rebuild + index
-    /// carry + fusion).
+    /// Wall-clock time of the whole append (absorb + pool rebuild +
+    /// fusion).
     pub elapsed: Duration,
 }
 
 /// The incremental mining driver: owns the evolving database, its vertical
-/// index, the current generation's plain initial pool (with its first-item
-/// subtree spans), and the cached initial ball index, and turns each
-/// [`DbDelta`] into a fresh [`FusionResult`] at delta-proportional cost.
+/// index, and the current generation's plain initial pool (with its
+/// first-item subtree spans), and turns each [`DbDelta`] into a fresh
+/// [`FusionResult`] at delta-proportional cost.
 ///
 /// ```
 /// use cfp_core::{delta::DeltaEngine, FusionConfig, Source};
@@ -112,11 +105,6 @@ pub struct DeltaEngine {
     /// First-item subtree spans of `plain` (see
     /// [`cfp_miners::subtree_spans`]).
     spans: Vec<(u32, Range<u32>)>,
-    /// The initial ball index of the current generation, snapshotted right
-    /// after its build — the seed for the next generation's
-    /// [`BallIndex::apply_generation_delta`]. `None` before the first mine
-    /// and for sharded configurations.
-    ball_cache: Option<BallIndex>,
     /// The last result produced (returned verbatim for empty deltas).
     result: Option<FusionResult>,
     last_append: AppendStats,
@@ -124,12 +112,10 @@ pub struct DeltaEngine {
 }
 
 /// Append-path context threaded from [`DeltaEngine::append`] into
-/// [`DeltaEngine::install_generation`]: the previous generation's subtree
-/// spans, the sorted deduplicated dirty item list, the appended
+/// [`DeltaEngine::install_generation`]: the dirty item count, the appended
 /// transaction count, and the append's start time.
 struct AppendCarry {
-    old_spans: Vec<(u32, Range<u32>)>,
-    dirty: Vec<u32>,
+    dirty_items: usize,
     appended: usize,
     t0: Instant,
 }
@@ -145,7 +131,6 @@ impl DeltaEngine {
             vindex,
             plain: Arc::new(PatternPool::new(0)),
             spans: Vec::new(),
-            ball_cache: None,
             result: None,
             last_append: AppendStats::default(),
             generation: 0,
@@ -179,7 +164,7 @@ impl DeltaEngine {
     }
 
     /// Mines the current database from scratch and caches everything the
-    /// next append needs (plain pool, spans, initial ball index). The
+    /// next append needs (plain pool and its spans). The
     /// result is bit-identical to [`crate::Engine::mine`] over the same
     /// database and configuration.
     pub fn mine(&mut self) -> FusionResult {
@@ -203,9 +188,8 @@ impl DeltaEngine {
 
     /// Absorbs `delta` and re-mines: the database and vertical index widen
     /// in place, clean first-item subtrees are spliced from the previous
-    /// pool, dirty ones re-expanded, the ball index carried across the
-    /// generation, and fusion re-run. Returns the same result a cold mine
-    /// of the grown database would, bit for bit.
+    /// pool, dirty ones re-expanded, and fusion re-run. Returns the same
+    /// result a cold mine of the grown database would, bit for bit.
     ///
     /// An empty delta returns the cached result without re-mining. The base
     /// database is mined lazily if [`DeltaEngine::mine`] was never called.
@@ -249,10 +233,8 @@ impl DeltaEngine {
             &self.spans,
             &dirty,
         );
-        let old_spans = std::mem::take(&mut self.spans);
         let carry = Some(AppendCarry {
-            old_spans,
-            dirty,
+            dirty_items: dirty.len(),
             appended: appended.len(),
             t0,
         });
@@ -260,9 +242,8 @@ impl DeltaEngine {
     }
 
     /// Shared tail of [`DeltaEngine::mine`] / [`DeltaEngine::append`]:
-    /// swaps in the new plain pool, advances or rebuilds the cached ball
-    /// index, runs fusion, and refreshes the caches. `carry` is present
-    /// only on the append path.
+    /// swaps in the new plain pool, runs fusion over it, and refreshes the
+    /// caches. `carry` is present only on the append path.
     fn install_generation(
         &mut self,
         plain: PatternPool,
@@ -270,62 +251,30 @@ impl DeltaEngine {
         carry: Option<AppendCarry>,
     ) -> FusionResult {
         let t0 = carry.as_ref().map(|c| c.t0).unwrap_or_else(Instant::now);
-        let threads = threads_for(&self.config);
-        let new_spans = cfp_miners::subtree_spans(&plain);
-        let n_new = plain.len();
-        let gen_delta = carry
-            .as_ref()
-            .map(|c| generation_delta(&c.old_spans, &new_spans, &c.dirty));
-        self.spans = new_spans;
+        self.spans = cfp_miners::subtree_spans(&plain);
         self.plain = Arc::new(plain);
-
-        let sharded = self.config.sharding.shards > 1;
         let mut stats = AppendStats {
             appended_transactions: carry.as_ref().map(|c| c.appended).unwrap_or(0),
-            dirty_items: carry.as_ref().map(|c| c.dirty.len()).unwrap_or(0),
+            dirty_items: carry.as_ref().map(|c| c.dirty_items).unwrap_or(0),
             subtrees_remined: mine.subtrees,
-            rows_spliced: gen_delta.as_ref().map(|d| d.survivors.len()).unwrap_or(0),
-            pool_rows: n_new,
-            index_carried: false,
+            rows_spliced: mine.rows_spliced,
+            pool_rows: self.plain.len(),
             ..Default::default()
         };
 
-        let result = if sharded {
-            // Sharded runs start from the stratified emit order and build
-            // one private index per shard — the cold path replayed exactly,
-            // per-shard counters included. Only the pool *mine* was
-            // incremental.
-            self.ball_cache = None;
-            let strat = cfp_miners::stratified_copy(&self.plain);
-            let pf =
-                PatternFusion::with_vertical_index(&self.db, &self.vindex, self.config.clone());
-            pf.run_from_store(PoolStore::new(strat), mine, None)
+        // Sharded runs start from the stratified emit order, as a cold
+        // partitioned run does, so even per-shard counters match it;
+        // unsharded runs share the plain slab.
+        let store = if self.config.sharding.shards > 1 {
+            PoolStore::new(cfp_miners::stratified_copy(&self.plain))
         } else {
-            let store = PoolStore::from_shared(
+            PoolStore::from_shared(
                 Arc::clone(&self.plain),
                 Arc::new(RowTable::build(&self.plain)),
-            );
-            let rows: Vec<u32> = (0..n_new as u32).collect();
-            let ball = match (self.ball_cache.take(), gen_delta) {
-                (Some(mut ball), Some(gd)) => {
-                    let old_rows: Vec<u32> = (0..ball.len() as u32).collect();
-                    let m = ball.apply_generation_delta(&store, &rows, &old_rows, &gd, threads);
-                    stats.index_carried = !m.rebuilt;
-                    ball
-                }
-                _ => BallIndex::build_with_threads(
-                    &store,
-                    &rows,
-                    ball_radius(self.config.tau),
-                    self.config.ball_pivots,
-                    threads,
-                ),
-            };
-            self.ball_cache = Some(ball.clone());
-            let pf =
-                PatternFusion::with_vertical_index(&self.db, &self.vindex, self.config.clone());
-            pf.run_from_store(store, mine, Some(ball))
+            )
         };
+        let pf = PatternFusion::with_vertical_index(&self.db, &self.vindex, self.config.clone());
+        let result = pf.run_from_store(store, mine);
 
         stats.elapsed = t0.elapsed();
         self.last_append = stats;
@@ -333,51 +282,6 @@ impl DeltaEngine {
         self.result = Some(result.clone());
         result
     }
-}
-
-/// The generation-level [`PoolDelta`] between two plain pools related by
-/// [`cfp_miners::delta_pool_slab`]: rows of clean spliced subtrees survive
-/// positionally (old row → new row), everything re-mined is an insert. The
-/// merge walk mirrors the miner's splice plan exactly — both iterate spans
-/// in ascending first-item order and consult the same sorted dirty list —
-/// so "survivor" here means "byte-copied there".
-fn generation_delta(
-    old_spans: &[(u32, Range<u32>)],
-    new_spans: &[(u32, Range<u32>)],
-    dirty: &[u32],
-) -> PoolDelta {
-    let mut old = old_spans.iter().peekable();
-    let mut delta = PoolDelta::default();
-    for (item, new_range) in new_spans {
-        let old_range = loop {
-            match old.peek() {
-                // An old first item can only vanish if supports shrank —
-                // impossible under append-only growth — but skipping it
-                // (implicit death) stays correct if the contract drifts.
-                Some((i, _)) if i < item => {
-                    old.next();
-                }
-                Some((i, r)) if i == item => break Some(r.clone()),
-                _ => break None,
-            }
-        };
-        let clean = dirty.binary_search(item).is_err();
-        match old_range {
-            Some(r) if clean && r.len() == new_range.len() => {
-                for k in 0..r.len() as u32 {
-                    delta.survivors.push((r.start + k, new_range.start + k));
-                }
-                old.next();
-            }
-            taken => {
-                if taken.is_some() {
-                    old.next();
-                }
-                delta.inserts.extend(new_range.clone());
-            }
-        }
-    }
-    delta
 }
 
 #[cfg(test)]
@@ -458,7 +362,6 @@ mod tests {
             engine.mine();
             let delta = DbDelta::from_transactions(vec![vec![4, 9], vec![9, 12, 20]]);
             let incremental = engine.append(&delta);
-            assert!(!engine.last_append().index_carried);
             let mut grown = base.clone();
             grown.append_delta(&delta);
             let scratch = config.engine(&grown).mine(Source::Transactions).unwrap();
@@ -506,17 +409,14 @@ mod tests {
     }
 
     #[test]
-    fn the_index_is_carried_when_the_delta_is_small() {
-        // A small delta against a larger database: most subtrees splice and
-        // the pivots (drawn from the whole support range) survive. Pinned
-        // unsharded — the carry only exists on the unsharded path, so a
-        // CFP_SHARDS matrix leg must not reroute this run.
+    fn a_small_delta_splices_most_of_the_pool() {
+        // A small delta against a larger database: most first-item subtrees
+        // are clean and splice through.
         let db = quest_db(300);
         let config = FusionConfig::new(8, 4)
             .with_pool_max_len(2)
             .with_seed(7)
-            .with_threads(2)
-            .with_shards(1);
+            .with_threads(2);
         let mut engine = DeltaEngine::new(db, config);
         engine.mine();
         engine.append(&DbDelta::from_transactions(vec![vec![2, 3]]));
@@ -526,27 +426,5 @@ mod tests {
             "a 2-item delta must splice most of the pool: {s:?}"
         );
         assert!(s.dirty_items == 2);
-        assert!(
-            s.index_carried,
-            "pivots should survive a 2-item delta: {s:?}"
-        );
-    }
-
-    #[test]
-    fn generation_delta_splits_spliced_from_remined() {
-        let old: Vec<(u32, Range<u32>)> = vec![(1, 0..3), (4, 3..5), (9, 5..9)];
-        // Item 4 is dirty, item 6 newly frequent; 1 and 9 splice (shifted).
-        let new: Vec<(u32, Range<u32>)> = vec![(1, 0..3), (4, 3..6), (6, 6..7), (9, 7..11)];
-        let d = generation_delta(&old, &new, &[4, 6]);
-        assert_eq!(
-            d.survivors,
-            vec![(0, 0), (1, 1), (2, 2), (5, 7), (6, 8), (7, 9), (8, 10)]
-        );
-        assert_eq!(d.inserts, vec![3, 4, 5, 6]);
-        // Span-length drift on a clean item falls back to insert-everything.
-        let drifted: Vec<(u32, Range<u32>)> = vec![(1, 0..4)];
-        let d = generation_delta(&old[..1], &drifted, &[]);
-        assert!(d.survivors.is_empty());
-        assert_eq!(d.inserts, vec![0, 1, 2, 3]);
     }
 }

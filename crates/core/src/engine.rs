@@ -168,9 +168,7 @@ impl<'a> Engine<'a> {
                 .pf
                 .run_oocore_store(store, mine, oo)
                 .map_err(ExecutorError::Disk)?,
-            ex => self
-                .pf
-                .run_from_store_on(store, mine, None, ex, partitioned)?,
+            ex => self.pf.run_from_store_on(store, mine, ex, partitioned)?,
         };
         Ok(result)
     }

@@ -56,14 +56,12 @@
 //! many pairs each pruning layer skipped and [`RunStats::kernel_backend`]
 //! which backend computed them.
 //!
-//! The index is **persistent**: built once from the initial pool, it is
-//! carried across iterations through [`BallIndex::apply_delta`] — pool
-//! departures are tombstoned in place, newly fused patterns enter a sorted
-//! side buffer, and a deterministic compaction policy rebuilds only when
-//! the arena decays (see [`ball`]'s lifecycle notes). Per-iteration
-//! [`IndexMaintenance`] records and [`RunStats::compactions`] /
-//! [`RunStats::tombstoned`] / [`RunStats::inserted`] expose what the
-//! incremental maintenance did.
+//! The index covers exactly one pool: built over the initial pool, it is
+//! rebuilt over each next pool through [`BallIndex::apply_delta`] (see
+//! [`ball`]'s lifecycle notes). Per-iteration [`IndexMaintenance`] records
+//! and [`RunStats::compactions`] / [`RunStats::tombstoned`] /
+//! [`RunStats::inserted`] count the rebuilds and the patterns that left and
+//! entered the pool between them.
 //!
 //! Seed processing distributes both ball-scan segments and per-seed fusions
 //! over a work-stealing task queue ([`parallel`]); every task's RNG is

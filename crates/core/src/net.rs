@@ -54,6 +54,7 @@ use crate::shard::MergePattern;
 use crate::stats::{NetStats, RunStats, ShardStats};
 use cfp_itemset::slab_io::{self, Crc32};
 use cfp_itemset::{PatternPool, SlabIoError};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -591,8 +592,7 @@ fn stats_record(st: &ShardStats) -> String {
          pool_size {}\npatterns {}\niterations {}\nconverged {}\n\
          tombstoned {}\ninserted {}\ncompactions {}\n\
          ball.pairs_total {}\nball.cardinality_pruned {}\nball.pivot_pruned {}\n\
-         ball.exact_checked {}\nball.ball_members {}\nball.side_hits {}\n\
-         ball.tombstone_skips {}\nball.pivots_active {}\n\
+         ball.exact_checked {}\nball.ball_members {}\nball.pivots_active {}\n\
          ball.pivot_prune_counts {}\nend\n",
         st.shard,
         st.pool_size,
@@ -607,17 +607,16 @@ fn stats_record(st: &ShardStats) -> String {
         b.pivot_pruned,
         b.exact_checked,
         b.ball_members,
-        b.side_hits,
-        b.tombstone_skips,
         b.pivots_active,
         pivots.join(" "),
     )
 }
 
 /// Parses a stats record, validating the handshake (version AND shard
-/// index) and the terminator. Strict on every field: a truncated or
-/// reordered record from a half-dead worker must fail typed, not load
-/// zeros into the merge. `elapsed` comes back zero.
+/// index) and the terminator. Strict on every field: a truncated record,
+/// or one with a missing, repeated or unknown key, from a half-dead or
+/// skewed worker must fail typed, not load zeros into the merge.
+/// `elapsed` comes back zero.
 fn parse_stats_record(text: &str, shard: usize) -> Result<ShardStats, String> {
     let mut lines = text.lines();
     let head = lines.next().ok_or("empty stats record")?;
@@ -625,10 +624,7 @@ fn parse_stats_record(text: &str, shard: usize) -> Result<ShardStats, String> {
     if head != want {
         return Err(format!("bad handshake '{head}' (expected '{want}')"));
     }
-    let mut out = ShardStats {
-        shard,
-        ..Default::default()
-    };
+    let mut fields: HashMap<&str, &str> = HashMap::new();
     let mut ended = false;
     for line in lines {
         if line == "end" {
@@ -638,44 +634,55 @@ fn parse_stats_record(text: &str, shard: usize) -> Result<ShardStats, String> {
         let (key, value) = line
             .split_once(' ')
             .ok_or_else(|| format!("malformed line '{line}'"))?;
-        let num = |v: &str| -> Result<u64, String> {
-            v.parse::<u64>()
-                .map_err(|_| format!("non-numeric value '{v}' for {key}"))
-        };
-        match key {
-            "pool_size" => out.pool_size = num(value)? as usize,
-            "patterns" => out.patterns = num(value)? as usize,
-            "iterations" => out.iterations = num(value)? as usize,
-            "converged" => out.converged = num(value)? != 0,
-            "tombstoned" => out.tombstoned = num(value)?,
-            "inserted" => out.inserted = num(value)?,
-            "compactions" => out.compactions = num(value)? as usize,
-            "ball.pairs_total" => out.ball.pairs_total = num(value)?,
-            "ball.cardinality_pruned" => out.ball.cardinality_pruned = num(value)?,
-            "ball.pivot_pruned" => out.ball.pivot_pruned = num(value)?,
-            "ball.exact_checked" => out.ball.exact_checked = num(value)?,
-            "ball.ball_members" => out.ball.ball_members = num(value)?,
-            "ball.side_hits" => out.ball.side_hits = num(value)?,
-            "ball.tombstone_skips" => out.ball.tombstone_skips = num(value)?,
-            "ball.pivots_active" => out.ball.pivots_active = num(value)?,
-            "ball.pivot_prune_counts" => {
-                let counts: Vec<u64> = value
-                    .split(' ')
-                    .map(num)
-                    .collect::<Result<Vec<u64>, String>>()?;
-                if counts.len() != MAX_PIVOTS {
-                    return Err(format!(
-                        "pivot_prune_counts has {} entries, expected {MAX_PIVOTS}",
-                        counts.len()
-                    ));
-                }
-                out.ball.pivot_prune_counts.copy_from_slice(&counts);
-            }
-            other => return Err(format!("unknown stats key '{other}'")),
+        if fields.insert(key, value).is_some() {
+            return Err(format!("repeated stats key '{key}'"));
         }
     }
     if !ended {
         return Err("stats record not terminated by 'end' (worker died mid-write?)".into());
+    }
+    let mut take = |key: &str| -> Result<&str, String> {
+        fields
+            .remove(key)
+            .ok_or_else(|| format!("stats record lacks key '{key}'"))
+    };
+    let num = |key: &str, v: &str| -> Result<u64, String> {
+        v.parse::<u64>()
+            .map_err(|_| format!("non-numeric value '{v}' for {key}"))
+    };
+    let mut int = |key: &str| num(key, take(key)?);
+    let mut out = ShardStats {
+        shard,
+        pool_size: int("pool_size")? as usize,
+        patterns: int("patterns")? as usize,
+        iterations: int("iterations")? as usize,
+        converged: int("converged")? != 0,
+        tombstoned: int("tombstoned")?,
+        inserted: int("inserted")?,
+        compactions: int("compactions")? as usize,
+        ..Default::default()
+    };
+    let b = &mut out.ball;
+    b.pairs_total = int("ball.pairs_total")?;
+    b.cardinality_pruned = int("ball.cardinality_pruned")?;
+    b.pivot_pruned = int("ball.pivot_pruned")?;
+    b.exact_checked = int("ball.exact_checked")?;
+    b.ball_members = int("ball.ball_members")?;
+    b.pivots_active = int("ball.pivots_active")?;
+    let key = "ball.pivot_prune_counts";
+    let counts: Vec<u64> = take(key)?
+        .split(' ')
+        .map(|v| num(key, v))
+        .collect::<Result<Vec<u64>, String>>()?;
+    if counts.len() != MAX_PIVOTS {
+        return Err(format!(
+            "pivot_prune_counts has {} entries, expected {MAX_PIVOTS}",
+            counts.len()
+        ));
+    }
+    b.pivot_prune_counts.copy_from_slice(&counts);
+    if let Some(other) = fields.keys().next() {
+        return Err(format!("unknown stats key '{other}'"));
     }
     Ok(out)
 }
@@ -1842,6 +1849,20 @@ mod tests {
         // Unknown key.
         let unk = record.replace("pool_size", "pool_sizes");
         assert!(parse_stats_record(&unk, 0).is_err());
+        let extra = record.replace("end\n", "ball.bogus 0\nend\n");
+        assert!(parse_stats_record(&extra, 0)
+            .unwrap_err()
+            .contains("unknown stats key 'ball.bogus'"));
+        // A key line missing from a terminated record must not read as 0.
+        let missing = record.replace("ball.exact_checked 0\n", "");
+        assert!(parse_stats_record(&missing, 0)
+            .unwrap_err()
+            .contains("ball.exact_checked"));
+        // A repeated key must not overwrite the first.
+        let repeated = record.replace("inserted 0\n", "inserted 0\ninserted 5\n");
+        assert!(parse_stats_record(&repeated, 0)
+            .unwrap_err()
+            .contains("repeated"));
     }
 
     #[test]

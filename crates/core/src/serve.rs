@@ -47,8 +47,8 @@
 //! `;`-separated transactions of `,`-separated external labels) onto the
 //! builder thread, which owns the evolving database inside a
 //! [`DeltaEngine`] — the delta is absorbed at sublinear cost (clean
-//! first-item subtrees spliced, the ball index carried across the
-//! generation; see [`crate::delta`]) and the resulting generation is
+//! first-item subtrees spliced; see [`crate::delta`]) and the resulting
+//! generation is
 //! **bit-identical** to what a cold daemon over the grown database would
 //! serve. `append wait=1` blocks until the new epoch is swapped in; a
 //! later `reload` re-mines the *grown* database from scratch (seed

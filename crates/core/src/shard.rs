@@ -6,8 +6,8 @@
 //! a colossal pattern can assemble it without ever seeing the other shards
 //! (Theorem 2 puts those core patterns inside one ball, and balls are local).
 //! This module owns the partition arithmetic and the deterministic merge:
-//! each shard runs the existing persistent-[`crate::ball::BallIndex`]
-//! fusion loop over its private sub-pool, and the per-shard archives are
+//! each shard runs the ordinary fusion loop (one [`crate::ball::BallIndex`]
+//! per pool) over its private sub-pool, and the per-shard archives are
 //! merged through a deterministic dedup / re-rank pass followed by a
 //! cross-shard **boundary repair** step. *Where* the shards execute —
 //! in-thread on the work-stealing pool, out-of-core in budgeted passes, or

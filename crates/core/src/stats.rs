@@ -4,27 +4,25 @@ use crate::ball::BallQueryStats;
 use cfp_itemset::kernels::Backend;
 use std::time::Duration;
 
-/// What one index-maintenance step did: either the full (re)build that
-/// produced the iteration's [`crate::ball::BallIndex`], or the incremental
-/// tombstone/insert update that carried it over from the previous
-/// iteration. See the lifecycle notes in [`crate::ball`].
+/// What one index-maintenance step did: the build of an iteration's
+/// [`crate::ball::BallIndex`] — over the initial pool for iteration 0,
+/// otherwise over the pool the previous iteration generated
+/// ([`crate::ball::BallIndex::apply_delta`]). See the lifecycle notes in
+/// [`crate::ball`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexMaintenance {
-    /// Whether this step was a full build (the initial construction or a
-    /// compaction rebuild) rather than an incremental update.
+    /// Whether this step built the index from scratch. Always `true`:
+    /// every pool gets a fresh index.
     pub rebuilt: bool,
-    /// Main-arena patterns newly tombstoned by this step.
+    /// Patterns of the previous pool absent from this one (0 for the
+    /// initial build).
     pub tombstoned: u64,
-    /// Patterns inserted (into the side buffer, or carried into the rebuild)
-    /// by this step.
+    /// Patterns of this pool absent from the previous one (0 for the
+    /// initial build).
     pub inserted: u64,
-    /// Live patterns indexed after the step (= the pool size).
+    /// Patterns indexed after the step (= the pool size).
     pub live: usize,
-    /// Main-arena slots after the step, tombstones included.
-    pub arena: usize,
-    /// Side-buffer length after the step (0 right after a rebuild).
-    pub side: usize,
-    /// Wall-clock time of the step (delta computation + index update).
+    /// Wall-clock time of the step (delta computation + build).
     pub elapsed: Duration,
 }
 
@@ -45,9 +43,9 @@ pub struct IterationStats {
     pub elapsed: Duration,
     /// Ball-query pruning counters for this iteration's seed queries.
     pub ball: BallQueryStats,
-    /// The maintenance step that produced this iteration's ball index
-    /// (initial build for iteration 0, otherwise the update or compaction
-    /// performed at the end of the previous iteration).
+    /// The build that produced this iteration's ball index (the initial
+    /// build for iteration 0, otherwise the rebuild at the end of the
+    /// previous iteration).
     pub index: IndexMaintenance,
 }
 
@@ -69,11 +67,12 @@ pub struct ShardStats {
     pub converged: bool,
     /// Ball-query pruning counters aggregated over the shard's run.
     pub ball: BallQueryStats,
-    /// Patterns tombstoned by the shard's persistent index.
+    /// Patterns that left the shard's pool between its iterations.
     pub tombstoned: u64,
-    /// Patterns inserted into the shard index's side buffer.
+    /// Patterns that entered the shard's pool between its iterations.
     pub inserted: u64,
-    /// Compaction rebuilds of the shard's index.
+    /// Index rebuilds after the shard's initial build: one per iteration
+    /// beyond the first.
     pub compactions: usize,
     /// Wall-clock time of the shard task (sub-pool copy + fusion run).
     pub elapsed: Duration,
@@ -272,20 +271,20 @@ impl RunStats {
             + self.repair_iterations
     }
 
-    /// Full index builds across the run: the initial construction plus
-    /// every compaction rebuild.
+    /// Index builds across the unsharded loop: one per iteration (the
+    /// initial build plus one rebuild per pool step).
     pub fn index_rebuilds(&self) -> usize {
         self.iterations.iter().filter(|i| i.index.rebuilt).count()
     }
 
-    /// Compaction rebuilds only (full builds beyond the initial one),
-    /// including every shard's compactions for a sharded run.
+    /// Index rebuilds beyond the initial build — one per pool step —
+    /// including every shard's for a sharded run.
     pub fn compactions(&self) -> usize {
         self.index_rebuilds().saturating_sub(1)
             + self.shards.iter().map(|s| s.compactions).sum::<usize>()
     }
 
-    /// Patterns tombstoned across the run's incremental updates (all shards
+    /// Patterns that left the pool across the run's pool steps (all shards
     /// for a sharded run).
     pub fn tombstoned(&self) -> u64 {
         self.iterations
@@ -295,8 +294,8 @@ impl RunStats {
             + self.shards.iter().map(|s| s.tombstoned).sum::<u64>()
     }
 
-    /// Patterns inserted into the side buffer across the run (all shards
-    /// for a sharded run).
+    /// Patterns that entered the pool across the run's pool steps (all
+    /// shards for a sharded run).
     pub fn inserted(&self) -> u64 {
         self.iterations
             .iter()
@@ -305,22 +304,9 @@ impl RunStats {
             + self.shards.iter().map(|s| s.inserted).sum::<u64>()
     }
 
-    /// Wall-clock time spent in full index (re)builds.
+    /// Wall-clock time spent building the unsharded loop's ball indexes.
     pub fn index_time_rebuild(&self) -> Duration {
-        self.iterations
-            .iter()
-            .filter(|i| i.index.rebuilt)
-            .map(|i| i.index.elapsed)
-            .sum()
-    }
-
-    /// Wall-clock time spent in incremental index updates.
-    pub fn index_time_incremental(&self) -> Duration {
-        self.iterations
-            .iter()
-            .filter(|i| !i.index.rebuilt)
-            .map(|i| i.index.elapsed)
-            .sum()
+        self.iterations.iter().map(|i| i.index.elapsed).sum()
     }
 
     /// Lemma 5 check: the minimum pattern size per iteration never shrinks.
@@ -370,46 +356,30 @@ mod tests {
 
     #[test]
     fn maintenance_aggregates() {
+        let step = |tombstoned, inserted, live, ms| IndexMaintenance {
+            rebuilt: true,
+            tombstoned,
+            inserted,
+            live,
+            elapsed: Duration::from_millis(ms),
+        };
         let mut a = iter(2, 7);
-        a.index = IndexMaintenance {
-            rebuilt: true,
-            live: 100,
-            arena: 100,
-            elapsed: Duration::from_millis(10),
-            ..Default::default()
-        };
+        a.index = step(0, 0, 100, 10);
         let mut b = iter(3, 5);
-        b.index = IndexMaintenance {
-            rebuilt: false,
-            tombstoned: 40,
-            inserted: 6,
-            live: 66,
-            arena: 100,
-            side: 6,
-            elapsed: Duration::from_millis(2),
-        };
+        b.index = step(40, 6, 66, 2);
         let mut c = iter(3, 4);
-        c.index = IndexMaintenance {
-            rebuilt: true,
-            tombstoned: 30,
-            inserted: 2,
-            live: 38,
-            arena: 38,
-            side: 0,
-            elapsed: Duration::from_millis(4),
-        };
+        c.index = step(30, 2, 38, 4);
         let stats = RunStats {
             iterations: vec![a, b, c],
             converged: true,
             initial_pool_size: 100,
             ..RunStats::default()
         };
-        assert_eq!(stats.index_rebuilds(), 2);
-        assert_eq!(stats.compactions(), 1);
+        assert_eq!(stats.index_rebuilds(), 3);
+        assert_eq!(stats.compactions(), 2);
         assert_eq!(stats.tombstoned(), 70);
         assert_eq!(stats.inserted(), 8);
-        assert_eq!(stats.index_time_rebuild(), Duration::from_millis(14));
-        assert_eq!(stats.index_time_incremental(), Duration::from_millis(2));
+        assert_eq!(stats.index_time_rebuild(), Duration::from_millis(16));
     }
 
     #[test]

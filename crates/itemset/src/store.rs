@@ -112,15 +112,18 @@
 //! and trailing bytes are corrupt-frame failures.
 //!
 //! **Stats record** (stats-frame payload, line-oriented ASCII): a
-//! handshake line `cfp-stats 2 shard=<S>`, then `key value` pairs
-//! (`pool_size`, `patterns`, `iterations`, `converged`, `tombstoned`,
-//! `inserted`, `compactions`, and the `ball.*` counters, with
-//! `ball.pivot_prune_counts` as one space-separated row of per-pivot
+//! handshake line `cfp-stats 2 shard=<S>`, then one `key value` line, in
+//! any order, for each of `pool_size`, `patterns`, `iterations`,
+//! `converged`, `tombstoned`, `inserted`, `compactions`,
+//! `ball.pairs_total`, `ball.cardinality_pruned`, `ball.pivot_pruned`,
+//! `ball.exact_checked`, `ball.ball_members`, `ball.pivots_active` and
+//! `ball.pivot_prune_counts` (one space-separated row of per-pivot
 //! totals), closed by a literal `end` line. The coordinator parses
-//! strictly — a missing terminator, an unknown key, a `pool_size` that
-//! does not match what was shipped, or an archive whose row count does
-//! not match `patterns` is a typed failure, because per-shard counters
-//! are part of the bit-identity gate, not best-effort telemetry.
+//! strictly — a missing terminator, a missing or repeated key, an unknown
+//! key, a `pool_size` that does not match what was shipped, or an archive
+//! whose row count does not match `patterns` is a typed failure, because
+//! per-shard counters are part of the bit-identity gate, not best-effort
+//! telemetry.
 //!
 //! **Liveness**: while mining, the host emits a heartbeat frame at a
 //! configurable cadence. Over TCP the coordinator arms `SO_RCVTIMEO` /

@@ -62,6 +62,9 @@ pub struct PoolMineStats {
     /// Wall-clock time splicing worker segments into the final slab (plus
     /// the stratified permutation when requested).
     pub splice_time: Duration,
+    /// Rows [`delta_pool_slab`] bulk-copied from the previous generation's
+    /// slab (0 for a full mine).
+    pub rows_spliced: usize,
 }
 
 /// Mines all frequent patterns of size ≤ `max_len` with their tid-sets into
@@ -230,8 +233,8 @@ pub fn subtree_spans(pool: &PatternPool) -> Vec<(u32, std::ops::Range<u32>)> {
 /// same DFS as the full miner and spliced at their item's position in the
 /// ascending first-item order, reproducing the serial emit sequence.
 ///
-/// The returned [`PoolMineStats`] counts re-mined subtrees in `subtrees`;
-/// spliced subtrees only show up in `splice_time`.
+/// The returned [`PoolMineStats`] counts re-mined subtrees in `subtrees`
+/// and the rows of spliced subtrees in `rows_spliced`.
 pub fn delta_pool_slab(
     index: &VerticalIndex,
     min_count: usize,
@@ -321,14 +324,14 @@ pub fn delta_pool_slab(
     stats.mine_time = t_mine.elapsed();
 
     let t_splice = Instant::now();
-    let rows = segments.iter().map(PatternPool::len).sum::<usize>()
-        + plans
-            .iter()
-            .map(|p| match p {
-                Plan::Splice(r) => r.len(),
-                Plan::Mine(_) => 0,
-            })
-            .sum::<usize>();
+    stats.rows_spliced = plans
+        .iter()
+        .map(|p| match p {
+            Plan::Splice(r) => r.len(),
+            Plan::Mine(_) => 0,
+        })
+        .sum();
+    let rows = segments.iter().map(PatternPool::len).sum::<usize>() + stats.rows_spliced;
     let mut pool = PatternPool::with_capacity(universe, rows);
     let mut seg_iter = segments.iter();
     for plan in &plans {
@@ -689,6 +692,7 @@ mod tests {
         let index = VerticalIndex::new(&db);
         let (got, stats) = delta_pool_slab(&index, 5, 2, 4, &old_pool, &spans, &[]);
         assert_eq!(stats.subtrees, 0);
+        assert_eq!(stats.rows_spliced, old_pool.len());
         assert_eq!(got, old_pool);
     }
 

@@ -21,12 +21,10 @@
 //! *who* runs a task, never *what* the task computes (per-task RNGs are
 //! derived from the task index upstream).
 //!
-//! The persistent ball index keeps this contract under tombstoning: scan
-//! tasks are cut by `BallQuery::segments` (in `cfp_core::ball`), a pure
-//! function of index state (live prefix sums), so the task list — and
-//! therefore every task's identity and output slot — is the same at any
-//! thread count even when segments hop dead arena slots. Workers that draw
-//! tombstone-dense segments simply finish sooner and steal the next index.
+//! The ball scan keeps this contract: its tasks are cut by
+//! `BallQuery::segments` (in `cfp_core::ball`), a pure function of the
+//! query's candidate window, so the task list — and therefore every task's
+//! identity and output slot — is the same at any thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

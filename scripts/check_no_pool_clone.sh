@@ -89,12 +89,11 @@ check_absent crates/core/src/serve.rs \
     'pool\.clone\(\)|slab\.clone\(\)|base\.clone\(\)|\.permuted\(|\.tids\.clone|materialize\(' \
     'service read path renders from slab borrows (no per-request copies)'
 
-# 10. The incremental delta driver carries each generation by splicing
+# 10. The incremental delta driver builds each generation by splicing
 #     clean subtree spans out of the previous plain slab and sharing the
 #     result (`PoolStore::from_shared`): no whole-slab or sub-pool copies
-#     may appear on the append path (the BallIndex snapshot for the next
-#     generation's carry and the cached FusionResult are views/results,
-#     not pool copies, and are allowed).
+#     may appear on the append path (the cached FusionResult is a result,
+#     not a pool copy, and is allowed).
 check_absent crates/core/src/delta.rs \
     'plain\.clone\(\)|pool\.clone\(\)|slab\.clone\(\)|base\.clone\(\)|\.permuted\(|\.tids\.clone|materialize\(' \
     'delta append splices spans and shares the slab (no whole-pool copies)'

@@ -359,18 +359,12 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
         );
         eprintln!(
             "  append: {} transactions from {delta_path}, {} dirty item(s), \
-             {} subtree(s) re-mined, {} of {} pool rows spliced, ball index {} \
-             ({:.3}s incremental)",
+             {} subtree(s) re-mined, {} of {} pool rows spliced ({:.3}s incremental)",
             s.appended_transactions,
             s.dirty_items,
             s.subtrees_remined,
             s.rows_spliced,
             s.pool_rows,
-            if s.index_carried {
-                "carried"
-            } else {
-                "rebuilt"
-            },
             s.elapsed.as_secs_f64(),
         );
         for p in &result.patterns {
