@@ -135,30 +135,16 @@ impl<'a> PatternFusion<'a> {
 
     /// Mines the initial pool straight into the slab store: the complete
     /// set of frequent patterns of size ≤ `pool_max_len` with their support
-    /// sets (paper §2.3, phase 1), fanned out over the run's thread budget.
-    ///
-    /// Sharded runs mine the pool in support-stratified emit order
-    /// ([`cfp_miners::initial_pool_slab_stratified`]): shard assignment is
-    /// keyed on pattern content either way, but the stratified order keeps
-    /// each shard's sub-pool support-contiguous, which is what its private
-    /// ball index sorts by anyway.
+    /// sets (paper §2.3, phase 1), fanned out over the run's thread budget,
+    /// in plain emit order. Sharded runs deal this one slab in stratified
+    /// order as a row list (see [`crate::executor`]).
     pub(crate) fn mine_store(&self) -> (PoolStore, PoolMineStats) {
-        let threads = threads_for(&self.config);
-        let (slab, mine) = if self.config.sharding.shards > 1 {
-            cfp_miners::initial_pool_slab_stratified(
-                self.db,
-                self.config.min_count,
-                self.config.pool_max_len,
-                threads,
-            )
-        } else {
-            cfp_miners::initial_pool_slab(
-                self.db,
-                self.config.min_count,
-                self.config.pool_max_len,
-                threads,
-            )
-        };
+        let (slab, mine) = cfp_miners::initial_pool_slab(
+            self.db,
+            self.config.min_count,
+            self.config.pool_max_len,
+            threads_for(&self.config),
+        );
         (PoolStore::new(slab), mine)
     }
 
@@ -194,14 +180,15 @@ impl<'a> PatternFusion<'a> {
             .unwrap_or_else(|e| unreachable!("in-thread executor is infallible: {e}"))
     }
 
-    /// The one tail behind every pool-resident run — [`PatternFusion::run`],
-    /// [`Engine::mine`](crate::Engine::mine) and the incremental driver:
-    /// route, stamp pool statistics from the live store, materialize. The
+    /// The one tail behind every run — [`PatternFusion::run`],
+    /// [`Engine::mine`](crate::Engine::mine) on any backend, and the
+    /// incremental driver: route, stamp pool statistics, materialize. The
     /// run is partitioned — through the partitioned driver, on `executor` —
     /// when it has more than one shard, when `partitioned` forces it, or
     /// when `executor` is not the in-thread backend; otherwise it is the
-    /// plain loop. The out-of-core backend evicts the pool and stamps its
-    /// own statistics instead (`run_oocore_store`).
+    /// plain loop. Pool statistics come from the store before the run (the
+    /// initial pool, which the out-of-core backend evicts) and the overlay
+    /// of the store the run merged in.
     pub(crate) fn run_from_store_on(
         &self,
         mut store: PoolStore,
@@ -209,7 +196,10 @@ impl<'a> PatternFusion<'a> {
         executor: &ExecutorKind,
         partitioned: bool,
     ) -> Result<FusionResult, ExecutorError> {
-        let rows: Vec<u32> = (0..store.base_len() as u32).collect();
+        let base = store.base_pool();
+        let (initial_rows, base_tid_bytes) = (base.len(), base.tid_bytes());
+        let base_bytes = base.resident_bytes();
+        let rows: Vec<u32> = (0..initial_rows as u32).collect();
         let partitioned = partitioned
             || self.config.sharding.shards > 1
             || !matches!(executor, ExecutorKind::InThread);
@@ -219,11 +209,12 @@ impl<'a> PatternFusion<'a> {
             let (final_rows, stats) = self.run_rows_with(&mut store, rows, &self.config);
             (store, final_rows, stats)
         };
+        let overlay = store.local_pool();
         stats.pool = PoolStats {
-            rows: store.len_rows(),
-            initial_rows: store.base_len(),
-            tid_bytes: store.tid_bytes(),
-            peak_bytes: store.resident_bytes(),
+            rows: initial_rows + overlay.len(),
+            initial_rows,
+            tid_bytes: base_tid_bytes + overlay.tid_bytes(),
+            peak_bytes: base_bytes + overlay.resident_bytes(),
             mine_workers: mine.workers,
             mine_time: mine.mine_time,
             splice_time: mine.splice_time,

@@ -25,9 +25,8 @@
 //! determinism is inherited, not re-proven: the spliced pool is
 //! byte-identical to a from-scratch mine, so every downstream decision
 //! (seed draws, ball queries, fusion RNG, shard assignment) replays
-//! identically. Sharded configurations take the stratified copy of the
-//! plain pool ([`cfp_miners::stratified_copy`]) and run the ordinary
-//! partitioned engine, so even per-shard counters match a cold run.
+//! identically. Sharded configurations run the ordinary partitioned engine
+//! over the same plain slab, so even per-shard counters match a cold run.
 //!
 //! # Append semantics
 //!
@@ -262,17 +261,10 @@ impl DeltaEngine {
             ..Default::default()
         };
 
-        // Sharded runs start from the stratified emit order, as a cold
-        // partitioned run does, so even per-shard counters match it;
-        // unsharded runs share the plain slab.
-        let store = if self.config.sharding.shards > 1 {
-            PoolStore::new(cfp_miners::stratified_copy(&self.plain))
-        } else {
-            PoolStore::from_shared(
-                Arc::clone(&self.plain),
-                Arc::new(RowTable::build(&self.plain)),
-            )
-        };
+        let store = PoolStore::from_shared(
+            Arc::clone(&self.plain),
+            Arc::new(RowTable::build(&self.plain)),
+        );
         let pf = PatternFusion::with_vertical_index(&self.db, &self.vindex, self.config.clone());
         let result = pf.run_from_store(store, mine);
 

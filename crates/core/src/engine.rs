@@ -42,8 +42,8 @@ pub enum Source {
     /// source: the slab becomes the store's frozen base as is.
     Slab(PatternPool),
     /// Load a dumped CFPSLAB pool file and fuse it (phase 2 only). The
-    /// file must come from the same dataset; output is deterministic per
-    /// slab (see the `--pool` notes in the `cfp` CLI).
+    /// file must come from the same dataset; a dump of the mined pool
+    /// reproduces a fresh mine, sharded or not.
     SlabFile(PathBuf),
 }
 
@@ -163,14 +163,9 @@ impl<'a> Engine<'a> {
             Some(ex) => (ex, false),
             None => (&ExecutorKind::InThread, self.force_partitioned),
         };
-        let result = match executor {
-            ExecutorKind::OutOfCore(oo) => self
-                .pf
-                .run_oocore_store(store, mine, oo)
-                .map_err(ExecutorError::Disk)?,
-            ex => self.pf.run_from_store_on(store, mine, ex, partitioned)?,
-        };
-        Ok(result)
+        Ok(self
+            .pf
+            .run_from_store_on(store, mine, executor, partitioned)?)
     }
 }
 

@@ -31,6 +31,10 @@
 //!   retry/backoff, and in-thread fallback when a shard exhausts its
 //!   attempts (see [`crate::net`]).
 //!
+//! A run with more than one shard deals its pool in stratified
+//! `(support, itemset)` order — a sorted row list over the one mined slab
+//! — so any caller-supplied pool order partitions as a fresh mine does.
+//!
 //! # Bit-identity across backends
 //!
 //! Every backend returns the same per-shard data for the same config:
@@ -44,15 +48,17 @@
 //! sets, AND per-shard counters are bit-equal to the in-thread engine for
 //! both partition strategies at any shard and thread count.
 //!
-//! # One worker protocol
+//! # One spill-and-mine path
 //!
-//! Both process-based backends speak protocol v2, specified next to the
-//! CFPSLAB format it carries (the *worker interchange protocol* section of
-//! [`cfp_itemset::store`]'s module docs). They differ only in transport
-//! and supervision: the subprocess executor talks over a child's pipes and
-//! kills a child that outlives its deadline; the remote executor dials a
-//! socket with per-phase deadlines and retries. Both spill each non-empty
-//! sub-pool to a CFPSLAB file first — the in-process fallback's input.
+//! The disk-backed backends spill every sub-pool, empty ones included, to
+//! a CFPSLAB file (`spill_sub_pools`), and every shard mined here from disk
+//! — out-of-core, empty, or a failed worker's fallback — goes through
+//! `fallback_shard`. The process-based backends both speak protocol v2
+//! (the *worker interchange protocol* section of [`cfp_itemset::store`]'s
+//! module docs) and differ only in transport and supervision: the
+//! subprocess executor talks over a child's pipes and kills a child that
+//! outlives its deadline; the remote executor dials a socket with
+//! per-phase deadlines and retries.
 
 use crate::algorithm::{threads_for, PatternFusion};
 use crate::config::FusionConfig;
@@ -336,9 +342,8 @@ pub(crate) struct ShardPlan<'a> {
     pub n: usize,
     /// Per-shard position lists into `rows` (from [`partition`]).
     pub assignment: &'a [Vec<u32>],
-    /// The pool as row ids. Disk-backed executors additionally require
-    /// these to be **base-slab** rows (the entry points always pass the
-    /// identity list over the base).
+    /// The pool as **base-slab** row ids (what disk-backed executors
+    /// stream from), in the order the shards deal them.
     pub rows: &'a [u32],
     /// Per-shard seed budgets (from [`apportion_seeds`]).
     pub seed_budget: &'a [usize],
@@ -401,51 +406,13 @@ pub(crate) fn shard_config(
     scfg
 }
 
-/// [`ShardStats`] from a shard's own [`RunStats`] — the rollup every
-/// backend stamps identically (the subprocess worker computes the same
-/// rollups on its side of the pipe).
-pub(crate) fn shard_stats_of(
-    shard: usize,
-    pool_size: usize,
-    patterns: usize,
-    run: &RunStats,
-    elapsed: std::time::Duration,
-) -> ShardStats {
-    ShardStats {
-        shard,
-        pool_size,
-        patterns,
-        iterations: run.iterations.len(),
-        converged: run.converged,
-        ball: run.ball(),
-        tombstoned: run.tombstoned(),
-        inserted: run.inserted(),
-        compactions: run.compactions(),
-        elapsed,
-    }
-}
-
-/// The empty shard's run: trivially converged on an empty archive, all
-/// counters zero — every backend synthesizes exactly this (the subprocess
-/// executor never spawns a worker for an empty shard).
-pub(crate) fn empty_shard_run(shard: usize, elapsed: std::time::Duration) -> ShardRun {
-    let empty = RunStats {
-        converged: true,
-        ..Default::default()
-    };
-    ShardRun {
-        outputs: Vec::new(),
-        stats: shard_stats_of(shard, 0, 0, &empty, elapsed),
-    }
-}
-
 /// Creates `dir` if needed and — for a **user-supplied** directory —
 /// refuses one that already contains files: the run's cleanup guard
 /// deletes the directory afterwards (unless `keep`), and silently reusing
 /// then deleting a caller's populated directory destroys their data.
 /// Auto-generated temp directories are unique per process and sequence
 /// number and skip the check.
-pub(crate) fn prepare_spill_dir(dir: &Path, user_supplied: bool) -> Result<(), OocoreError> {
+fn prepare_spill_dir(dir: &Path, user_supplied: bool) -> Result<(), OocoreError> {
     std::fs::create_dir_all(dir)?;
     if user_supplied && std::fs::read_dir(dir)?.next().is_some() {
         return Err(OocoreError::SpillDirNotEmpty(dir.to_path_buf()));
@@ -455,7 +422,7 @@ pub(crate) fn prepare_spill_dir(dir: &Path, user_supplied: bool) -> Result<(), O
 
 /// Removes the spill/work directory when dropped (best-effort), unless
 /// asked to keep it — covers both the success path and every early `?`
-/// return. Shared by the out-of-core and subprocess executors.
+/// return.
 pub(crate) struct SpillDirGuard {
     /// The directory to remove.
     pub dir: PathBuf,
@@ -480,7 +447,7 @@ impl PatternFusion<'_> {
     pub(crate) fn run_partitioned(
         &self,
         store: PoolStore,
-        rows: Vec<u32>,
+        mut rows: Vec<u32>,
         executor: &ExecutorKind,
     ) -> Result<(PoolStore, Vec<u32>, RunStats), ExecutorError> {
         let cfg = self.config();
@@ -492,6 +459,17 @@ impl PatternFusion<'_> {
         };
         if rows.is_empty() {
             return Ok((store, rows, stats));
+        }
+        if n > 1 {
+            // Deal the pool in stratified `(support, itemset)` order (ties
+            // keep pool order): a sorted row list over the one slab, so any
+            // caller-supplied pool order partitions as a fresh mine does.
+            rows.sort_by(|&a, &b| {
+                store
+                    .support(a)
+                    .cmp(&store.support(b))
+                    .then_with(|| store.items_of(a).cmp(store.items_of(b)))
+            });
         }
         let assignment = partition(&store, &rows, n, cfg.sharding.strategy);
         let sizes: Vec<usize> = assignment.iter().map(Vec::len).collect();
@@ -533,45 +511,34 @@ impl PatternFusion<'_> {
     /// exist nowhere else — travel as owned patterns to intern.
     fn execute_in_thread(&self, store: PoolStore, plan: &ShardPlan) -> ShardExecution {
         let cfg = self.config();
-        let threads = threads_for(cfg);
         let shard_runs = {
             let parent: &PoolStore = &store;
-            run_tasks(plan.n, threads, |s| {
+            run_tasks(plan.n, threads_for(cfg), |s| {
                 let t0 = Instant::now();
-                let sub_rows = plan.sub_rows(s);
-                let pool_size = sub_rows.len();
                 let mut shard_store = parent.fork();
-                if sub_rows.is_empty() {
-                    let empty = RunStats {
-                        converged: true,
-                        ..Default::default()
-                    };
-                    return (shard_store, Vec::new(), empty, t0.elapsed(), pool_size);
-                }
                 let scfg = shard_config(cfg, plan.seed_budget[s], s, plan.n);
-                let (out_rows, rstats) = self.run_rows_with(&mut shard_store, sub_rows, &scfg);
-                (shard_store, out_rows, rstats, t0.elapsed(), pool_size)
+                let (out_rows, mut stats) =
+                    self.mine_sub_pool(&mut shard_store, plan.sub_rows(s), &scfg, s);
+                stats.elapsed = t0.elapsed();
+                (shard_store, out_rows, stats)
             })
         };
         let base_len = store.base_len() as u32;
         let runs = shard_runs
             .into_iter()
-            .enumerate()
-            .map(
-                |(s, (shard_store, out_rows, rstats, elapsed, pool_size))| ShardRun {
-                    stats: shard_stats_of(s, pool_size, out_rows.len(), &rstats, elapsed),
-                    outputs: out_rows
-                        .into_iter()
-                        .map(|r| {
-                            if r < base_len {
-                                MergePattern::Row(r)
-                            } else {
-                                MergePattern::Owned(shard_store.pattern(r))
-                            }
-                        })
-                        .collect(),
-                },
-            )
+            .map(|(shard_store, out_rows, stats)| ShardRun {
+                stats,
+                outputs: out_rows
+                    .into_iter()
+                    .map(|r| {
+                        if r < base_len {
+                            MergePattern::Row(r)
+                        } else {
+                            MergePattern::Owned(shard_store.pattern(r))
+                        }
+                    })
+                    .collect(),
+            })
             .collect();
         ShardExecution {
             pool_rows: plan.rows.to_vec(),
@@ -602,7 +569,7 @@ impl PatternFusion<'_> {
                     .into(),
             ));
         }
-        let (spill, sub_rows) = spill_sub_pools(
+        let (spill, sub_rows, _) = spill_sub_pools(
             &store,
             plan,
             sp.work_dir.as_deref(),
@@ -616,9 +583,10 @@ impl PatternFusion<'_> {
         let deadline = sp.deadline();
         let base = store.base_pool();
         let runs = thread::scope(|scope| {
-            // Per shard: no worker (empty shard), a running one, or a
-            // spawn failure — surfaced at collection time so earlier
-            // shards still collect (or fall back) first.
+            // Per shard: no worker (an empty shard, mined here from its
+            // spilled slab), a running one, or a spawn failure — surfaced
+            // at collection time so earlier shards still collect (or fall
+            // back) first.
             let launches: Vec<Result<Option<Worker>, WorkerFailure>> = (0..plan.n)
                 .map(|s| {
                     if sub_rows[s].is_empty() {
@@ -699,7 +667,10 @@ impl PatternFusion<'_> {
             let mut runs = Vec::with_capacity(plan.n);
             for (s, launch) in launches.into_iter().enumerate() {
                 let outcome = match launch {
-                    Ok(None) => Ok(empty_shard_run(s, Duration::ZERO)),
+                    Ok(None) => {
+                        runs.push(self.fallback_shard(s, plan, &spill.dir)?.0);
+                        continue;
+                    }
                     Ok(Some(worker)) => worker.finish(s, deadline),
                     Err(wf) => Err(wf),
                 };
@@ -708,7 +679,7 @@ impl PatternFusion<'_> {
                     // Bit-identical recovery: the shard's slab is on disk;
                     // mine it here under the same derived config.
                     Err(_) if sp.fallback_in_process => {
-                        runs.push(self.fallback_shard(s, plan, &spill.dir)?)
+                        runs.push(self.fallback_shard(s, plan, &spill.dir)?.0)
                     }
                     Err(wf) => return Err(ExecutorError::Worker(wf)),
                 }
@@ -722,74 +693,95 @@ impl PatternFusion<'_> {
         })
     }
 
-    /// In-process recovery for one failed worker: reload the shard slab it
-    /// was given and run the identical per-shard loop here. Same sub-pool
-    /// content and order, same derived config — bit-identical output.
-    /// Shared by the subprocess and remote executors (graceful degradation
-    /// converges a dying fleet to the single-machine answer).
+    /// Mines shard `s` in this process from its spilled slab — an
+    /// out-of-core shard, an empty shard, or a failed worker's fallback:
+    /// the same sub-pool content and order under the same derived config,
+    /// so the run is bit-identical to any other backend's. Returns the run
+    /// (`elapsed` stamped, load included) and the slab's load time.
     pub(crate) fn fallback_shard(
         &self,
         s: usize,
         plan: &ShardPlan,
         dir: &Path,
-    ) -> Result<ShardRun, ExecutorError> {
+    ) -> Result<(ShardRun, Duration), ExecutorError> {
         let t0 = Instant::now();
         let slab = slab_io::load_slab_path(shard_slab_path(dir, s))?;
+        let load_time = t0.elapsed();
         let scfg = shard_config(self.config(), plan.seed_budget[s], s, plan.n);
         let (shard_store, out_rows, mut stats) = self.mine_shard_slab(slab, &scfg, s);
         stats.elapsed = t0.elapsed();
-        Ok(ShardRun {
-            stats,
-            outputs: out_rows
-                .iter()
-                .map(|&r| MergePattern::Owned(shard_store.pattern(r)))
-                .collect(),
-        })
+        let outputs = out_rows
+            .iter()
+            .map(|&r| MergePattern::Owned(shard_store.pattern(r)))
+            .collect();
+        Ok((ShardRun { stats, outputs }, load_time))
     }
 
-    /// Runs shard `s`'s loop over its sub-pool slab, rows in slab order,
-    /// under the derived config `scfg` — the body behind both a worker
-    /// host's mine phase ([`crate::net`]) and the in-process fallback.
-    /// Returns the shard's store, its output rows in order, and its
-    /// counters (`elapsed` left for the caller to stamp).
+    /// Runs shard `s`'s loop over its sub-pool slab, rows in slab order —
+    /// the body behind a worker host's mine phase ([`crate::net`]) and
+    /// [`PatternFusion::fallback_shard`]. Returns the shard's store with
+    /// [`PatternFusion::mine_sub_pool`]'s output.
     pub(crate) fn mine_shard_slab(
         &self,
         slab: PatternPool,
         scfg: &FusionConfig,
         s: usize,
     ) -> (PoolStore, Vec<u32>, ShardStats) {
-        let pool_size = slab.len();
+        let rows = (0..slab.len() as u32).collect();
         let mut store = PoolStore::new(slab);
-        let (out_rows, run) = if pool_size == 0 {
-            // Mirror the in-thread engine's empty-shard synthesis
-            // (executors never ship an empty shard, but a hand-driven host
-            // must agree).
+        let (out_rows, stats) = self.mine_sub_pool(&mut store, rows, scfg, s);
+        (store, out_rows, stats)
+    }
+
+    /// The one per-shard body: shard `s`'s loop over `sub_rows` of `store`
+    /// under its derived config `scfg`, returning the output rows and the
+    /// shard's counters (`elapsed` left for the caller to stamp). An empty
+    /// shard trivially converged on an empty archive.
+    pub(crate) fn mine_sub_pool(
+        &self,
+        store: &mut PoolStore,
+        sub_rows: Vec<u32>,
+        scfg: &FusionConfig,
+        s: usize,
+    ) -> (Vec<u32>, ShardStats) {
+        let pool_size = sub_rows.len();
+        let (out_rows, run) = if sub_rows.is_empty() {
             let empty = RunStats {
                 converged: true,
                 ..Default::default()
             };
             (Vec::new(), empty)
         } else {
-            self.run_rows_with(&mut store, (0..pool_size as u32).collect(), scfg)
+            self.run_rows_with(store, sub_rows, scfg)
         };
-        let stats = shard_stats_of(s, pool_size, out_rows.len(), &run, Duration::ZERO);
-        (store, out_rows, stats)
+        let stats = ShardStats {
+            shard: s,
+            pool_size,
+            patterns: out_rows.len(),
+            iterations: run.iterations.len(),
+            converged: run.converged,
+            ball: run.ball(),
+            tombstoned: run.tombstoned(),
+            inserted: run.inserted(),
+            compactions: run.compactions(),
+            elapsed: Duration::ZERO,
+        };
+        (out_rows, stats)
     }
 }
 
-/// Spills every non-empty shard's sub-pool as a CFPSLAB file, streamed
-/// row-wise from the base slab — the in-process fallback's input for the
-/// subprocess and remote executors. Returns the directory's cleanup guard
-/// (the directory is `work_dir`, which must be empty, or a fresh
-/// `<prefix>-<pid>-<seq>` under the system temp dir) and each shard's
-/// sub-pool as base row ids (empty shards spill nothing).
+/// Spills every shard's sub-pool, empty ones included, as a CFPSLAB file
+/// streamed row-wise from the base slab — the input of every shard mined
+/// from disk. The directory is `work_dir`, which must be empty, or a fresh
+/// `<prefix>-<pid>-<seq>` under the system temp dir. Returns its cleanup
+/// guard, each shard's sub-pool as base row ids, and the bytes written.
 pub(crate) fn spill_sub_pools(
     store: &PoolStore,
     plan: &ShardPlan,
     work_dir: Option<&Path>,
     keep: bool,
     prefix: &str,
-) -> Result<(SpillDirGuard, Vec<Vec<u32>>), ExecutorError> {
+) -> Result<(SpillDirGuard, Vec<Vec<u32>>, u64), ExecutorError> {
     let dir = match work_dir {
         Some(d) => d.to_path_buf(),
         None => std::env::temp_dir().join(format!(
@@ -802,20 +794,18 @@ pub(crate) fn spill_sub_pools(
     let guard = SpillDirGuard { dir, keep };
     let base = store.base_pool();
     let mut sub_rows = Vec::with_capacity(plan.n);
+    let mut bytes = 0;
     for s in 0..plan.n {
         let sub = plan.sub_rows(s);
-        if !sub.is_empty() {
-            slab_io::dump_slab_rows_path(base, &sub, shard_slab_path(&guard.dir, s))?;
-        }
+        bytes += slab_io::dump_slab_rows_path(base, &sub, shard_slab_path(&guard.dir, s))?;
         sub_rows.push(sub);
     }
-    Ok((guard, sub_rows))
+    Ok((guard, sub_rows, bytes))
 }
 
-/// The shard sub-pool slab spilled for shard `s` — one naming scheme
-/// across the out-of-core, subprocess, and remote executors, so the
-/// in-process fallback always finds the spilled sub-pool.
-pub(crate) fn shard_slab_path(dir: &Path, s: usize) -> PathBuf {
+/// The slab [`spill_sub_pools`] writes for shard `s`, and
+/// [`PatternFusion::fallback_shard`] loads.
+fn shard_slab_path(dir: &Path, s: usize) -> PathBuf {
     dir.join(format!("shard-{s}.slab"))
 }
 

@@ -45,8 +45,7 @@ use crate::algorithm::{splitmix64, PatternFusion};
 use crate::ball::MAX_PIVOTS;
 use crate::config::FusionConfig;
 use crate::executor::{
-    empty_shard_run, shard_config, spill_sub_pools, ExecutorError, NetFailure, ShardExecution,
-    ShardPlan, ShardRun,
+    shard_config, spill_sub_pools, ExecutorError, NetFailure, ShardExecution, ShardPlan, ShardRun,
 };
 use crate::pattern::Pattern;
 use crate::pool::PoolStore;
@@ -1091,13 +1090,14 @@ pub fn retry_backoff(seed: u64, shard: usize, attempt: usize, base: Duration) ->
 // ---------------------------------------------------------------------------
 
 impl PatternFusion<'_> {
-    /// The remote backend: spill every non-empty shard's sub-pool (the
-    /// retry-proof fallback source), then dispatch each shard to a worker
-    /// on its own thread — stream the sub-pool over TCP, collect the
-    /// stats record and archive slab, retry with deterministic backoff on
-    /// any typed failure, and fall back to in-thread mining from the
-    /// spilled slab when the attempt budget runs out. Results land in
-    /// shard order regardless of completion order.
+    /// The remote backend: spill every shard's sub-pool (the retry-proof
+    /// fallback source), then dispatch each non-empty shard to a worker on
+    /// its own thread — stream the sub-pool over TCP, collect the stats
+    /// record and archive slab, retry with deterministic backoff on any
+    /// typed failure, and fall back to in-thread mining from the spilled
+    /// slab when the attempt budget runs out. Empty shards mine here from
+    /// their slabs. Results land in shard order regardless of completion
+    /// order.
     pub(crate) fn execute_remote(
         &self,
         store: PoolStore,
@@ -1123,7 +1123,7 @@ impl PatternFusion<'_> {
         // Spill up front: the slab file is the fallback's input, written
         // once whether or not any attempt fails. (The network send
         // streams from the base slab directly, not from this file.)
-        let (spill, sub_rows_all) = spill_sub_pools(
+        let (spill, sub_rows_all, _) = spill_sub_pools(
             &store,
             plan,
             rc.work_dir.as_deref(),
@@ -1180,10 +1180,10 @@ impl PatternFusion<'_> {
         dir: &Path,
     ) -> (Result<ShardRun, ExecutorError>, NetStats) {
         let mut net = NetStats::default();
-        let t0 = Instant::now();
         if sub_rows.is_empty() {
-            return (Ok(empty_shard_run(s, t0.elapsed())), net);
+            return (self.fallback_shard(s, plan, dir).map(|(run, _)| run), net);
         }
+        let t0 = Instant::now();
         net.shards_dispatched = 1;
         let cfg = self.config();
         let scfg = shard_config(cfg, plan.seed_budget[s], s, plan.n);
@@ -1214,7 +1214,7 @@ impl PatternFusion<'_> {
         }
         if rc.fallback_in_thread {
             net.fallbacks += 1;
-            (self.fallback_shard(s, plan, dir), net)
+            (self.fallback_shard(s, plan, dir).map(|(run, _)| run), net)
         } else {
             (
                 Err(ExecutorError::Net(NetFailure {

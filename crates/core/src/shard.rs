@@ -227,12 +227,12 @@ pub fn shard_seed(seed: u64, shard: usize, shards: usize) -> u64 {
 /// Salt decorrelating boundary-repair RNGs from shard and iteration RNGs.
 const REPAIR_SALT: u64 = 0xB00D_412E_9A10_77EE;
 
-/// One shard's contribution to the deterministic merge: either a row the
-/// merge store already holds (an in-memory shard's base-slab carry-over) or
-/// an owned pattern mined elsewhere to be interned (a shard overlay row, or
-/// an out-of-core shard's archived pattern). Interning makes both forms
-/// converge on the same row ids, so the merge path is literally shared
-/// between the in-memory and out-of-core engines.
+/// One shard's contribution to the deterministic merge: a row the merge
+/// store already holds (an in-thread shard's base-slab carry-over), or an
+/// owned pattern to intern — an in-thread shard's overlay row, or the
+/// archive of a shard mined over its own slab (loaded from disk, or on a
+/// worker behind a pipe or socket). Interning makes both forms converge on
+/// the same row ids, so every backend shares one merge.
 pub(crate) enum MergePattern {
     /// A row of the merge store (carried over as-is).
     Row(u32),
@@ -310,8 +310,8 @@ pub fn partition(
 }
 
 impl PatternFusion<'_> {
-    /// The deterministic merge tail shared by the in-memory sharded engine
-    /// and the out-of-core driver ([`crate::oocore`]): first-occurrence
+    /// The deterministic merge tail shared by every executor backend
+    /// ([`crate::executor`]): first-occurrence
     /// dedup in shard order (row identity is itemset identity, so interning
     /// owned patterns makes dedup a set of ids), global re-rank, and — for
     /// more than one shard — boundary repair, subsumption pruning, and the
@@ -321,8 +321,8 @@ impl PatternFusion<'_> {
     /// only its *length* is read beyond [`FULL_REPAIR_POOL_LIMIT`], and an
     /// empty slice is behaviorally identical to an over-limit pool (the
     /// space extension is a no-op either way) — which is how the
-    /// out-of-core driver avoids re-interning an evicted pool it would
-    /// never draw from.
+    /// out-of-core backend avoids reloading an evicted pool it would never
+    /// draw from.
     pub(crate) fn merge_shard_outputs(
         &self,
         store: &mut PoolStore,

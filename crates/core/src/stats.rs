@@ -99,8 +99,7 @@ pub struct PoolStats {
     pub mine_workers: usize,
     /// Wall-clock time of the parallel subtree mining phase.
     pub mine_time: Duration,
-    /// Wall-clock time splicing worker segments (plus the stratified
-    /// permutation for sharded runs).
+    /// Wall-clock time splicing worker segments into the one pool slab.
     pub splice_time: Duration,
 }
 

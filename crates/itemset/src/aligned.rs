@@ -92,6 +92,12 @@ impl AlignedWords {
         }
     }
 
+    /// Reserves room for exactly `words` more words (rounded up to a whole
+    /// lane), so a buffer grown to a known size never over-allocates.
+    pub fn reserve_exact(&mut self, words: usize) {
+        self.lanes.reserve_exact(words.div_ceil(LANE_WORDS));
+    }
+
     /// Removes all words, keeping the allocation.
     pub fn clear(&mut self) {
         self.lanes.clear();

@@ -309,9 +309,50 @@ impl<R: Read> CrcReader<R> {
         Ok(u64::from_le_bytes(b))
     }
 
+    /// Reads a column of `len` words, grown as its bytes arrive.
+    fn take_words(&mut self, len: usize) -> Result<AlignedWords, SlabIoError> {
+        let mut col = AlignedWords::default();
+        while col.len() < len {
+            let (have, next) = (col.len(), read_step(col.len(), len, 8));
+            col.reserve_exact(next - have);
+            col.grow_zeroed(next);
+            let fresh = &mut col.as_words_mut()[have..next];
+            self.take(aligned::words_as_bytes_mut(fresh))?;
+            #[cfg(target_endian = "big")]
+            fresh.iter_mut().for_each(|w| *w = u64::from_le(*w));
+        }
+        Ok(col)
+    }
+
+    /// Reads a column of `len` `u32`s, grown as its bytes arrive.
+    fn take_u32s(&mut self, len: usize) -> Result<Vec<u32>, SlabIoError> {
+        let mut col = Vec::new();
+        while col.len() < len {
+            let (have, next) = (col.len(), read_step(col.len(), len, 4));
+            col.reserve_exact(next - have);
+            col.resize(next, 0);
+            self.take(aligned::u32s_as_bytes_mut(&mut col[have..]))?;
+            #[cfg(target_endian = "big")]
+            col[have..].iter_mut().for_each(|v| *v = u32::from_le(*v));
+        }
+        Ok(col)
+    }
+
     fn crc(&self) -> u32 {
         self.crc ^ 0xFFFF_FFFF
     }
+}
+
+/// Bytes a column is allocated ahead of the bytes that fill it. The header
+/// is unverified until the footer's CRC, so a lying row count must cost one
+/// step of memory, not what it claims.
+const READ_STEP_BYTES: usize = 1 << 20;
+
+/// The length a read of a `len`-element column (`size`-byte elements)
+/// grows to from `have`: one step, then doubling, so memory tracks the
+/// bytes received and the copying stays linear in them.
+fn read_step(have: usize, len: usize, size: usize) -> usize {
+    len.min(have + have.max(READ_STEP_BYTES / size))
 }
 
 /// Per-row geometry plus section byte lengths, derived once and shared by
@@ -429,14 +470,13 @@ pub fn write_slab_rows(
 /// Deserializes a slab image from `r`.
 ///
 /// The preamble is validated (magic, version, byte order, derived widths
-/// recomputed from `universe`), then every column is read in a single
-/// `read_exact` into its final buffer — the tid region into a fresh
-/// 32-byte-aligned [`AlignedWords`] — and the trailing CRC is checked
-/// against the bytes consumed.
+/// recomputed from `universe`), then every column is read into its final
+/// buffer — the tid region into a 32-byte-aligned [`AlignedWords`] — and
+/// the trailing CRC is checked against the bytes consumed.
 ///
-/// The reader trusts the header's row count for allocation sizing (bounded
-/// by the structural `u32` limits below); prefer [`load_slab_path`], which
-/// cross-checks the declared size against the file length first.
+/// Columns grow in bounded steps as their bytes arrive, never sized up
+/// front from the unverified header: memory tracks the bytes received, and
+/// a stream that ends short is a typed [`SlabIoError::Truncated`].
 pub fn read_slab(r: &mut impl Read) -> Result<PatternPool, SlabIoError> {
     let mut cr = CrcReader::new(r);
     let mut magic = [0u8; 8];
@@ -502,27 +542,11 @@ pub fn read_slab(r: &mut impl Read) -> Result<PatternPool, SlabIoError> {
     }
 
     let (rows_n, wpr, ss) = (rows as usize, words_per_row as usize, suf_stride as usize);
-    let mut words = AlignedWords::zeroed(rows_n * wpr);
-    cr.take(aligned::words_as_bytes_mut(words.as_words_mut()))?;
-    let mut sufs = vec![0u32; rows_n * ss];
-    cr.take(aligned::u32s_as_bytes_mut(&mut sufs))?;
-    let mut item_offsets = vec![0u32; rows_n + 1];
-    cr.take(aligned::u32s_as_bytes_mut(&mut item_offsets))?;
-    let mut item_data = vec![0u32; item_data_len as usize];
-    cr.take(aligned::u32s_as_bytes_mut(&mut item_data))?;
-    let mut supports = vec![0u32; rows_n];
-    cr.take(aligned::u32s_as_bytes_mut(&mut supports))?;
-    #[cfg(target_endian = "big")]
-    {
-        for w in words.as_words_mut() {
-            *w = u64::from_le(*w);
-        }
-        for col in [&mut sufs, &mut item_offsets, &mut item_data, &mut supports] {
-            for v in col.iter_mut() {
-                *v = u32::from_le(*v);
-            }
-        }
-    }
+    let words = cr.take_words(rows_n * wpr)?;
+    let sufs = cr.take_u32s(rows_n * ss)?;
+    let item_offsets = cr.take_u32s(rows_n + 1)?;
+    let item_data = cr.take_u32s(item_data_len as usize)?;
+    let supports = cr.take_u32s(rows_n)?;
 
     let computed = cr.crc();
     let mut footer = [0u8; 4];
@@ -825,6 +849,20 @@ mod tests {
             load_bytes(&bad),
             Err(SlabIoError::Inconsistent(_))
         ));
+    }
+
+    /// A header claiming `u32::MAX` rows over a `u32::MAX`-tid universe
+    /// (2^61 tid bytes) sizes nothing up front: a stream of the header
+    /// alone ends in a typed truncation, not an allocation failure.
+    #[test]
+    fn a_lying_row_count_allocates_only_what_arrives() {
+        let big = u32::MAX as usize;
+        let mut header = dump_bytes(&PatternPool::new(big))[..PREAMBLE_BYTES as usize].to_vec();
+        header[40..48].copy_from_slice(&(big as u64).to_le_bytes());
+        for (i, len) in Layout::new(big, big, 0).sections.iter().enumerate() {
+            header[56 + i * 8..64 + i * 8].copy_from_slice(&len.to_le_bytes());
+        }
+        assert!(matches!(load_bytes(&header), Err(SlabIoError::Truncated)));
     }
 
     /// The byte-at-a-time reference loop the slice-by-8 update must match.

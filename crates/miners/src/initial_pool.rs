@@ -344,20 +344,11 @@ pub fn delta_pool_slab(
     (pool, stats)
 }
 
-/// A support-stratified copy of a plain slab — the transform
-/// [`initial_pool_slab_stratified`] applies after the parallel mine,
-/// available separately so the incremental engine can keep the plain slab
-/// (the next delta's splice source) and derive the sharded order on demand.
-pub fn stratified_copy(pool: &PatternPool) -> PatternPool {
-    pool.permuted(&pool.stratified_order())
-}
-
-/// [`initial_pool_slab`] in **support-stratified emit order**: ascending
-/// support, itemset as the tie-break. The sharded fusion engine
-/// (`cfp_core::shard`) consumes this order — shard assignment is keyed on
-/// pattern content either way, but a stratified emission keeps every
-/// shard's sub-pool support-contiguous (the order its ball index sorts by),
-/// and makes round-robin stratum assignment independent of miner internals.
+/// [`initial_pool_slab`] permuted into **support-stratified order**:
+/// ascending support, itemset as the tie-break. The fusion engine never
+/// takes this copy — a sharded run deals the plain slab in this order as a
+/// row list — and it is kept only for the end-to-end benchmark's replica of
+/// the sharded engine, which mines through it.
 pub fn initial_pool_slab_stratified(
     db: &TransactionDb,
     min_count: usize,
@@ -694,14 +685,6 @@ mod tests {
         assert_eq!(stats.subtrees, 0);
         assert_eq!(stats.rows_spliced, old_pool.len());
         assert_eq!(got, old_pool);
-    }
-
-    #[test]
-    fn stratified_copy_matches_stratified_miner() {
-        let db = cfp_datagen::diag(12);
-        let (plain, _) = initial_pool_slab(&db, 4, 2, 2);
-        let (want, _) = initial_pool_slab_stratified(&db, 4, 2, 2);
-        assert_eq!(stratified_copy(&plain), want);
     }
 
     /// The split decision is depth-gated: at `max_len == 1` there is no

@@ -51,8 +51,7 @@ pub use fpgrowth::fp_growth;
 pub use fptree::FpTree;
 pub use initial_pool::{
     delta_pool_slab, initial_pool, initial_pool_slab, initial_pool_slab_stratified,
-    initial_pool_stratified, sort_stratified, stratified_copy, subtree_spans, PoolMineStats,
-    PoolPattern,
+    initial_pool_stratified, sort_stratified, subtree_spans, PoolMineStats, PoolPattern,
 };
 pub use maximal::maximal;
 pub use topk::top_k_closed;

@@ -98,6 +98,14 @@ check_absent crates/core/src/delta.rs \
     'plain\.clone\(\)|pool\.clone\(\)|slab\.clone\(\)|base\.clone\(\)|\.permuted\(|\.tids\.clone|materialize\(' \
     'delta append splices spans and shares the slab (no whole-pool copies)'
 
+# 11. Sharded runs deal the one mined slab as a stratified row list: no
+#     engine layer may mine, copy or permute a stratified second slab.
+for file in algorithm delta engine executor oocore; do
+    check_absent "crates/core/src/$file.rs" \
+        'initial_pool_slab_stratified|stratified_copy|\.permuted\(' \
+        'shards deal the one mined slab (no stratified pool copy)'
+done
+
 if [ "$fail" -ne 0 ]; then
     echo "slab hot-path gate failed: a Vec<Pattern> copying idiom is back on the mine->fuse path"
     exit 1

@@ -236,12 +236,8 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     }
     // `--mem-budget B` (or the CFP_MEM_BUDGET environment default) routes
     // the run through the out-of-core driver — same output, bounded
-    // resident slab bytes. `--pool SLAB` starts from a dumped pool slab,
-    // used as-is: the file must come from the same dataset, and because
-    // sharded runs mine their own pools in support-stratified order, a
-    // plain dump's row order (hence its deterministic tie-breaks) can
-    // differ from a fresh `run()`. Output is deterministic per slab —
-    // with and without a budget it is bit-identical for the same slab.
+    // resident slab bytes. `--pool SLAB` starts from a dumped pool slab of
+    // the same dataset.
     let budget = match parse_value::<String>(args, "--mem-budget")? {
         Some(s) => Some(parse_budget(&s).ok_or_else(|| {
             format!("invalid --mem-budget '{s}' (bytes, with optional k/m/g suffix)")

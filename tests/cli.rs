@@ -138,6 +138,54 @@ fn assert_slab_error(args: &[&str], expect: &str) {
     assert!(!err.contains("panic"), "{args:?}: panicked: {err}");
 }
 
+/// A sub-pool slab whose 96-byte header claims `u32::MAX` rows over a
+/// `u32::MAX`-tid universe (2^61 tid bytes), streamed to
+/// `shard-host --stdio` with nothing after it: the host must answer with
+/// the typed slab error (exit 2), not size an allocation from the header.
+#[test]
+fn lying_slab_header_on_a_stream_fails_typed() {
+    use cfp_core::net::{write_frame, NetRequest, FRAME_REQUEST, FRAME_SLAB_CHUNK};
+    use std::io::Write;
+    let rows = u64::from(u32::MAX);
+    let mut header = Vec::new();
+    cfp_itemset::slab_io::write_slab(&cfp_itemset::PatternPool::new(rows as usize), &mut header)
+        .unwrap();
+    header.truncate(96);
+    let word = |off: usize| u64::from_le_bytes(header[off..off + 8].try_into().unwrap());
+    let (wpr, ss) = (word(24), word(32));
+    let claims = [
+        (40, rows),
+        (56, rows * wpr * 8),
+        (64, rows * ss * 4),
+        (72, (rows + 1) * 4),
+        (88, rows * 4),
+    ];
+    for (off, v) in claims {
+        header[off..off + 8].copy_from_slice(&v.to_le_bytes());
+    }
+    let req = NetRequest {
+        shard: 0,
+        shards: 1,
+        attempt: 0,
+        config: cfp_core::FusionConfig::new(4, 2).with_shards(1),
+    };
+    let mut input = Vec::new();
+    write_frame(&mut input, FRAME_REQUEST, req.to_text().as_bytes()).unwrap();
+    write_frame(&mut input, FRAME_SLAB_CHUNK, &header).unwrap();
+    let mut child = cfp()
+        .args(["shard-host", "--stdio"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    child.stdin.take().unwrap().write_all(&input).unwrap();
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr was: {err}");
+    assert!(err.contains("input slab:"), "stderr was: {err}");
+}
+
 #[test]
 fn damaged_slabs_fail_with_typed_errors() {
     let data = temp_path("slab_damage.dat");
