@@ -146,7 +146,7 @@ fn write_summary(file: &str, json: &str) {
 }
 
 /// Writes `BENCH_ball.json` at the workspace root with the medians, the
-/// speedup, and the pruning counters.
+/// speedup, and the pruning and accepting counters.
 fn export_summary(c: &Criterion, stats: &BallQueryStats) {
     let brute = median_ns(c, "brute_force_scan");
     let engine = median_ns(c, "engine_index_plus_queries");
@@ -169,7 +169,8 @@ fn export_summary(c: &Criterion, stats: &BallQueryStats) {
          \"speedup_estimator\": \"min\",\n  \
          \"speedup\": {:.2},\n  \"meets_4_5x_target\": {},\n  \
          \"pairs_total\": {},\n  \"cardinality_pruned\": {},\n  \"pivot_pruned\": {},\n  \
-         \"exact_checked\": {},\n  \"ball_members\": {},\n  \"pruned_fraction\": {:.4}\n}}\n",
+         \"exact_checked\": {},\n  \"ball_members\": {},\n  \"accepted_by_bound\": {},\n  \
+         \"pruned_fraction\": {:.4}\n}}\n",
         CLUSTERS * PER_CLUSTER,
         UNIVERSE,
         SEEDS,
@@ -181,6 +182,7 @@ fn export_summary(c: &Criterion, stats: &BallQueryStats) {
         stats.pivot_pruned,
         stats.exact_checked,
         stats.ball_members,
+        stats.accepted_by_bound,
         pruned as f64 / stats.pairs_total.max(1) as f64,
     );
     write_summary("BENCH_ball.json", &json);

@@ -42,6 +42,14 @@
 //! skip message says so: regenerate on a capable box before trusting (or
 //! quoting) the stored value.
 //!
+//! Besides the ratio gates, the check reads `BENCH_ball.json`'s pair
+//! counters and fails unless they are consistent: the pruning layers and
+//! the exact decisions partition the pairs (`pairs_total =
+//! cardinality_pruned + pivot_pruned + exact_checked`), and the pairs
+//! accepted by bound are exact decisions and members (`accepted_by_bound
+//! ≤ exact_checked`, `accepted_by_bound ≤ ball_members`). A summary that
+//! breaks them was written by a broken scan, whatever its speedup.
+//!
 //! Every gate is evaluated every run — missing summary files are all
 //! reported together (with the `cargo bench` invocation that regenerates
 //! each) instead of failing one file at a time — and a final summary table
@@ -212,6 +220,31 @@ fn self_skip(gate: &Gate, json: &str) -> Option<(&'static str, &'static str)> {
     }
 }
 
+/// Checks the pair counters `BENCH_ball.json` records (see the module
+/// docs); a missing file is reported by the speedup gate instead.
+fn check_ball_counters(root: &Path) -> Result<(), String> {
+    let Ok(json) = std::fs::read_to_string(root.join("BENCH_ball.json")) else {
+        return Ok(());
+    };
+    let count = |field: &str| field_f64(&json, field).ok_or(format!("no \"{field}\" field"));
+    let pairs = count("pairs_total")?;
+    let (card, pivot) = (count("cardinality_pruned")?, count("pivot_pruned")?);
+    let (exact, members) = (count("exact_checked")?, count("ball_members")?);
+    let accepted = count("accepted_by_bound")?;
+    if pairs != card + pivot + exact {
+        return Err(format!(
+            "pairs_total {pairs} != cardinality_pruned {card} + pivot_pruned {pivot} \
+             + exact_checked {exact}"
+        ));
+    }
+    if accepted > exact || accepted > members {
+        return Err(format!(
+            "accepted_by_bound {accepted} exceeds exact_checked {exact} or ball_members {members}"
+        ));
+    }
+    Ok(())
+}
+
 /// One line of the end-of-run summary table.
 struct Row {
     file: &'static str,
@@ -333,6 +366,16 @@ fn main() -> ExitCode {
             direction: gate.direction,
             status: if ok { "ok" } else { "FAIL" },
         });
+    }
+
+    if let Err(why) = check_ball_counters(&root) {
+        println!("FAIL {:<22} counters: {why}", "BENCH_ball.json");
+        failures += 1;
+    } else {
+        println!(
+            "ok   {:<22} counters partition the pairs",
+            "BENCH_ball.json"
+        );
     }
 
     // The measured-vs-target summary: every gate, passes included, so a

@@ -149,7 +149,8 @@ pub fn clustered_pool(
 }
 
 /// The uniform engine-statistics line every `exp_*` binary prints: kernel
-/// backend, iteration count, ball-prune percentage, the index-rebuild
+/// backend, iteration count, the shares of ball pairs pruned and accepted
+/// by bound (the rest ran the exact kernel), the index-rebuild
 /// aggregates, and the slab pool-store footprint — one schema
 /// across all binaries, for sharded and unsharded runs alike. Sharded runs
 /// append `shards=`/`repair_iters=`, and out-of-core runs append the
@@ -157,11 +158,12 @@ pub fn clustered_pool(
 pub fn engine_line(stats: &RunStats) -> String {
     let ball = stats.ball();
     let mut line = format!(
-        "engine: backend={} iters={} pruned_pct={:.1} tombstoned={} inserted={} compactions={} \
-         pool_rows={} pool_kib={}",
+        "engine: backend={} iters={} pruned_pct={:.1} accepted_pct={:.1} tombstoned={} \
+         inserted={} compactions={} pool_rows={} pool_kib={}",
         stats.kernel_backend.name(),
         stats.total_iterations(),
         ball.pruned_fraction() * 100.0,
+        ball.accepted_fraction() * 100.0,
         stats.tombstoned(),
         stats.inserted(),
         stats.compactions(),

@@ -33,8 +33,9 @@
 //!
 //! Ball queries go through the metric-pruned [`crate::ball::BallIndex`]
 //! (cardinality range + pivot triangle-inequality prunes over the shared
-//! slab) instead of a brute-force O(K·|Pool|) distance scan, and both the
-//! ball scans and the per-seed fusions are distributed over a work-stealing
+//! slab, and accepting bounds that settle members without a kernel)
+//! instead of a brute-force O(K·|Pool|) distance scan, and both the ball
+//! scans and the per-seed fusions are distributed over a work-stealing
 //! task queue ([`crate::parallel`]) rather than fixed per-thread chunks.
 //!
 //! The index is **rebuilt for every pool**: the loop builds it over the
@@ -62,9 +63,9 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::time::Instant;
 
-/// Candidates per ball-scan task ([`crate::ball::BallQuery::segments`]):
-/// small enough that one seed's oversized ball spreads across workers,
-/// large enough to amortize task claiming.
+/// Unproven candidates per ball-scan task: small enough that one seed's
+/// oversized ball spreads across workers, large enough to amortize task
+/// claiming. A seed's proven range costs no scan task at all.
 const SCAN_TASK_CANDIDATES: usize = 2048;
 
 /// A configured Pattern-Fusion run over one database.
@@ -372,15 +373,20 @@ impl<'a> PatternFusion<'a> {
     /// Two work-stealing phases per iteration:
     ///
     /// 1. **Ball scans** — against the current pool's [`BallIndex`],
-    ///    every seed's pruned candidate window is cut into segments of
-    ///    [`SCAN_TASK_CANDIDATES`] candidates that workers claim off a
-    ///    shared queue, so a single huge ball cannot serialize the phase.
-    ///    Segments merge in task order and each ball sorts ascending —
-    ///    exactly the brute-force scan's output.
-    /// 2. **Fusion** — seeds are claimed the same way; each runs with its
-    ///    position-derived RNG, so the schedule never leaks into results.
-    ///    Outputs are owned patterns; the caller interns them into the
-    ///    store between the parallel phases.
+    ///    every seed's candidates *before its proven range* are cut into
+    ///    segments of [`SCAN_TASK_CANDIDATES`] candidates that workers
+    ///    claim off a shared queue, so a single huge ball cannot serialize
+    ///    the phase. The proven range — candidates the accepting
+    ///    cardinality bound makes members — is never scanned: it stays an
+    ///    arena range, booked into the counters on the calling thread.
+    /// 2. **Fusion** — seeds are claimed the same way. Each task assembles
+    ///    its seed's ball as a bitmap over pool positions (the scan hits
+    ///    plus the proven range, minus the seed) and reads it out in
+    ///    ascending pool order — exactly the brute-force scan's output,
+    ///    with no sort — then fuses with its position-derived RNG, so the
+    ///    schedule never leaks into results. Outputs are owned patterns;
+    ///    the caller interns them into the store between the parallel
+    ///    phases.
     #[allow(clippy::too_many_arguments)]
     fn process_seeds(
         &self,
@@ -392,43 +398,54 @@ impl<'a> PatternFusion<'a> {
         iteration: usize,
         threads: usize,
     ) -> (Vec<Vec<Pattern>>, BallQueryStats) {
-        // Phase 1: metric-pruned ball queries.
+        // Phase 1: metric-pruned scans of the unproven candidates. Each
+        // seed's tasks are contiguous: `first_task[order]..first_task[order
+        // + 1]`.
         let queries: Vec<_> = seed_positions.iter().map(|&q| index.query(q)).collect();
         let mut tasks: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        let mut first_task: Vec<usize> = Vec::with_capacity(queries.len() + 1);
         for (order, query) in queries.iter().enumerate() {
-            for seg in query.segments(SCAN_TASK_CANDIDATES) {
+            first_task.push(tasks.len());
+            for seg in query.unproven_segments(SCAN_TASK_CANDIDATES) {
                 tasks.push((order, seg));
             }
         }
+        first_task.push(tasks.len());
         let scanned = run_tasks(tasks.len(), threads, |t| {
             let (order, ref seg) = tasks[t];
-            let mut members = Vec::new();
+            let mut hits: Vec<u32> = Vec::new();
             let mut stats = BallQueryStats::default();
-            queries[order].scan(store, seg.clone(), &mut members, &mut stats);
-            (members, stats)
+            queries[order].scan_unproven(store, seg.clone(), |i| hits.push(i), &mut stats);
+            (hits, stats)
         });
-        let mut balls: Vec<Vec<usize>> = vec![Vec::new(); seed_positions.len()];
         let mut ball_stats = BallQueryStats::default();
         for query in &queries {
             query.account(&mut ball_stats);
+            query.account_proven(&mut ball_stats);
         }
-        for ((order, _), (members, stats)) in tasks.iter().zip(scanned) {
-            balls[*order].extend(members);
-            ball_stats.merge(&stats);
-        }
-        for ball in &mut balls {
-            ball.sort_unstable();
+        for (_, stats) in &scanned {
+            ball_stats.merge(stats);
         }
 
-        // Phase 2: per-seed fusion.
+        // Phase 2: per-seed ball assembly and fusion.
         let results = run_tasks(seed_positions.len(), threads, |order| {
-            let ball = &balls[order];
+            let hits = scanned[first_task[order]..first_task[order + 1]]
+                .iter()
+                .flat_map(|(hits, _)| hits.iter().copied());
+            let ball = queries[order].assemble(hits);
             let mut seed_rng = StdRng::seed_from_u64(splitmix64(
                 cfg.seed
                     .wrapping_add((iteration as u64) << 32)
                     .wrapping_add(order as u64),
             ));
-            self.fuse_seed(cfg, store, rows, seed_positions[order], ball, &mut seed_rng)
+            self.fuse_seed(
+                cfg,
+                store,
+                rows,
+                seed_positions[order],
+                &ball,
+                &mut seed_rng,
+            )
         });
         (results, ball_stats)
     }
@@ -436,7 +453,9 @@ impl<'a> PatternFusion<'a> {
     /// One seed's fusion under `cfg`, drawing from the caller's per-seed
     /// `rng`: subsamples a ball larger than `cfg.max_ball_size` (bounded
     /// breadth), runs [`fuse_ball`], and replaces each output's items by
-    /// their closure when `cfg.closure_step` is on.
+    /// their closure when `cfg.closure_step` is on. `ball` is in ascending
+    /// pool order, as a bitmap assembly reads it out, so the subsample
+    /// draws exactly what it drew from a sorted ball.
     pub(crate) fn fuse_seed<R: Rng>(
         &self,
         cfg: &FusionConfig,

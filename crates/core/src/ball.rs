@@ -4,7 +4,8 @@
 //! Every Pattern-Fusion iteration asks, for each of K seeds α, for the ball
 //! `{β ∈ Pool : Dist(α, β) ≤ r(τ)}`. The naive scan is O(K · |Pool|) full
 //! Jaccard computations; because `(S, Dist)` is a metric space (Theorem 1),
-//! almost all of those pairs can be rejected without touching a tid-set:
+//! almost all of those pairs can be decided without touching a tid-set —
+//! rejected by three layers, or accepted by a fourth:
 //!
 //! 1. **Cardinality prune** — `1 − min(|A|,|B|) / max(|A|,|B|)` lower-bounds
 //!    the distance (the intersection can never beat the smaller set, the
@@ -21,11 +22,24 @@
 //!    backend the process detected ([`cfp_itemset::kernels::Backend`]).
 //!    Backends are bit-identical in results, so none of this is visible in
 //!    output.
+//! 4. **Accepting bounds** — two upper bounds on the distance settle a
+//!    member without the kernel. Over a universe of U tids, `|A∩B| ≥
+//!    a+b−U`, so the distance is at most `(2U−a−b)/U`, which falls as `b`
+//!    grows: the candidates of support at least `b_acc(a)` form a suffix
+//!    of the support-sorted window, the **proven range**, and every one of
+//!    them is a member. Among the other candidates, a pivot survivor with
+//!    `d(α,p) + d(p,β) ≤ r` for some pivot `p` is a member by the triangle
+//!    inequality.
 //!
 //! The float prunes are slackened by `SLACK` so rounding can only cause a
-//! redundant exact check, never a false reject: the engine returns exactly
-//! the brute-force ball, in ascending pool order (a property test in
-//! `tests/ball_determinism.rs` enforces this).
+//! redundant exact check, never a false reject; the accepting bounds are
+//! tightened by the same margins, and `b_acc` is settled against the
+//! kernel's own float test, so they never admit a non-member. The engine
+//! returns exactly the brute-force ball, in ascending pool order (a
+//! property test in `tests/ball_determinism.rs` enforces this). Balls are
+//! assembled as bitmaps over pool positions — the exact hits plus the
+//! proven range, minus the seed — and read out in ascending order, so no
+//! ball is sorted.
 //!
 //! # Zero-copy arenas
 //!
@@ -59,6 +73,7 @@ use crate::parallel::run_tasks;
 use crate::pool::PoolStore;
 use crate::stats::IndexMaintenance;
 use cfp_itemset::kernels;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Absolute slack added to the pruning radii so floating-point rounding can
@@ -84,10 +99,15 @@ pub struct BallQueryStats {
     pub cardinality_pruned: u64,
     /// Pairs skipped by the pivot / triangle-inequality prune.
     pub pivot_pruned: u64,
-    /// Pairs that reached the exact bounded-Jaccard kernel.
+    /// Pairs decided exactly: by the bounded-Jaccard kernel, or by proof
+    /// for the [`BallQueryStats::accepted_by_bound`] share of them.
     pub exact_checked: u64,
     /// Pairs accepted into a ball.
     pub ball_members: u64,
+    /// Pairs of `exact_checked` accepted by an accepting bound (the
+    /// proven range or the pivot triangle bound) without a kernel call.
+    /// Every one is a ball member.
+    pub accepted_by_bound: u64,
     /// `pivot_pruned` broken down by pivot index: a pruned pair is
     /// attributed to the *first* pivot whose triangle-inequality bound
     /// rejected it (the scan checks pivots in order). Entries beyond the
@@ -111,6 +131,7 @@ impl BallQueryStats {
         self.pivot_pruned += other.pivot_pruned;
         self.exact_checked += other.exact_checked;
         self.ball_members += other.ball_members;
+        self.accepted_by_bound += other.accepted_by_bound;
         for (mine, theirs) in self
             .pivot_prune_counts
             .iter_mut()
@@ -121,14 +142,22 @@ impl BallQueryStats {
         self.pivots_active = self.pivots_active.max(other.pivots_active);
     }
 
-    /// Fraction of pairs that never reached the exact kernel (0 when no
-    /// pairs were considered).
+    /// Fraction of pairs a pruning layer rejected before any exact
+    /// decision, by kernel or by proof (0 when no pairs were considered).
     pub fn pruned_fraction(&self) -> f64 {
         if self.pairs_total == 0 {
             0.0
         } else {
             1.0 - self.exact_checked as f64 / self.pairs_total as f64
         }
+    }
+
+    /// Fraction of pairs an accepting bound settled without a kernel call
+    /// (0 when no pairs were considered). With
+    /// [`BallQueryStats::pruned_fraction`] it leaves the share of pairs
+    /// that ran the kernel.
+    pub fn accepted_fraction(&self) -> f64 {
+        self.accepted_by_bound as f64 / self.pairs_total.max(1) as f64
     }
 }
 
@@ -252,6 +281,9 @@ pub struct BallIndex {
     compactions: u64,
     /// Query radius r(τ).
     radius: f64,
+    /// The store's transaction universe U, which the accepting cardinality
+    /// bound needs.
+    universe: usize,
 }
 
 impl BallIndex {
@@ -342,6 +374,7 @@ impl BallIndex {
             pos_of,
             compactions: 0,
             radius,
+            universe: store.universe(),
         }
     }
 
@@ -482,13 +515,16 @@ impl BallIndex {
     }
 
     /// The arena positions `lo..hi` whose cardinalities fall in
-    /// [`BallIndex::card_window`] for a seed of support `a`.
-    fn candidate_window(&self, a: f64) -> (usize, usize) {
-        let (lo_card, hi_card) = self.card_window(a);
-        (
-            self.cards.partition_point(|&c| c < lo_card),
-            self.cards.partition_point(|&c| c <= hi_card),
-        )
+    /// [`BallIndex::card_window`] for a seed of support `a`, and the start
+    /// `acc` of the proven range `acc..hi`: the window's candidates of
+    /// support at least [`accept_floor`]`(a)`.
+    fn candidate_window(&self, a: usize) -> (usize, usize, usize) {
+        let (lo_card, hi_card) = self.card_window(a as f64);
+        let lo = self.cards.partition_point(|&c| c < lo_card);
+        let hi = self.cards.partition_point(|&c| c <= hi_card);
+        let b_acc = accept_floor(a, self.universe, self.radius);
+        let acc = lo + self.cards[lo..hi].partition_point(|&c| (c as usize) < b_acc);
+        (lo, hi, acc)
     }
 
     /// Pivot row of the pattern at arena position `pos`.
@@ -501,7 +537,7 @@ impl BallIndex {
     /// support window and the seed's pivot distances. O(log |Pool| + P).
     pub fn query(&self, q: usize) -> BallQuery<'_> {
         let q_pos = self.pos_of[q] as usize;
-        let (lo, hi) = self.candidate_window(self.cards[q_pos] as f64);
+        let (lo, hi, acc) = self.candidate_window(self.cards[q_pos] as usize);
         let mut seed_pivot_dists = [0.0f32; MAX_PIVOTS];
         seed_pivot_dists[..self.n_pivots].copy_from_slice(self.pivot_row(q_pos));
         BallQuery {
@@ -509,6 +545,7 @@ impl BallIndex {
             q_pos,
             lo,
             hi,
+            acc,
             seed_pivot_dists,
             ext: None,
         }
@@ -540,7 +577,10 @@ impl BallIndex {
             store.suf_stride(),
             "query suffix table mis-sized"
         );
-        let (lo, hi) = self.candidate_window(card as f64);
+        // The kernel reads the seed's cardinality from `sufs[0]`; the
+        // accepting bound must see the same one.
+        debug_assert_eq!(sufs[0] as usize, card, "query cardinality mis-stated");
+        let (lo, hi, acc) = self.candidate_window(card);
         let mut seed_pivot_dists = [0.0f32; MAX_PIVOTS];
         let w = store.words_per_row();
         let mut col: Vec<f64> = Vec::with_capacity(1);
@@ -570,6 +610,7 @@ impl BallIndex {
             q_pos: usize::MAX,
             lo,
             hi,
+            acc,
             seed_pivot_dists,
             ext: Some((words, sufs)),
         }
@@ -579,12 +620,7 @@ impl BallIndex {
     /// with counters accumulated into `stats`. Exactly the brute-force ball
     /// over the pool.
     pub fn ball(&self, store: &PoolStore, q: usize, stats: &mut BallQueryStats) -> Vec<usize> {
-        let query = self.query(q);
-        let mut out = Vec::new();
-        query.account(stats);
-        query.scan(store, 0..query.candidates(), &mut out, stats);
-        out.sort_unstable();
-        out
+        self.query(q).ball(store, stats)
     }
 
     /// Convenience: the full radius-`r` ball of an external tid-set (see
@@ -599,13 +635,44 @@ impl BallIndex {
         card: usize,
         stats: &mut BallQueryStats,
     ) -> Vec<usize> {
-        let query = self.query_external(store, words, sufs, card);
-        let mut out = Vec::new();
-        query.account(stats);
-        query.scan(store, 0..query.candidates(), &mut out, stats);
-        out.sort_unstable();
-        out
+        self.query_external(store, words, sufs, card)
+            .ball(store, stats)
     }
+}
+
+/// Whether the accepting cardinality bound proves that a candidate of
+/// support `b` lies in the radius-`radius` ball of a seed of support `a`,
+/// over a universe of `universe` tids: the kernel's own float distance at
+/// the worst-case intersection `max(0, a+b−U)`, plus `SLACK`, is within the
+/// radius. The float distance only falls as the intersection grows (a
+/// correctly rounded quotient is monotone), so a proof here is a kernel
+/// accept for every actual intersection.
+fn accepted_by_cardinality(a: usize, b: usize, universe: usize, radius: f64) -> bool {
+    let inter = (a + b).saturating_sub(universe);
+    kernels::jaccard_from_counts(inter, a, b) + SLACK <= radius
+}
+
+/// `b_acc(a)`: the least support `b` such that
+/// [`accepted_by_cardinality`] proves every support in `b..=universe`, or
+/// `universe + 1` when it proves none. Starts at the real-valued bound
+/// `(2−r)·U − a` and settles float rounding against the test itself. For
+/// `a ≥ 1` the test is monotone in `b`; an empty seed is the exception —
+/// at distance 0 from an empty candidate and 1 from any other — so the
+/// search only steps down from a proven support.
+fn accept_floor(a: usize, universe: usize, radius: f64) -> usize {
+    let proves = |b: usize| accepted_by_cardinality(a, b, universe, radius);
+    let estimate = ((2.0 - radius) * universe as f64 - a as f64).ceil();
+    let mut b = estimate.clamp(0.0, (universe + 1) as f64) as usize;
+    if b <= universe && proves(b) {
+        while b > 0 && proves(b - 1) {
+            b -= 1;
+        }
+    } else {
+        while b <= universe && !proves(b) {
+            b += 1;
+        }
+    }
+    b
 }
 
 /// Upper bound on pivots (fixed-size seed row, no per-query allocation).
@@ -715,9 +782,10 @@ fn select_pivots(
     chosen
 }
 
-/// A prepared ball query: a candidate window into the support-sorted arena
-/// plus the seed's pivot-distance row. Scanning is split into ranges so the
-/// parallel pipeline can hand segments of one seed's scan to idle workers.
+/// A prepared ball query: a candidate window into the support-sorted arena,
+/// its proven range, plus the seed's pivot-distance row. Scanning is split
+/// into ranges so the parallel pipeline can hand segments of one seed's
+/// scan to idle workers.
 pub struct BallQuery<'a> {
     index: &'a BallIndex,
     /// The seed's arena position (`usize::MAX` for an external seed).
@@ -725,6 +793,10 @@ pub struct BallQuery<'a> {
     /// Candidate window: arena positions `lo..hi`.
     lo: usize,
     hi: usize,
+    /// Start of the proven range `acc..hi` (`lo ≤ acc ≤ hi`): every
+    /// candidate there but the seed is a member by the accepting
+    /// cardinality bound.
+    acc: usize,
     seed_pivot_dists: [f32; MAX_PIVOTS],
     /// `Some((words, sufs))` for an external (non-member) seed: the slab-
     /// shaped row data the exact kernel reads instead of a store row.
@@ -734,9 +806,16 @@ pub struct BallQuery<'a> {
 impl BallQuery<'_> {
     /// Number of candidates surviving the cardinality prune — the
     /// coordinate space [`BallQuery::scan`] segments address. A member
-    /// seed is included; the scan skips it.
+    /// seed is included; the scan skips it. The proven range is the
+    /// window's tail, candidates `unproven()..candidates()`.
     pub fn candidates(&self) -> usize {
         self.hi - self.lo
+    }
+
+    /// Number of candidates before the proven range: the only ones whose
+    /// membership a scan has to decide.
+    pub(crate) fn unproven(&self) -> usize {
+        self.acc - self.lo
     }
 
     /// Books the pairs this query considers and the cardinality-pruned bulk
@@ -752,39 +831,85 @@ impl BallQuery<'_> {
         stats.pivots_active = stats.pivots_active.max(self.index.n_pivots as u64);
     }
 
+    /// Books the proven range — every candidate there but the seed — as
+    /// members accepted by bound, exactly as a [`BallQuery::scan`] over it
+    /// would. For callers that scan only `0..unproven()`; call once per
+    /// query.
+    pub(crate) fn account_proven(&self, stats: &mut BallQueryStats) {
+        let seed_inside = (self.acc..self.hi).contains(&self.q_pos);
+        book_accepted(
+            stats,
+            (self.hi - self.acc - usize::from(seed_inside)) as u64,
+        );
+    }
+
     /// Cuts `0..candidates()` into consecutive ranges of `target`
     /// candidates (the last one shorter). Deterministic — a pure function
     /// of the window — so the parallel pipeline's task split never depends
     /// on thread count.
-    pub fn segments(&self, target: usize) -> Vec<std::ops::Range<usize>> {
-        let (n, step) = (self.candidates(), target.max(1));
-        (0..n).step_by(step).map(|s| s..(s + step).min(n)).collect()
+    pub fn segments(&self, target: usize) -> Vec<Range<usize>> {
+        cut(self.candidates(), target)
+    }
+
+    /// [`BallQuery::segments`] over `0..unproven()` only: the scan tasks of
+    /// a caller that takes the proven range from [`BallQuery::assemble`].
+    pub(crate) fn unproven_segments(&self, target: usize) -> Vec<Range<usize>> {
+        cut(self.unproven(), target)
     }
 
     /// Scans candidate positions `seg` (relative to this query's window),
     /// appending accepted pool indices to `out` and counting into `stats`.
     /// `store` must be the store the index was built over.
     ///
-    /// Two passes: the cheap prunes (seed skip, pivot triangle inequality —
-    /// float compares over the candidate-major pivot rows) gather the
-    /// surviving *slab rows* per slab, then each surviving batch runs
-    /// through the **batched** suffix-Jaccard gather kernel
+    /// Candidates before the proven range are pruned, accepted by the
+    /// pivot bound, or decided by the batched exact kernel; candidates
+    /// inside it are emitted as members accepted by bound, without a
+    /// kernel call.
+    ///
+    /// Disjoint segments cover disjoint candidates, so segments can run on
+    /// different workers and be concatenated. Hits are not reported in
+    /// window order, so a caller that wants the brute-force order sorts the
+    /// concatenation (the engine's own callers assemble a bitmap instead).
+    pub fn scan(
+        &self,
+        store: &PoolStore,
+        seg: Range<usize>,
+        out: &mut Vec<usize>,
+        stats: &mut BallQueryStats,
+    ) {
+        let end = seg.end.min(self.candidates());
+        let start = seg.start.min(end);
+        let split = self.unproven().clamp(start, end);
+        self.scan_unproven(store, start..split, |i| out.push(i as usize), stats);
+        let before = out.len();
+        out.extend(
+            (self.lo + split..self.lo + end)
+                .filter(|&pos| pos != self.q_pos)
+                .map(|pos| self.index.pool_of[pos] as usize),
+        );
+        book_accepted(stats, (out.len() - before) as u64);
+    }
+
+    /// Decides candidates `seg` (relative to the window, clipped to
+    /// `0..unproven()`), passing each member's pool index to `emit` and
+    /// counting into `stats`.
+    ///
+    /// Two passes. The cheap tests (seed skip, then the pivot triangle
+    /// inequality — float compares over the candidate-major pivot rows)
+    /// prune a candidate, accept it by the pivot bound, or gather its
+    /// *slab row* per slab; then each gathered batch runs through the
+    /// **batched** suffix-Jaccard gather kernel
     /// ([`kernels::jaccard_within_rows`]): the seed's words stay hot while
     /// the backend streams the pool slab's 32-byte-aligned rows — no
     /// per-candidate heap pointers, no copies. The acceptance test inside
     /// the kernel is the exact float comparison `jaccard ≤ radius` —
-    /// identical to brute force.
-    ///
-    /// Disjoint segments cover disjoint candidates, so segments can run on
-    /// different workers and be concatenated; the final ball only needs one
-    /// ascending sort to match the brute-force order. (Within a segment,
-    /// hits are reported slab-major, not in window order — every caller
-    /// sorts the assembled ball.)
-    pub fn scan(
+    /// identical to brute force. Members are emitted pivot-accepted first,
+    /// then slab-major.
+    pub(crate) fn scan_unproven(
         &self,
         store: &PoolStore,
-        seg: std::ops::Range<usize>,
-        out: &mut Vec<usize>,
+        seg: Range<usize>,
+        mut emit: impl FnMut(u32),
         stats: &mut BallQueryStats,
     ) {
         let ix = self.index;
@@ -796,9 +921,10 @@ impl BallQuery<'_> {
             }
         };
         let pivot_radius = (ix.radius + PIVOT_SLACK) as f32;
-        let end = seg.end.min(self.candidates());
-        // Pass 1: prune. Survivors are (slab row, pool index) pairs split
-        // per slab; the segment length bounds all four buffers.
+        let accept_radius = (ix.radius - PIVOT_SLACK) as f32;
+        let end = seg.end.min(self.unproven());
+        // Pass 1: prune or accept. Survivors are (slab row, pool index)
+        // pairs split per slab; the segment length bounds all four buffers.
         let cap = end.saturating_sub(seg.start);
         let mut base_rows: Vec<u32> = Vec::with_capacity(cap);
         let mut base_pool: Vec<u32> = Vec::with_capacity(cap);
@@ -808,19 +934,28 @@ impl BallQuery<'_> {
             if pos == self.q_pos {
                 continue;
             }
-            // Branchless triangle-inequality band test over the whole
-            // pivot row (auto-vectorizes; a per-pivot early-exit loop
-            // pays a mispredicted branch per pivot instead). The mask's
+            // Branchless triangle-inequality tests over the whole pivot row
+            // (auto-vectorizes; a per-pivot early-exit loop pays a
+            // mispredicted branch per pivot instead). The prune mask's
             // lowest set bit is the first violating pivot — the same
-            // attribution the ordered loop produced.
+            // attribution the ordered loop produced. `near` is the
+            // accepting bound d(α,p) + d(p,β) ≤ r, tightened by the slack.
             let row = ix.pivot_row(pos);
             let mut mask = 0u32;
+            let mut near = false;
             for (p, &pd) in row.iter().enumerate() {
-                mask |= u32::from((self.seed_pivot_dists[p] - pd).abs() > pivot_radius) << p;
+                let sd = self.seed_pivot_dists[p];
+                mask |= u32::from((sd - pd).abs() > pivot_radius) << p;
+                near |= sd + pd <= accept_radius;
             }
             if mask != 0 {
                 stats.pivot_pruned += 1;
                 stats.pivot_prune_counts[mask.trailing_zeros() as usize] += 1;
+                continue;
+            }
+            if near {
+                book_accepted(stats, 1);
+                emit(ix.pool_of[pos]);
                 continue;
             }
             stats.exact_checked += 1;
@@ -849,19 +984,70 @@ impl BallQuery<'_> {
                 ix.radius,
                 &mut |k, _d| {
                     stats.ball_members += 1;
-                    out.push(pools[k] as usize);
+                    emit(pools[k]);
                 },
             );
         }
     }
+
+    /// The ball in ascending pool order: `hits` — the pool indices a scan
+    /// of `0..unproven()` accepted, in any order — plus the proven range,
+    /// minus the seed. Assembled as a bitmap over pool positions and read
+    /// out in order, so nothing is sorted.
+    pub(crate) fn assemble(&self, hits: impl IntoIterator<Item = u32>) -> Vec<usize> {
+        let ix = self.index;
+        let mut bits = vec![0u64; ix.len().div_ceil(64)];
+        let proven = (self.acc..self.hi)
+            .filter(|&pos| pos != self.q_pos)
+            .map(|pos| ix.pool_of[pos]);
+        for i in hits.into_iter().chain(proven) {
+            bits[i as usize / 64] |= 1 << (i % 64);
+        }
+        let mut ball = Vec::with_capacity(bits.iter().map(|w| w.count_ones() as usize).sum());
+        for (w, &word) in bits.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                ball.push(w * 64 + rest.trailing_zeros() as usize);
+                rest &= rest - 1;
+            }
+        }
+        ball
+    }
+
+    /// The whole query on the calling thread: counters into `stats`, the
+    /// ball in ascending pool order.
+    fn ball(&self, store: &PoolStore, stats: &mut BallQueryStats) -> Vec<usize> {
+        self.account(stats);
+        self.account_proven(stats);
+        let mut hits = Vec::new();
+        self.scan_unproven(store, 0..self.unproven(), |i| hits.push(i), stats);
+        self.assemble(hits)
+    }
+}
+
+/// Books `n` pairs an accepting bound settled: decided exactly, members,
+/// and no kernel call.
+fn book_accepted(stats: &mut BallQueryStats, n: u64) {
+    stats.exact_checked += n;
+    stats.ball_members += n;
+    stats.accepted_by_bound += n;
+}
+
+/// Cuts `0..n` into consecutive ranges of `target` (at least 1) items, the
+/// last one shorter.
+fn cut(n: usize, target: usize) -> Vec<Range<usize>> {
+    let step = target.max(1);
+    (0..n).step_by(step).map(|s| s..(s + step).min(n)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::pattern_distance;
+    use crate::distance::{ball_radius, pattern_distance};
     use crate::pattern::Pattern;
     use cfp_itemset::{Itemset, TidSet};
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn pat(universe: usize, id: u32, tids: &[usize]) -> Pattern {
         Pattern::new(
@@ -1327,5 +1513,219 @@ mod tests {
         let delta = PoolDelta::compute(&next_rows, &grown_rows, store.len_rows());
         assert_eq!(delta.survivors.len(), 20);
         assert_eq!(delta.inserts, vec![20]);
+    }
+
+    /// Fusion's core ratios, whose `ball_radius` the accepting bounds meet
+    /// in every mine.
+    const TAUS: [f64; 5] = [0.3, 1.0 / 3.0, 0.5, 0.7, 1.0];
+
+    /// The radii both accepting-bound tests cover: the plain spectrum plus
+    /// the algorithm's radii.
+    fn accept_radii() -> Vec<f64> {
+        let mut radii = vec![0.0, 0.2, 0.5, 1.0];
+        radii.extend(TAUS.map(ball_radius));
+        radii
+    }
+
+    /// Exhaustive boundary test of the accepting cardinality bound: every
+    /// support the proven range admits passes the kernel's own float test
+    /// at the worst-case intersection, and `b_acc` is the least support
+    /// from which the settled test proves every larger one.
+    #[test]
+    fn accept_floor_is_exact_against_the_kernel_test() {
+        for radius in accept_radii() {
+            for universe in 1..=256usize {
+                for a in 0..=universe {
+                    let b_acc = accept_floor(a, universe, radius);
+                    assert!(b_acc <= universe + 1, "U={universe} a={a} r={radius}");
+                    for b in b_acc..=universe {
+                        let inter = (a + b).saturating_sub(universe);
+                        assert!(
+                            kernels::jaccard_from_counts(inter, a, b) <= radius,
+                            "U={universe} a={a} b={b} r={radius}: proven but outside"
+                        );
+                        assert!(accepted_by_cardinality(a, b, universe, radius));
+                    }
+                    if b_acc > 0 {
+                        assert!(
+                            !accepted_by_cardinality(a, b_acc - 1, universe, radius),
+                            "U={universe} a={a} r={radius}: b_acc={b_acc} is not the least"
+                        );
+                    }
+                    // For a non-empty seed the test is monotone in b, so
+                    // b_acc is also the least support it accepts at all.
+                    if a > 0 {
+                        assert!(
+                            (0..b_acc).all(|b| !accepted_by_cardinality(a, b, universe, radius)),
+                            "U={universe} a={a} r={radius}: a support below b_acc passes"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The scan before the accepting bounds, kept as an oracle: the
+    /// cardinality window and the pivot prune as the engine runs them, then
+    /// the exact kernel for every pivot survivor. Every counter but
+    /// `accepted_by_bound` must come out the same as the engine's.
+    fn reference_ball(
+        query: &BallQuery<'_>,
+        store: &PoolStore,
+        stats: &mut BallQueryStats,
+    ) -> Vec<usize> {
+        let ix = query.index;
+        let (qw, qs) = match query.ext {
+            Some(ext) => ext,
+            None => {
+                let q_row = ix.arena_rows[query.q_pos];
+                (store.words_of(q_row), store.sufs_of(q_row))
+            }
+        };
+        query.account(stats);
+        let pivot_radius = (ix.radius + PIVOT_SLACK) as f32;
+        let mut out = Vec::new();
+        for pos in query.lo..query.hi {
+            if pos == query.q_pos {
+                continue;
+            }
+            let first_far = ix
+                .pivot_row(pos)
+                .iter()
+                .enumerate()
+                .position(|(p, &pd)| (query.seed_pivot_dists[p] - pd).abs() > pivot_radius);
+            if let Some(p) = first_far {
+                stats.pivot_pruned += 1;
+                stats.pivot_prune_counts[p] += 1;
+                continue;
+            }
+            stats.exact_checked += 1;
+            let row = ix.arena_rows[pos];
+            let (b, b_card) = (store.words_of(row), store.support(row));
+            if kernels::jaccard_within_words(qw, qs[0] as usize, b, b_card, ix.radius).is_some() {
+                stats.ball_members += 1;
+                out.push(ix.pool_of[pos] as usize);
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// Strategy: pools over a small universe whose tid densities run from
+    /// 5/8 to 7/8, so `a + b ≥ U` is common and the proven range is often
+    /// non-empty — clusters of near-identical variants (pivot-bound
+    /// territory) plus independent noise patterns.
+    fn arb_dense_pool() -> impl Strategy<Value = Vec<Pattern>> {
+        (
+            8usize..160,
+            collection::vec((0u64..1 << 60, 5u64..=7), 1..5),
+            1usize..8,
+            collection::vec((0u64..1 << 60, 5u64..=7), 0..6),
+        )
+            .prop_map(|(universe, bases, per_cluster, noise)| {
+                let stamp = |seed: u64, eighths: u64| -> Vec<usize> {
+                    let mut x = seed | 1;
+                    (0..universe)
+                        .filter(|_| {
+                            x = x
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            (x >> 33) % 8 < eighths
+                        })
+                        .collect()
+                };
+                let mut pool = Vec::new();
+                for (c, &(seed, eighths)) in bases.iter().enumerate() {
+                    let base = stamp(seed, eighths);
+                    for v in 0..per_cluster {
+                        let tids = base.iter().copied().filter(|&t| (t + v) % (v + 7) != 0);
+                        pool.push(pat(
+                            universe,
+                            (c * 64 + v) as u32,
+                            &tids.collect::<Vec<_>>(),
+                        ));
+                    }
+                }
+                for (i, &(seed, eighths)) in noise.iter().enumerate() {
+                    pool.push(pat(universe, (1000 + i) as u32, &stamp(seed, eighths)));
+                }
+                pool
+            })
+    }
+
+    /// On dense pools, member and external balls equal brute force, every
+    /// pre-existing counter equals the reference scan's, the replica path
+    /// (`account` + `scan` over `segments`) agrees with `ball`, and
+    /// `accepted_by_bound` stays within the members — and is non-zero in
+    /// most cases.
+    #[test]
+    fn dense_pools_accept_by_bound_without_changing_any_counter() {
+        static CASES: AtomicUsize = AtomicUsize::new(0);
+        static ACCEPTING: AtomicUsize = AtomicUsize::new(0);
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+            fn dense_cases(pool in arb_dense_pool(), r in 0usize..9, pivots in 0usize..6) {
+                let radius = accept_radii()[r];
+                let (store, rows) = store_of(&pool);
+                let index = BallIndex::build(&store, &rows, radius, pivots);
+                let mut total = BallQueryStats::default();
+                for q in 0..pool.len() {
+                    let mut got = BallQueryStats::default();
+                    let ball = index.ball(&store, q, &mut got);
+                    prop_assert_eq!(&ball, &brute_ball(&pool, q, radius), "member q={}", q);
+                    let mut want = BallQueryStats::default();
+                    prop_assert_eq!(&reference_ball(&index.query(q), &store, &mut want), &ball);
+                    prop_assert_eq!(
+                        BallQueryStats { accepted_by_bound: 0, ..got },
+                        want,
+                        "member q={} counters",
+                        q
+                    );
+                    let query = index.query(q);
+                    let mut replica = BallQueryStats::default();
+                    let mut scanned = Vec::new();
+                    query.account(&mut replica);
+                    for seg in query.segments(3) {
+                        query.scan(&store, seg, &mut scanned, &mut replica);
+                    }
+                    scanned.sort_unstable();
+                    prop_assert_eq!(&scanned, &ball, "replica q={}", q);
+                    prop_assert_eq!(replica, got, "replica q={} counters", q);
+                    total.merge(&got);
+
+                    let (words, sufs, card) = row_shape(&store, &pool[q]);
+                    let mut got = BallQueryStats::default();
+                    let ball = index.ball_external(&store, &words, &sufs, card, &mut got);
+                    let mut brute = brute_ball(&pool, q, radius);
+                    brute.push(q);
+                    brute.sort_unstable();
+                    prop_assert_eq!(&ball, &brute, "external q={}", q);
+                    let query = index.query_external(&store, &words, &sufs, card);
+                    let mut want = BallQueryStats::default();
+                    prop_assert_eq!(&reference_ball(&query, &store, &mut want), &ball);
+                    prop_assert_eq!(
+                        BallQueryStats { accepted_by_bound: 0, ..got },
+                        want,
+                        "external q={} counters",
+                        q
+                    );
+                    total.merge(&got);
+                }
+                prop_assert!(total.accepted_by_bound <= total.ball_members, "{:?}", total);
+                CASES.fetch_add(1, Ordering::Relaxed);
+                if total.accepted_by_bound > 0 {
+                    ACCEPTING.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        dense_cases();
+        let (cases, accepting) = (
+            CASES.load(Ordering::Relaxed),
+            ACCEPTING.load(Ordering::Relaxed),
+        );
+        assert!(
+            2 * accepting > cases,
+            "only {accepting} of {cases} dense cases accepted a pair by bound"
+        );
     }
 }

@@ -591,8 +591,8 @@ fn stats_record(st: &ShardStats) -> String {
          pool_size {}\npatterns {}\niterations {}\nconverged {}\n\
          tombstoned {}\ninserted {}\ncompactions {}\n\
          ball.pairs_total {}\nball.cardinality_pruned {}\nball.pivot_pruned {}\n\
-         ball.exact_checked {}\nball.ball_members {}\nball.pivots_active {}\n\
-         ball.pivot_prune_counts {}\nend\n",
+         ball.exact_checked {}\nball.ball_members {}\nball.accepted_by_bound {}\n\
+         ball.pivots_active {}\nball.pivot_prune_counts {}\nend\n",
         st.shard,
         st.pool_size,
         st.patterns,
@@ -606,6 +606,7 @@ fn stats_record(st: &ShardStats) -> String {
         b.pivot_pruned,
         b.exact_checked,
         b.ball_members,
+        b.accepted_by_bound,
         b.pivots_active,
         pivots.join(" "),
     )
@@ -667,6 +668,7 @@ fn parse_stats_record(text: &str, shard: usize) -> Result<ShardStats, String> {
     b.pivot_pruned = int("ball.pivot_pruned")?;
     b.exact_checked = int("ball.exact_checked")?;
     b.ball_members = int("ball.ball_members")?;
+    b.accepted_by_bound = int("ball.accepted_by_bound")?;
     b.pivots_active = int("ball.pivots_active")?;
     let key = "ball.pivot_prune_counts";
     let counts: Vec<u64> = take(key)?
@@ -1827,6 +1829,7 @@ mod tests {
         stats.ball.pivot_pruned = 123_456;
         stats.ball.pivot_prune_counts[0] = 100_000;
         stats.ball.pivot_prune_counts[3] = 23_456;
+        stats.ball.accepted_by_bound = 4_242;
         stats.ball.pivots_active = 6;
         let record = stats_record(&stats);
         assert!(record.starts_with("cfp-stats 2 shard=2\n"));
@@ -1854,10 +1857,10 @@ mod tests {
             .unwrap_err()
             .contains("unknown stats key 'ball.bogus'"));
         // A key line missing from a terminated record must not read as 0.
-        let missing = record.replace("ball.exact_checked 0\n", "");
-        assert!(parse_stats_record(&missing, 0)
-            .unwrap_err()
-            .contains("ball.exact_checked"));
+        for key in ["ball.exact_checked", "ball.accepted_by_bound"] {
+            let missing = record.replace(&format!("{key} 0\n"), "");
+            assert!(parse_stats_record(&missing, 0).unwrap_err().contains(key));
+        }
         // A repeated key must not overwrite the first.
         let repeated = record.replace("inserted 0\n", "inserted 0\ninserted 5\n");
         assert!(parse_stats_record(&repeated, 0)

@@ -116,9 +116,9 @@
 //! any order, for each of `pool_size`, `patterns`, `iterations`,
 //! `converged`, `tombstoned`, `inserted`, `compactions`,
 //! `ball.pairs_total`, `ball.cardinality_pruned`, `ball.pivot_pruned`,
-//! `ball.exact_checked`, `ball.ball_members`, `ball.pivots_active` and
-//! `ball.pivot_prune_counts` (one space-separated row of per-pivot
-//! totals), closed by a literal `end` line. The coordinator parses
+//! `ball.exact_checked`, `ball.ball_members`, `ball.accepted_by_bound`,
+//! `ball.pivots_active` and `ball.pivot_prune_counts` (one space-separated
+//! row of per-pivot totals), closed by a literal `end` line. The coordinator parses
 //! strictly — a missing terminator, a missing or repeated key, an unknown
 //! key, a `pool_size` that does not match what was shipped, or an archive
 //! whose row count does not match `patterns` is a typed failure, because

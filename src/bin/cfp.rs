@@ -34,8 +34,8 @@ use colossal::fusion::env as cfp_env;
 use colossal::fusion::net;
 use colossal::fusion::oocore::{parse_budget, OocoreConfig};
 use colossal::fusion::{
-    serve_queries, ExecutorKind, FusionConfig, FusionResult, HostOptions, QueryClient,
-    RemoteConfig, ServeOptions, Source, SubprocessConfig,
+    serve_queries, BallQueryStats, ExecutorKind, FusionConfig, FusionResult, HostOptions,
+    QueryClient, RemoteConfig, ServeOptions, Source, SubprocessConfig,
 };
 use colossal::itemset::slab_io;
 use colossal::itemset::{read_fimi, write_fimi, TransactionDb};
@@ -123,7 +123,8 @@ usage:
                        relative --minsup resolves against the *base* file
                        (appends must not re-price old patterns; use
                        --mincount for an explicit absolute threshold)
-      --stats          print per-iteration (and per-shard) statistics
+      --stats          print per-iteration (and per-shard) statistics,
+                       ball-query counters included
   cfp dump <file.dat> --out <pool.slab>
                        mine the initial pool and persist it as a binary slab
       --minsup/--mincount/--pool-len as for mine; --threads N mine workers
@@ -406,6 +407,7 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
                 it.max_pattern_len,
                 it.elapsed.as_secs_f64()
             );
+            eprintln!("{}", ball_line(&it.ball));
         }
         for s in &result.stats.shards {
             eprintln!(
@@ -417,12 +419,14 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
                 if s.converged { "" } else { " (cap)" },
                 s.elapsed.as_secs_f64()
             );
+            eprintln!("{}", ball_line(&s.ball));
         }
         if result.stats.sharded() {
             eprintln!(
                 "  merge: {} boundary-repair iterations",
                 result.stats.repair_iterations
             );
+            eprintln!("{}", ball_line(&result.stats.repair_ball));
         }
         let netstats = &result.stats.net;
         if netstats.active() {
@@ -468,6 +472,23 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
         println!("{}\t{}\t{}", p.len(), p.support(), rendered.join(" "));
     }
     Ok(())
+}
+
+/// The `--stats` ball-query line of one iteration, one shard or the
+/// boundary repair: how the pairs split between the pruning layers and the
+/// exact decisions, and how many of those an accepting bound settled
+/// without a kernel call.
+fn ball_line(b: &BallQueryStats) -> String {
+    format!(
+        "    ball: {} pairs, {} cardinality-pruned, {} pivot-pruned, \
+         {} exact ({} accepted by bound), {} members",
+        b.pairs_total,
+        b.cardinality_pruned,
+        b.pivot_pruned,
+        b.exact_checked,
+        b.accepted_by_bound,
+        b.ball_members
+    )
 }
 
 fn cmd_dump(args: &[String]) -> Result<(), String> {

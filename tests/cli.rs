@@ -348,3 +348,51 @@ fn malformed_shard_env_fails_before_mining() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("invalid CFP_SHARD_STRATEGY='banana'"), "{err}");
 }
+
+#[test]
+fn mine_stats_print_ball_counters() {
+    let data = temp_path("diag40_stats.dat");
+    let out = cfp()
+        .args(["generate", "diag40", "--out", data.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    // `--shards 1` keeps the run unsharded under any CFP_SHARDS, so the
+    // per-iteration lines are there to read.
+    let out = cfp()
+        .args([
+            "mine",
+            data.to_str().unwrap(),
+            "--mincount",
+            "20",
+            "--pool-len",
+            "2",
+            "--k",
+            "8",
+            "--shards",
+            "1",
+            "--stats",
+        ])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    let mut lines = err.lines().skip_while(|l| !l.starts_with("  iter 0:"));
+    lines.next().expect("an iteration 0 line");
+    let ball = lines.next().expect("a ball line after iteration 0");
+    assert!(ball.starts_with("    ball: "), "{ball}");
+    let counts: Vec<u64> = ball
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|t| t.parse().ok())
+        .collect();
+    // pairs, cardinality-pruned, pivot-pruned, exact, accepted, members.
+    // Diag40's items and pairs have support 38–39 of 40 transactions, so
+    // the cardinality bound proves every pair a member: no kernel runs.
+    let [pairs, card, pivot, exact, accepted, members] = counts[..] else {
+        panic!("unexpected ball line: {ball}");
+    };
+    assert!(pairs > 0, "{ball}");
+    assert_eq!((card, pivot), (0, 0), "{ball}");
+    assert_eq!((exact, accepted, members), (pairs, pairs, pairs), "{ball}");
+    std::fs::remove_file(&data).ok();
+}
