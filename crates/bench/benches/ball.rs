@@ -196,19 +196,21 @@ fn export_summary(c: &Criterion, stats: &BallQueryStats) {
 /// slab, per backend, in three shapes:
 ///
 /// * **single-pair streaming** — one [`Backend::jaccard`] call per row
-///   (full AND+popcount, the pivot-table build's per-pair form);
-/// * **batched streaming** — one [`Backend::jaccard_batch`] call for the
-///   whole slab (the pivot-table build's actual form). A cold 12k-row sweep
-///   reads 6.3 MB and saturates memory bandwidth, which *caps* the apparent
-///   SIMD gain — so the same total row count is also measured **hot**
-///   (a 1 024-row / 512 KB window swept 12×, the cache residency real ball
-///   scans get from 48 seeds re-reading the same windows). The hot batched
-///   speedup is the kernel-throughput number and carries the ≥ 2×
-///   acceptance target; the cold number is reported alongside;
-/// * **batched radius-bounded** — [`Backend::jaccard_within_batch`] at
-///   r(τ) = 0.4 (the ball scan's exact-check shape). Early exits cut most
-///   rows to one suffix superblock, so the SIMD win is structurally
-///   smaller; reported for context.
+///   (full AND+popcount, the per-pair form);
+/// * **batched streaming** — one [`Backend::jaccard_rows`] call over the
+///   list of every slab row (the gather kernel that builds the pivot
+///   tables). A cold 12k-row sweep reads 6.3 MB and saturates memory
+///   bandwidth, which *caps* the apparent SIMD gain — so the same total row
+///   count is also measured **hot** (a 1 024-row / 512 KB window swept 12×,
+///   the cache residency real ball scans get from 48 seeds re-reading the
+///   same windows). The hot batched speedup is the kernel-throughput number
+///   and carries the ≥ 2× acceptance target; the cold number is reported
+///   alongside;
+/// * **batched radius-bounded** — [`Backend::jaccard_within_rows`] at
+///   r(τ) = 0.4 (the gather kernel the ball scan runs over each seed's
+///   unproven candidates). Early exits cut most rows to one suffix
+///   superblock, so the SIMD win is structurally smaller; reported for
+///   context.
 ///
 /// Exports `BENCH_kernels.json` with the medians and speedups.
 fn bench_kernels(c: &mut Criterion) {
@@ -231,6 +233,9 @@ fn bench_kernels(c: &mut Criterion) {
     let q: Vec<u64> = slab[q_row * words_per_row..(q_row + 1) * words_per_row].to_vec();
     let qs: Vec<u32> = sufs[q_row * suf_stride..(q_row + 1) * suf_stride].to_vec();
     let qc = cards[q_row] as usize;
+    // The gather kernels take a row list; a contiguous range is the list
+    // of its rows.
+    let all_rows: Vec<u32> = (0..n_rows as u32).collect();
 
     let best = Backend::detect();
     let contenders: Vec<Backend> = if best == Backend::Scalar {
@@ -259,13 +264,13 @@ fn bench_kernels(c: &mut Criterion) {
             let mut out: Vec<f64> = Vec::with_capacity(n_rows);
             b.iter(|| {
                 out.clear();
-                backend.jaccard_batch(
+                backend.jaccard_rows(
                     black_box(&q),
                     qc,
                     slab,
                     cards,
                     words_per_row,
-                    0..n_rows,
+                    &all_rows,
                     &mut out,
                 );
                 out.len()
@@ -281,13 +286,13 @@ fn bench_kernels(c: &mut Criterion) {
                 let mut total = 0usize;
                 for _ in 0..sweeps {
                     out.clear();
-                    backend.jaccard_batch(
+                    backend.jaccard_rows(
                         black_box(&q),
                         qc,
                         slab,
                         cards,
                         words_per_row,
-                        0..HOT_WINDOW,
+                        &all_rows[..HOT_WINDOW],
                         &mut out,
                     );
                     total += out.len();
@@ -298,14 +303,14 @@ fn bench_kernels(c: &mut Criterion) {
         group.bench_function(format!("batched_within_{}", backend.name()), |b| {
             b.iter(|| {
                 let mut hits = 0usize;
-                backend.jaccard_within_batch(
+                backend.jaccard_within_rows(
                     black_box(&q),
                     &qs,
                     slab,
                     sufs,
                     suf_stride,
                     words_per_row,
-                    0..n_rows,
+                    &all_rows,
                     radius,
                     &mut |_, _| hits += 1,
                 );

@@ -99,7 +99,7 @@ const GATES: [Gate; 10] = [
         field: "batched_hot_speedup",
         target: 2.0,
         direction: Direction::AtLeast,
-        what: "SIMD kernel backend vs scalar (cache-hot batched Jaccard)",
+        what: "SIMD kernel backend vs scalar (cache-hot gather Jaccard, jaccard_rows)",
         bench: "cargo bench -p cfp-bench --bench ball",
     },
     Gate {

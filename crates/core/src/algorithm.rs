@@ -17,7 +17,7 @@
 //!
 //! The pool is not a `Vec<Pattern>`: the engine mines the initial pool **in
 //! parallel straight into a columnar slab**
-//! ([`cfp_miners::initial_pool_slab`] → [`cfp_itemset::PatternPool`]) and
+//! ([`cfp_miners::delta_pool_slab`] → [`cfp_itemset::PatternPool`]) and
 //! from then on every pool, archive, and delta is a `Vec<u32>` of row ids
 //! into one [`PoolStore`] (frozen base slab + append-only overlay; see
 //! [`crate::pool`]). Fused patterns are interned — one row per distinct
@@ -137,14 +137,21 @@ impl<'a> PatternFusion<'a> {
     /// Mines the initial pool straight into the slab store: the complete
     /// set of frequent patterns of size ≤ `pool_max_len` with their support
     /// sets (paper §2.3, phase 1), fanned out over the run's thread budget,
-    /// in plain emit order. Sharded runs deal this one slab in stratified
-    /// order as a row list (see [`crate::executor`]).
+    /// in plain emit order. The one pool miner
+    /// ([`cfp_miners::delta_pool_slab`]) runs over the run's own vertical
+    /// index from an empty previous generation, so every subtree is mined.
+    /// Sharded runs deal this one slab in stratified order as a row list
+    /// (see [`crate::executor`]).
     pub(crate) fn mine_store(&self) -> (PoolStore, PoolMineStats) {
-        let (slab, mine) = cfp_miners::initial_pool_slab(
-            self.db,
+        let empty = cfp_itemset::PatternPool::new(self.db.len());
+        let (slab, mine) = cfp_miners::delta_pool_slab(
+            &self.index,
             self.config.min_count,
             self.config.pool_max_len,
             threads_for(&self.config),
+            &empty,
+            &[],
+            &[],
         );
         (PoolStore::new(slab), mine)
     }

@@ -66,7 +66,7 @@ pub struct FusionConfig {
     pub parallel: bool,
     /// Worker threads when `parallel` is on. `None` uses the machine's
     /// available parallelism. The same budget drives the **parallel
-    /// initial-pool mine** ([`cfp_miners::initial_pool_slab`]: per-item DFS
+    /// initial-pool mine** ([`cfp_miners::delta_pool_slab`]: per-item DFS
     /// subtrees on the work-stealing queue, spliced in subtree order) and
     /// the fusion loop's ball scans / per-seed fusions / shard runs.
     /// Results are bit-for-bit identical for every value — this knob exists

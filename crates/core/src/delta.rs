@@ -168,10 +168,9 @@ impl DeltaEngine {
     /// database and configuration.
     pub fn mine(&mut self) -> FusionResult {
         let threads = threads_for(&self.config);
-        // The full mine is the all-dirty delta: every frequent item's
-        // subtree is expanded, none spliced. One code path, byte-identical
-        // to `initial_pool_slab` (the miners' equivalence tests prove it).
-        let dirty = self.vindex.frequent_items(self.config.min_count);
+        // The full mine is the one pool miner over an empty previous
+        // generation: with no old spans every subtree is mined, as in a
+        // cold `Engine::mine`.
         let empty = PatternPool::new(self.db.len());
         let (plain, mine) = cfp_miners::delta_pool_slab(
             &self.vindex,
@@ -180,7 +179,7 @@ impl DeltaEngine {
             threads,
             &empty,
             &[],
-            &dirty,
+            &[],
         );
         self.install_generation(plain, mine, None)
     }

@@ -805,7 +805,7 @@ pub(crate) fn spill_sub_pools(
 
 /// The slab [`spill_sub_pools`] writes for shard `s`, and
 /// [`PatternFusion::fallback_shard`] loads.
-fn shard_slab_path(dir: &Path, s: usize) -> PathBuf {
+pub(crate) fn shard_slab_path(dir: &Path, s: usize) -> PathBuf {
     dir.join(format!("shard-{s}.slab"))
 }
 

@@ -26,7 +26,7 @@
 //! # The slab data plane
 //!
 //! The pool — the paper's hot data structure — is stored **columnar**: the
-//! parallel initial-pool miner ([`cfp_miners::initial_pool_slab`]) emits
+//! parallel initial-pool miner ([`cfp_miners::delta_pool_slab`]) emits
 //! straight into a lane-aligned [`PatternPool`] slab (one shared tid-word
 //! region + suffix tables + itemset spans + cached supports), and every
 //! layer above speaks dense `u32` **row ids** over a [`pool::PoolStore`]

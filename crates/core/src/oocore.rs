@@ -29,10 +29,12 @@
 //!   is spilled (mining the initial pool itself out-of-core is future
 //!   work);
 //! * the **merge phase** holds the per-shard archives (≤ ~shards·K owned
-//!   patterns) in a merge store. Its base is the pool slab reloaded from
-//!   disk when boundary repair's full-pool round will read it (more than
-//!   one shard, pool within [`FULL_REPAIR_POOL_LIMIT`]; the bit-identity
-//!   contract requires that round), and empty otherwise.
+//!   patterns) in a merge store. When boundary repair's full-pool round
+//!   will read the pool (more than one shard, pool within
+//!   [`FULL_REPAIR_POOL_LIMIT`]; the bit-identity contract requires that
+//!   round), the store's base is the pool rebuilt from the shard slabs,
+//!   loaded back in shard order — the shards partition the pool, so no
+//!   second copy of it is spilled. Otherwise the base is empty.
 //!
 //! [`OocoreStats`] reports all of it: passes, spill/load bytes and times,
 //! the peak per-pass residency the budget actually bounded, and the
@@ -50,7 +52,7 @@
 //! distinct (guaranteed for mined pools).
 
 use crate::algorithm::{threads_for, PatternFusion};
-use crate::executor::{spill_sub_pools, ExecutorError, ShardExecution, ShardPlan};
+use crate::executor::{shard_slab_path, spill_sub_pools, ExecutorError, ShardExecution, ShardPlan};
 use crate::parallel::run_tasks;
 use crate::pool::PoolStore;
 use crate::shard::FULL_REPAIR_POOL_LIMIT;
@@ -183,11 +185,11 @@ fn rows_resident_bytes(pool: &PatternPool, rows: &[u32]) -> u64 {
 
 impl PatternFusion<'_> {
     /// The out-of-core executor backend (see [`crate::executor`]): spill
-    /// every shard sub-pool (plus the pool slab itself when boundary
-    /// repair's full-pool round will need it back), **evict the resident
-    /// store**, mine the shards in budget-bounded batches, and hand back
-    /// owned archives with a merge store whose base is the reloaded pool.
-    /// Stamps [`RunStats::oocore`].
+    /// every shard sub-pool, **evict the resident store**, mine the shards
+    /// in budget-bounded batches, and hand back owned archives with a merge
+    /// store whose base is the pool rebuilt from the shard slabs when
+    /// boundary repair's full-pool round will read it. Stamps
+    /// [`RunStats::oocore`].
     pub(crate) fn execute_out_of_core(
         &self,
         store: PoolStore,
@@ -216,14 +218,15 @@ impl PatternFusion<'_> {
             .map(|rows| rows_resident_bytes(base, rows))
             .collect();
         let reload_pool = n > 1 && plan.rows.len() <= FULL_REPAIR_POOL_LIMIT;
-        let pool_path = spill.dir.join("pool.slab");
         oostats.spill_bytes = shard_bytes;
-        if reload_pool {
-            oostats.spill_bytes += slab_io::dump_slab_rows_path(base, plan.rows, &pool_path)?;
-        }
         oostats.spill_time = t_spill.elapsed();
-        // Every spilled file is loaded back exactly once.
-        oostats.load_bytes = oostats.spill_bytes;
+        // Every shard slab is loaded back once to be mined, and once more
+        // when it rebuilds the merge base.
+        oostats.load_bytes = if reload_pool {
+            2 * shard_bytes
+        } else {
+            shard_bytes
+        };
         let universe = store.universe();
 
         // Evict the full pool: from here on, only spilled slabs exist.
@@ -254,22 +257,29 @@ impl PatternFusion<'_> {
             start = end;
         }
 
-        // The merge store's base is the reloaded pool: row ids differ from
-        // the in-memory run's, but interning makes row identity itemset
-        // identity, so every comparison downstream is content-equal.
-        let pool = if reload_pool {
+        // The merge store's base is the pool rebuilt from the shard slabs
+        // in shard order; `pool_rows` lists its rows in plan order, the
+        // order repair's full-pool round reads and draws from. Row ids
+        // differ from the in-memory run's, but interning makes row identity
+        // itemset identity, so every comparison downstream is content-equal.
+        let mut pool = PatternPool::new(universe);
+        let mut pool_rows = Vec::new();
+        if reload_pool {
             let t0 = Instant::now();
-            let pool = slab_io::load_slab_path(&pool_path)?;
+            for s in 0..n {
+                pool.append_pool(&slab_io::load_slab_path(shard_slab_path(&spill.dir, s))?);
+            }
             oostats.load_time += t0.elapsed();
-            pool
-        } else {
-            PatternPool::new(universe)
-        };
+            pool_rows = vec![0; plan.rows.len()];
+            for (row, &i) in (0u32..).zip(plan.assignment.iter().flatten()) {
+                pool_rows[i as usize] = row;
+            }
+        }
         // `peak_resident_bytes` reports the fusion-pass peak — the quantity
         // the budget bounds; the merge phase is outside it by design.
         stats.oocore = oostats;
         Ok(ShardExecution {
-            pool_rows: (0..pool.len() as u32).collect(),
+            pool_rows,
             store: PoolStore::new(pool),
             runs,
         })
@@ -294,6 +304,47 @@ mod tests {
         assert_eq!(parse_budget("fast"), None);
         assert_eq!(parse_budget("12q"), None);
         assert_eq!(parse_budget("99999999999999999999g"), None);
+    }
+
+    /// Boundary repair's merge base is rebuilt from the shard slabs: a run
+    /// whose repair reads the whole pool spills each pool row once, in the
+    /// shard slabs, and loads each slab twice (to mine it, then to rebuild
+    /// the base). The output is the in-memory engine's.
+    #[test]
+    fn spill_holds_only_the_shard_slabs() {
+        use crate::{ExecutorKind, FusionConfig, Source};
+        let db = cfp_datagen::diag(40);
+        let cfg = FusionConfig::new(8, 20)
+            .with_pool_max_len(2)
+            .with_seed(7)
+            .with_shards(3);
+        let dir = std::env::temp_dir().join(format!("cfp-oocore-spill-{}", std::process::id()));
+        let oo = OocoreConfig::new(64 << 10)
+            .with_spill_dir(&dir)
+            .with_keep_spill(true);
+        let result = cfg
+            .engine(&db)
+            .with_executor(ExecutorKind::OutOfCore(oo))
+            .mine(Source::Transactions)
+            .expect("out-of-core run");
+        assert!(result.stats.initial_pool_size <= FULL_REPAIR_POOL_LIMIT);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["shard-0.slab", "shard-1.slab", "shard-2.slab"]);
+        let spilled: u64 = names
+            .iter()
+            .map(|name| std::fs::metadata(dir.join(name)).unwrap().len())
+            .sum();
+        let oos = &result.stats.oocore;
+        assert_eq!(oos.spill_bytes, spilled);
+        assert_eq!(oos.load_bytes, 2 * spilled);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let inm = cfg.engine(&db).mine(Source::Transactions).unwrap();
+        assert_eq!(result.patterns, inm.patterns);
     }
 
     #[test]

@@ -35,24 +35,26 @@
 //! The resident state is an `Arc<Generation>` behind an [`RwLock`] used
 //! only as a pointer cell: readers clone the `Arc` (microseconds) and then
 //! work lock-free on an immutable snapshot, so a query observes exactly one
-//! generation end to end — never a torn mix. A `reload` request enqueues a
-//! re-mine on a dedicated builder thread; the build runs entirely off-lock
-//! (through the [`crate::engine`] facade, optionally with a new RNG seed)
-//! and the finished generation is swapped in with one brief write lock.
-//! Readers never block on a build, and `reload wait=1` lets admin callers
-//! observe the swap synchronously.
+//! generation end to end — never a torn mix. Every generation is built on
+//! one dedicated builder thread, which owns a [`DeltaEngine`] over the
+//! served database from launch: it mines generation 0 before the daemon
+//! accepts its first connection. A `reload` request enqueues a re-mine on
+//! the builder; the build runs entirely off-lock (through the
+//! [`crate::engine`] facade, optionally with a new RNG seed) and the
+//! finished generation is swapped in with one brief write lock. Readers
+//! never block on a build, and `reload wait=1` lets admin callers observe
+//! the swap synchronously.
 //!
 //! The served database itself evolves through the same machinery: an
 //! `append` request stages a batch of new transactions (`txns=`,
 //! `;`-separated transactions of `,`-separated external labels) onto the
-//! builder thread, which owns the evolving database inside a
-//! [`DeltaEngine`] — the delta is absorbed at sublinear cost (clean
-//! first-item subtrees spliced; see [`crate::delta`]) and the resulting
-//! generation is
-//! **bit-identical** to what a cold daemon over the grown database would
-//! serve. `append wait=1` blocks until the new epoch is swapped in; a
-//! later `reload` re-mines the *grown* database from scratch (seed
-//! overrides still apply to that build only).
+//! builder thread, whose engine absorbs the delta at sublinear cost (clean
+//! first-item subtrees spliced; see [`crate::delta`]) — the first append
+//! included, since generation 0 was mined by the same engine. The
+//! resulting generation is **bit-identical** to what a cold daemon over the
+//! grown database would serve. `append wait=1` blocks until the new epoch
+//! is swapped in; a later `reload` re-mines the *grown* database from
+//! scratch (seed overrides still apply to that build only).
 //!
 //! # Sessions
 //!
@@ -278,7 +280,7 @@ struct Generation {
 
 impl Generation {
     /// Mines the database through the engine facade and freezes the result
-    /// as epoch `epoch`.
+    /// as epoch `epoch` (the `reload` path).
     fn build(db: &TransactionDb, config: &FusionConfig, epoch: u64) -> Self {
         let result = config
             .engine(db)
@@ -287,8 +289,8 @@ impl Generation {
         Self::from_patterns(&result.patterns, config, epoch)
     }
 
-    /// Freezes an already-mined result as epoch `epoch` (the `append` path:
-    /// the [`DeltaEngine`] did the mining incrementally).
+    /// Freezes an already-mined result as epoch `epoch` (generation 0 and
+    /// the `append` path: the builder's [`DeltaEngine`] did the mining).
     fn from_patterns(patterns: &[Pattern], config: &FusionConfig, epoch: u64) -> Self {
         let store = PoolStore::from_patterns(patterns);
         let mut rows: Vec<u32> = (0..store.len_rows() as u32).collect();
@@ -369,22 +371,21 @@ enum BuilderJob {
     },
 }
 
-/// Everything the connection handlers share, borrowed into the scoped
-/// per-connection threads.
-struct ServerState<'a> {
-    db: &'a TransactionDb,
-    config: FusionConfig,
-    /// Pointer cell for the current generation — held only long enough to
-    /// clone or replace the `Arc`, never across a build or a query.
-    generation: RwLock<Arc<Generation>>,
-    /// Epoch numbers are allocated here, by the builder thread only.
-    next_epoch: AtomicU64,
+/// Pointer cell for the current generation, shared by the builder (the
+/// only writer) and the connection handlers — held only long enough to
+/// clone or replace the `Arc`, never across a build or a query.
+type GenerationCell = Arc<RwLock<Arc<Generation>>>;
+
+/// Everything the connection handlers share, one `Arc` clone per scoped
+/// per-connection thread.
+struct ServerState {
+    generation: GenerationCell,
     sessions: Mutex<HashMap<String, Arc<Mutex<Session>>>>,
     connections: AtomicU64,
     requests: AtomicU64,
 }
 
-impl ServerState<'_> {
+impl ServerState {
     /// Snapshot of the current generation (an `Arc` clone; the read lock
     /// is held for the pointer copy only).
     fn generation(&self) -> Arc<Generation> {
@@ -413,25 +414,31 @@ impl ServerState<'_> {
 /// connection cap (if any) is reached: one handler thread per connection,
 /// all reading the same epoch-swappable generation. See the module docs
 /// for the protocol and concurrency model.
+///
+/// The builder thread mines generation 0 before the first connection is
+/// accepted; if that build fails, the builder's panic propagates out of
+/// this call and nothing is served.
 pub fn serve_queries(
     listener: TcpListener,
     db: &TransactionDb,
     config: FusionConfig,
     opts: &ServeOptions,
 ) -> io::Result<()> {
-    let state = ServerState {
-        db,
-        generation: RwLock::new(Arc::new(Generation::build(db, &config, 0))),
-        config,
-        next_epoch: AtomicU64::new(1),
-        sessions: Mutex::new(HashMap::new()),
-        connections: AtomicU64::new(0),
-        requests: AtomicU64::new(0),
-    };
     thread::scope(|scope| {
         let (reload_tx, reload_rx) = mpsc::channel::<BuilderJob>();
-        let st = &state;
-        scope.spawn(move || builder_loop(reload_rx, st));
+        let (cell_tx, cell_rx) = mpsc::channel::<GenerationCell>();
+        scope.spawn(move || builder_loop(db, config, reload_rx, cell_tx));
+        // A builder that failed to build generation 0 dropped `cell_tx`
+        // unwinding; the scope re-raises its panic when it joins it.
+        let Ok(generation) = cell_rx.recv() else {
+            return;
+        };
+        let state = Arc::new(ServerState {
+            generation,
+            sessions: Mutex::new(HashMap::new()),
+            connections: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
+        });
         let mut served = 0usize;
         for conn in listener.incoming() {
             let stream = match conn {
@@ -444,9 +451,9 @@ pub fn serve_queries(
                 }
             };
             state.connections.fetch_add(1, Ordering::Relaxed);
-            let tx = reload_tx.clone();
+            let (st, tx) = (Arc::clone(&state), reload_tx.clone());
             scope.spawn(move || {
-                if let Err(e) = handle_conn(stream, st, &tx, opts) {
+                if let Err(e) = handle_conn(stream, &st, &tx, opts) {
                     if opts.verbose {
                         eprintln!("cfp serve: {e}");
                     }
@@ -479,38 +486,49 @@ pub fn spawn_query_server(
     Ok((addr, handle))
 }
 
-/// The dedicated builder thread: drains `reload` / `append` jobs one at a
-/// time (so concurrent build requests serialize naturally), builds each new
+/// The dedicated builder thread: owns the [`DeltaEngine`] from launch,
+/// mines generation 0 itself and publishes it on `publish` as the shared
+/// generation cell, then drains `reload` / `append` jobs one at a time (so
+/// concurrent build requests serialize naturally), builds each new
 /// generation entirely off-lock, and swaps it in with one brief write.
 ///
-/// The builder is the sole owner of the *evolving* database: the first
-/// `append` clones the launch database into a [`DeltaEngine`], and every
-/// later append is absorbed incrementally there. A `reload` re-mines
-/// whatever the database currently is — grown or not — from scratch, so a
-/// seed override always sees the appended transactions too.
-fn builder_loop(rx: mpsc::Receiver<BuilderJob>, state: &ServerState<'_>) {
-    let mut engine: Option<DeltaEngine> = None;
+/// The builder is the sole owner of the *evolving* database: every append
+/// is absorbed incrementally by the engine that mined generation 0, so the
+/// first append costs a delta, not a re-mine of the launch database. A
+/// `reload` re-mines whatever the database currently is — grown or not —
+/// from scratch, so a seed override always sees the appended transactions
+/// too. Epoch numbers are allocated here, and only here.
+fn builder_loop(
+    db: &TransactionDb,
+    config: FusionConfig,
+    rx: mpsc::Receiver<BuilderJob>,
+    publish: mpsc::Sender<GenerationCell>,
+) {
+    let mut engine = DeltaEngine::new(db.clone(), config);
+    let base = engine.mine();
+    let gen = Generation::from_patterns(&base.patterns, engine.config(), 0);
+    let cell: GenerationCell = Arc::new(RwLock::new(Arc::new(gen)));
+    if publish.send(Arc::clone(&cell)).is_err() {
+        return;
+    }
+    let mut epoch = 0u64;
     while let Ok(job) = rx.recv() {
-        let epoch = state.next_epoch.fetch_add(1, Ordering::SeqCst);
+        epoch += 1;
         let (gen, ack) = match job {
             BuilderJob::Reload { seed, ack } => {
                 let config = match seed {
-                    Some(seed) => state.config.clone().with_seed(seed),
-                    None => state.config.clone(),
+                    Some(seed) => engine.config().clone().with_seed(seed),
+                    None => engine.config().clone(),
                 };
-                let db = engine.as_ref().map_or(state.db, DeltaEngine::db);
-                (Arc::new(Generation::build(db, &config, epoch)), ack)
+                (Generation::build(engine.db(), &config, epoch), ack)
             }
             BuilderJob::Append { delta, ack } => {
-                let engine = engine.get_or_insert_with(|| {
-                    DeltaEngine::new(state.db.clone(), state.config.clone())
-                });
                 let result = engine.append(&delta);
-                let gen = Generation::from_patterns(&result.patterns, &state.config, epoch);
-                (Arc::new(gen), ack)
+                let gen = Generation::from_patterns(&result.patterns, engine.config(), epoch);
+                (gen, ack)
             }
         };
-        *state.generation.write().expect("generation lock") = gen;
+        *cell.write().expect("generation lock") = Arc::new(gen);
         if let Some(ack) = ack {
             let _ = ack.send(epoch);
         }
@@ -523,7 +541,7 @@ fn builder_loop(rx: mpsc::Receiver<BuilderJob>, state: &ServerState<'_>) {
 /// failures (corrupt frame, timeout, mid-frame close) end it.
 fn handle_conn(
     stream: TcpStream,
-    state: &ServerState<'_>,
+    state: &ServerState,
     reload: &mpsc::Sender<BuilderJob>,
     opts: &ServeOptions,
 ) -> Result<(), String> {
@@ -600,7 +618,7 @@ fn bad_request(msg: impl Into<String>) -> Fault {
 /// text (handshake line carrying the answering epoch, then verb-specific
 /// `key=value` / `pattern ...` lines).
 fn dispatch(
-    state: &ServerState<'_>,
+    state: &ServerState,
     reload: &mpsc::Sender<BuilderJob>,
     req: &ServeRequest,
 ) -> Result<String, Fault> {
@@ -726,7 +744,7 @@ fn pattern_line(store: &PoolStore, row: u32, with_tids: bool, out: &mut String) 
 
 /// `topk`: the first `k` rows of the result ranking. With a session, the
 /// tenant's overlay rows compete in the same ranking.
-fn topk(state: &ServerState<'_>, gen: &Generation, req: &ServeRequest) -> Result<String, Fault> {
+fn topk(state: &ServerState, gen: &Generation, req: &ServeRequest) -> Result<String, Fault> {
     let k = parse_num::<usize>(req, "k")?.unwrap_or(DEFAULT_TOPK);
     let with_tids = req.get("tids") == Some("1");
     let render = |store: &PoolStore, rows: &[u32]| {
@@ -750,7 +768,7 @@ fn topk(state: &ServerState<'_>, gen: &Generation, req: &ServeRequest) -> Result
 
 /// `lookup`: exact-itemset support lookup through the interning table —
 /// O(1) against base and overlay, no scan.
-fn lookup(state: &ServerState<'_>, gen: &Generation, req: &ServeRequest) -> Result<String, Fault> {
+fn lookup(state: &ServerState, gen: &Generation, req: &ServeRequest) -> Result<String, Fault> {
     let items = parse_items(req)?;
     let render = |store: &PoolStore| match store.lookup(items.items()) {
         None => "found=0\n".to_string(),
@@ -773,7 +791,7 @@ fn lookup(state: &ServerState<'_>, gen: &Generation, req: &ServeRequest) -> Resu
 /// `contain`: every ranked pattern whose itemset contains the query items,
 /// in ranking order, capped at `limit` output rows (the match count is
 /// exact either way).
-fn contain(state: &ServerState<'_>, gen: &Generation, req: &ServeRequest) -> Result<String, Fault> {
+fn contain(state: &ServerState, gen: &Generation, req: &ServeRequest) -> Result<String, Fault> {
     let items = parse_items(req)?;
     let limit = parse_num::<usize>(req, "limit")?.unwrap_or(DEFAULT_CONTAIN_LIMIT);
     let render = |store: &PoolStore, rows: &[u32]| {
@@ -844,7 +862,7 @@ fn similar(gen: &Generation, req: &ServeRequest) -> Result<String, Fault> {
 
 /// `put`: interns a pattern into the named session's private overlay. The
 /// shared generation and every other session are unaffected.
-fn put(state: &ServerState<'_>, gen: &Generation, req: &ServeRequest) -> Result<String, Fault> {
+fn put(state: &ServerState, gen: &Generation, req: &ServeRequest) -> Result<String, Fault> {
     let name = req
         .get("session")
         .ok_or_else(|| bad_request("put requires a session"))?;
@@ -869,7 +887,7 @@ fn put(state: &ServerState<'_>, gen: &Generation, req: &ServeRequest) -> Result<
 }
 
 /// `stats`: one `key=value` line per counter.
-fn server_stats(state: &ServerState<'_>, gen: &Generation) -> String {
+fn server_stats(state: &ServerState, gen: &Generation) -> String {
     let sessions = state.sessions.lock().expect("session map lock").len();
     format!(
         "epoch={}\nrows={}\nuniverse={}\nradius={}\nsessions={sessions}\n\

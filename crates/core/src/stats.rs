@@ -79,7 +79,7 @@ pub struct ShardStats {
 }
 
 /// What the slab pattern store held and how it was mined (see
-/// [`crate::pool::PoolStore`] and [`cfp_miners::initial_pool_slab`]): the
+/// [`crate::pool::PoolStore`] and [`cfp_miners::delta_pool_slab`]): the
 /// pool's resident footprint and the parallel initial-pool mine's
 /// evidence. The store is append-only, so end-of-run sizes are peaks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -113,9 +113,12 @@ pub struct OocoreStats {
     pub passes: usize,
     /// Shard slabs spilled to disk.
     pub shards_spilled: usize,
-    /// Bytes written to spill files (shard slabs + the repair pool slab).
+    /// Bytes written to spill files: the shard slabs, which together hold
+    /// each pool row once.
     pub spill_bytes: u64,
-    /// Bytes read back from spill files across all passes.
+    /// Bytes read back from spill files: every shard slab once to mine it,
+    /// and once more to rebuild the merge base when boundary repair reads
+    /// the whole pool.
     pub load_bytes: u64,
     /// The configured resident-bytes budget (0 = unlimited: one pass).
     pub budget_bytes: u64,

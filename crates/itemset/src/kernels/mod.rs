@@ -41,12 +41,18 @@
 //! # Batched kernels and the alignment contract
 //!
 //! Pool scans are one-query-vs-many shaped, so alongside the single-pair
-//! kernels there are batched entry points ([`jaccard_within_batch`],
-//! [`jaccard_within_rows`], [`jaccard_batch`], [`jaccard_rows`],
-//! [`intersection_count_batch`]) that stream one query's words against rows
-//! of a contiguous structure-of-arrays slab (row `r` occupies
+//! kernels there are two batched entry points, both in gather form: they
+//! stream one query's words against an explicit list of rows of a
+//! contiguous structure-of-arrays slab (row `r` occupies
 //! `slab[r * words_per_row ..][.. words_per_row]`), resolving the backend
 //! once per batch and keeping the query hot in cache.
+//!
+//! * [`jaccard_within_rows`] — the radius-bounded test over suffix tables,
+//!   which the ball scan runs over each seed's unproven candidates.
+//! * [`jaccard_rows`] — full distances, which build the pivot tables and
+//!   an external seed's pivot row.
+//!
+//! A contiguous range `a..b` is just the row list `a..b`.
 //!
 //! Slabs produced by [`crate::aligned::AlignedWords`] (which includes every
 //! [`crate::TidSet`]'s blocks, zero-padded to a whole number of 32-byte
@@ -61,7 +67,6 @@ mod scalar;
 #[allow(unsafe_code)]
 mod x86;
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A tid-set kernel implementation, selectable at runtime.
@@ -220,32 +225,6 @@ impl Backend {
         }
     }
 
-    #[inline]
-    fn inter_at_least_suffix(
-        self,
-        a: &[u64],
-        suffix_a: &[u32],
-        b: &[u64],
-        suffix_b: &[u32],
-        threshold: usize,
-    ) -> Option<usize> {
-        match self {
-            Backend::Scalar => {
-                scalar::intersection_count_at_least_suffix(a, suffix_a, b, suffix_b, threshold)
-            }
-            // Both SIMD backends run the suffix kernel as the POPCNT loop:
-            // its per-superblock scalar bound check defeats vector
-            // popcounts (see the note in `x86`). Sound for Avx2 because
-            // `Backend::Avx2.supported()` requires `popcnt` too.
-            #[cfg(target_arch = "x86_64")]
-            Backend::Sse2 | Backend::Avx2 => {
-                x86::sse2_intersection_count_at_least_suffix(a, suffix_a, b, suffix_b, threshold)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => scalar::intersection_count_at_least_suffix(a, suffix_a, b, suffix_b, threshold),
-        }
-    }
-
     // -- public per-backend kernels (for tests and benchmarks) --------------
 
     /// `|a ∩ b|` with this backend. See [`intersection_count_words`].
@@ -272,23 +251,6 @@ impl Backend {
     ) -> Option<usize> {
         self.check();
         self.inter_at_least(a, card_a, b, card_b, threshold)
-    }
-
-    /// Bounded `|a ∩ b|` with suffix-table aborts, with this backend. See
-    /// [`intersection_count_at_least_suffix`].
-    ///
-    /// # Panics
-    /// Panics when the CPU does not support this backend.
-    pub fn intersection_count_at_least_suffix(
-        self,
-        a: &[u64],
-        suffix_a: &[u32],
-        b: &[u64],
-        suffix_b: &[u32],
-        threshold: usize,
-    ) -> Option<usize> {
-        self.check();
-        self.inter_at_least_suffix(a, suffix_a, b, suffix_b, threshold)
     }
 
     /// Jaccard distance with this backend. See [`jaccard_words`].
@@ -319,84 +281,16 @@ impl Backend {
         })
     }
 
-    /// Radius-bounded Jaccard over suffix tables with this backend. See
-    /// [`jaccard_within_suffix`].
-    ///
-    /// # Panics
-    /// Panics when the CPU does not support this backend.
-    pub fn jaccard_within_suffix(
-        self,
-        a: &[u64],
-        suffix_a: &[u32],
-        b: &[u64],
-        suffix_b: &[u32],
-        radius: f64,
-    ) -> Option<f64> {
-        self.check();
-        jaccard_within_via(suffix_a[0] as usize, suffix_b[0] as usize, radius, |t| {
-            self.inter_at_least_suffix(a, suffix_a, b, suffix_b, t)
-        })
-    }
-
     // -- public batched kernels ---------------------------------------------
 
-    /// One query vs the contiguous slab rows `rows`: calls `on_hit(row, d)`
-    /// for every row whose Jaccard distance to `q` is ≤ `radius`, in
-    /// ascending row order. See the module docs for the slab layout.
+    /// One query vs the slab rows listed in `rows` (gather form): calls
+    /// `on_hit(k, d)`, in list order, for every listed row whose Jaccard
+    /// distance to `q` is ≤ `radius`, where `k` indexes into `rows`. See
+    /// the module docs for the slab layout.
     ///
     /// `q_suf` / `sufs` are [`suffix_cards`] tables (`suf_stride` entries
     /// per row); cardinalities come from their leading entries. Acceptance
-    /// per row is exactly [`jaccard_within_suffix`]'s float comparison.
-    ///
-    /// # Panics
-    /// Panics when the CPU does not support this backend.
-    #[allow(clippy::too_many_arguments)]
-    pub fn jaccard_within_batch(
-        self,
-        q: &[u64],
-        q_suf: &[u32],
-        slab: &[u64],
-        sufs: &[u32],
-        suf_stride: usize,
-        words_per_row: usize,
-        rows: Range<usize>,
-        radius: f64,
-        on_hit: &mut dyn FnMut(usize, f64),
-    ) {
-        self.check();
-        match self {
-            // POPCNT loop for both SIMD backends — see `inter_at_least_suffix`.
-            #[cfg(target_arch = "x86_64")]
-            Backend::Sse2 | Backend::Avx2 => x86::sse2_jaccard_within_batch(
-                q,
-                q_suf,
-                slab,
-                sufs,
-                suf_stride,
-                words_per_row,
-                rows,
-                radius,
-                on_hit,
-            ),
-            _ => {
-                let q_card = q_suf[0] as usize;
-                let inv = radius_threshold_factor(radius);
-                for row in rows {
-                    let b = &slab[row * words_per_row..(row + 1) * words_per_row];
-                    let sb = &sufs[row * suf_stride..(row + 1) * suf_stride];
-                    let hit = jaccard_within_via_inv(q_card, sb[0] as usize, radius, inv, |t| {
-                        self.inter_at_least_suffix(q, q_suf, b, sb, t)
-                    });
-                    if let Some(d) = hit {
-                        on_hit(row, d);
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`Backend::jaccard_within_batch`] over an explicit row list (gather
-    /// form): `on_hit(k, d)` reports hits by index `k` into `rows`.
+    /// per row is exactly [`jaccard_within_words`]'s float comparison.
     ///
     /// # Panics
     /// Panics when the CPU does not support this backend.
@@ -415,7 +309,9 @@ impl Backend {
     ) {
         self.check();
         match self {
-            // POPCNT loop for both SIMD backends — see `inter_at_least_suffix`.
+            // Both SIMD backends run the POPCNT loop: the suffix kernel's
+            // per-superblock bound check defeats vector popcounts (see the
+            // note in `x86`). Sound for Avx2, whose support implies `popcnt`.
             #[cfg(target_arch = "x86_64")]
             Backend::Sse2 | Backend::Avx2 => x86::sse2_jaccard_within_rows(
                 q,
@@ -436,7 +332,7 @@ impl Backend {
                     let b = &slab[row * words_per_row..(row + 1) * words_per_row];
                     let sb = &sufs[row * suf_stride..(row + 1) * suf_stride];
                     let hit = jaccard_within_via_inv(q_card, sb[0] as usize, radius, inv, |t| {
-                        self.inter_at_least_suffix(q, q_suf, b, sb, t)
+                        scalar::intersection_count_at_least_suffix(q, q_suf, b, sb, t)
                     });
                     if let Some(d) = hit {
                         on_hit(k, d);
@@ -446,45 +342,9 @@ impl Backend {
         }
     }
 
-    /// Full (unbounded) Jaccard distances of one query vs the contiguous
-    /// slab rows `rows`, appended to `out` in row order. `cards[row]` is
-    /// each row's cached cardinality.
-    ///
-    /// # Panics
-    /// Panics when the CPU does not support this backend.
-    #[allow(clippy::too_many_arguments)]
-    pub fn jaccard_batch(
-        self,
-        q: &[u64],
-        q_card: usize,
-        slab: &[u64],
-        cards: &[u32],
-        words_per_row: usize,
-        rows: Range<usize>,
-        out: &mut Vec<f64>,
-    ) {
-        self.check();
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            Backend::Sse2 => {
-                x86::sse2_jaccard_batch(q, q_card, slab, cards, words_per_row, rows, out)
-            }
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => {
-                x86::avx2_jaccard_batch(q, q_card, slab, cards, words_per_row, rows, out)
-            }
-            _ => {
-                out.reserve(rows.len());
-                for row in rows {
-                    let b = &slab[row * words_per_row..(row + 1) * words_per_row];
-                    let inter = self.inter_count(q, b);
-                    out.push(jaccard_from_counts(inter, q_card, cards[row] as usize));
-                }
-            }
-        }
-    }
-
-    /// [`Backend::jaccard_batch`] over an explicit row list (gather form).
+    /// Full (unbounded) Jaccard distances of one query vs the slab rows
+    /// listed in `rows` (gather form), appended to `out` in list order.
+    /// `cards[row]` is each row's cached cardinality.
     ///
     /// # Panics
     /// Panics when the CPU does not support this backend.
@@ -518,33 +378,6 @@ impl Backend {
                     out.push(jaccard_from_counts(inter, q_card, cards[row] as usize));
                 }
             }
-        }
-    }
-
-    /// `|q ∩ row|` for each contiguous slab row in `rows`, appended to
-    /// `out` in row order.
-    ///
-    /// Convenience wrapper: unlike the Jaccard batch kernels, this loop
-    /// dispatches per row across the target-feature boundary (one
-    /// non-inlinable call per row on the SIMD backends). Nothing on a hot
-    /// path consumes raw batched counts today; if one appears, give this
-    /// the same in-context loop treatment as `jaccard_batch`.
-    ///
-    /// # Panics
-    /// Panics when the CPU does not support this backend.
-    pub fn intersection_count_batch(
-        self,
-        q: &[u64],
-        slab: &[u64],
-        words_per_row: usize,
-        rows: Range<usize>,
-        out: &mut Vec<u32>,
-    ) {
-        self.check();
-        out.reserve(rows.len());
-        for row in rows {
-            let b = &slab[row * words_per_row..(row + 1) * words_per_row];
-            out.push(self.inter_count(q, b) as u32);
         }
     }
 }
@@ -677,8 +510,8 @@ pub fn jaccard_within_words(
     })
 }
 
-/// Superblock width, in words, of the suffix-cardinality tables used by the
-/// arena kernels below.
+/// Superblock width, in words, of the suffix-cardinality tables that
+/// [`jaccard_within_rows`] reads.
 pub const SUFFIX_STRIDE: usize = 8;
 
 /// Suffix popcounts at [`SUFFIX_STRIDE`] granularity:
@@ -712,63 +545,6 @@ pub fn suffix_cards_into(words: &[u64], out: &mut Vec<u32>) {
     }
 }
 
-/// [`intersection_count_at_least_words`] with the bound coming from
-/// precomputed [`suffix_cards`] tables: one AND + one popcount per word
-/// (half the popcounts of a naive two-popcount Jaccard) plus one bound check
-/// per [`SUFFIX_STRIDE`] words.
-#[inline]
-pub fn intersection_count_at_least_suffix(
-    a: &[u64],
-    suffix_a: &[u32],
-    b: &[u64],
-    suffix_b: &[u32],
-    threshold: usize,
-) -> Option<usize> {
-    Backend::active().inter_at_least_suffix(a, suffix_a, b, suffix_b, threshold)
-}
-
-/// [`jaccard_within_words`] driven by the suffix-table kernel — the ball
-/// scan's hot path. Acceptance is the same exact float comparison.
-#[inline]
-pub fn jaccard_within_suffix(
-    a: &[u64],
-    suffix_a: &[u32],
-    b: &[u64],
-    suffix_b: &[u32],
-    radius: f64,
-) -> Option<f64> {
-    let backend = Backend::active();
-    jaccard_within_via(suffix_a[0] as usize, suffix_b[0] as usize, radius, |t| {
-        backend.inter_at_least_suffix(a, suffix_a, b, suffix_b, t)
-    })
-}
-
-/// [`Backend::jaccard_within_batch`] on the active backend.
-#[allow(clippy::too_many_arguments)]
-pub fn jaccard_within_batch(
-    q: &[u64],
-    q_suf: &[u32],
-    slab: &[u64],
-    sufs: &[u32],
-    suf_stride: usize,
-    words_per_row: usize,
-    rows: Range<usize>,
-    radius: f64,
-    on_hit: &mut dyn FnMut(usize, f64),
-) {
-    Backend::active().jaccard_within_batch(
-        q,
-        q_suf,
-        slab,
-        sufs,
-        suf_stride,
-        words_per_row,
-        rows,
-        radius,
-        on_hit,
-    );
-}
-
 /// [`Backend::jaccard_within_rows`] on the active backend.
 #[allow(clippy::too_many_arguments)]
 pub fn jaccard_within_rows(
@@ -795,20 +571,6 @@ pub fn jaccard_within_rows(
     );
 }
 
-/// [`Backend::jaccard_batch`] on the active backend.
-#[allow(clippy::too_many_arguments)]
-pub fn jaccard_batch(
-    q: &[u64],
-    q_card: usize,
-    slab: &[u64],
-    cards: &[u32],
-    words_per_row: usize,
-    rows: Range<usize>,
-    out: &mut Vec<f64>,
-) {
-    Backend::active().jaccard_batch(q, q_card, slab, cards, words_per_row, rows, out);
-}
-
 /// [`Backend::jaccard_rows`] on the active backend.
 #[allow(clippy::too_many_arguments)]
 pub fn jaccard_rows(
@@ -821,17 +583,6 @@ pub fn jaccard_rows(
     out: &mut Vec<f64>,
 ) {
     Backend::active().jaccard_rows(q, q_card, slab, cards, words_per_row, rows, out);
-}
-
-/// [`Backend::intersection_count_batch`] on the active backend.
-pub fn intersection_count_batch(
-    q: &[u64],
-    slab: &[u64],
-    words_per_row: usize,
-    rows: Range<usize>,
-    out: &mut Vec<u32>,
-) {
-    Backend::active().intersection_count_batch(q, slab, words_per_row, rows, out);
 }
 
 #[cfg(test)]
@@ -906,17 +657,17 @@ mod tests {
         let inter = intersection_count_words(&a, &b);
         for t in [0, 1, inter, inter + 1, inter + 50] {
             assert_eq!(
-                intersection_count_at_least_suffix(&a, &sa, &b, &sb, t),
+                scalar::intersection_count_at_least_suffix(&a, &sa, &b, &sb, t),
                 intersection_count_at_least_words(&a, ca, &b, cb, t),
                 "threshold {t}"
             );
         }
         for r in [0.0, 0.3, 0.5, 0.8, 0.95, 1.0] {
-            assert_eq!(
-                jaccard_within_suffix(&a, &sa, &b, &sb, r),
-                jaccard_within_words(&a, ca, &b, cb, r),
-                "radius {r}"
-            );
+            let mut got = None;
+            jaccard_within_rows(&a, &sa, &b, &sb, sb.len(), b.len(), &[0], r, &mut |_, d| {
+                got = Some(d)
+            });
+            assert_eq!(got, jaccard_within_words(&a, ca, &b, cb, r), "radius {r}");
         }
     }
 
@@ -987,18 +738,29 @@ mod tests {
                     Backend::Scalar.intersection_count_at_least(&a, ca, &b, cb, t),
                     "{backend:?} t={t}"
                 );
-                assert_eq!(
-                    backend.intersection_count_at_least_suffix(&a, &sa, &b, &sb, t),
-                    Backend::Scalar.intersection_count_at_least_suffix(&a, &sa, &b, &sb, t),
-                    "{backend:?} t={t}"
-                );
             }
             for r in [0.0, 0.4, 0.9, 1.0] {
+                let want = Backend::Scalar.jaccard_within(&a, ca, &b, cb, r);
                 assert_eq!(
                     backend.jaccard_within(&a, ca, &b, cb, r),
-                    Backend::Scalar.jaccard_within(&a, ca, &b, cb, r),
+                    want,
                     "{backend:?} r={r}"
                 );
+                // The suffix-table kernel, through the gather form over a
+                // one-row slab.
+                let mut got = None;
+                backend.jaccard_within_rows(
+                    &a,
+                    &sa,
+                    &b,
+                    &sb,
+                    sb.len(),
+                    b.len(),
+                    &[0],
+                    r,
+                    &mut |_, d| got = Some(d),
+                );
+                assert_eq!(got, want, "{backend:?} suffix r={r}");
             }
         }
     }
@@ -1026,81 +788,46 @@ mod tests {
         let qs = suffix_cards(&q);
         let radius = 0.7;
 
+        let row = |r: usize| &slab[r * words_per_row..(r + 1) * words_per_row];
+        let ascending: Vec<u32> = (0..n_rows as u32).collect();
+        let scattered: Vec<u32> = vec![7, 2, 2, 8, 0]; // repeats allowed
         for backend in Backend::available() {
-            // jaccard_within_batch ≡ per-row jaccard_within_suffix.
-            let mut got: Vec<(usize, f64)> = Vec::new();
-            backend.jaccard_within_batch(
-                &q,
-                &qs,
-                &slab,
-                &sufs,
-                suf_stride,
-                words_per_row,
-                0..n_rows,
-                radius,
-                &mut |row, d| got.push((row, d)),
-            );
-            let want: Vec<(usize, f64)> = (0..n_rows)
-                .filter_map(|r| {
-                    let b = &slab[r * words_per_row..(r + 1) * words_per_row];
-                    let sb = &sufs[r * suf_stride..(r + 1) * suf_stride];
-                    Backend::Scalar
-                        .jaccard_within_suffix(&q, &qs, b, sb, radius)
-                        .map(|d| (r, d))
-                })
-                .collect();
-            assert_eq!(got, want, "{backend:?}");
-
-            // Gather form over a scattered row list (repeats allowed).
-            let rows: Vec<u32> = vec![7, 2, 2, 8, 0];
-            let mut got_rows: Vec<(usize, f64)> = Vec::new();
-            backend.jaccard_within_rows(
-                &q,
-                &qs,
-                &slab,
-                &sufs,
-                suf_stride,
-                words_per_row,
-                &rows,
-                radius,
-                &mut |k, d| got_rows.push((k, d)),
-            );
-            let want_rows: Vec<(usize, f64)> = rows
-                .iter()
-                .enumerate()
-                .filter_map(|(k, &r)| {
-                    let r = r as usize;
-                    let b = &slab[r * words_per_row..(r + 1) * words_per_row];
-                    let sb = &sufs[r * suf_stride..(r + 1) * suf_stride];
-                    Backend::Scalar
-                        .jaccard_within_suffix(&q, &qs, b, sb, radius)
-                        .map(|d| (k, d))
-                })
-                .collect();
-            assert_eq!(got_rows, want_rows, "{backend:?} gather");
-
-            // Unbounded batch + gather + intersection counts.
-            let mut dists = Vec::new();
-            backend.jaccard_batch(&q, qc, &slab, &cards, words_per_row, 0..n_rows, &mut dists);
-            let mut dists_rows = Vec::new();
-            backend.jaccard_rows(&q, qc, &slab, &cards, words_per_row, &rows, &mut dists_rows);
-            let mut inters = Vec::new();
-            backend.intersection_count_batch(&q, &slab, words_per_row, 0..n_rows, &mut inters);
-            for r in 0..n_rows {
-                let b = &slab[r * words_per_row..(r + 1) * words_per_row];
-                assert_eq!(
-                    dists[r],
-                    Backend::Scalar.jaccard(&q, qc, b, cards[r] as usize),
-                    "{backend:?} row {r}"
+            for rows in [&ascending, &scattered] {
+                // jaccard_within_rows ≡ per-row jaccard_within.
+                let mut got: Vec<(usize, f64)> = Vec::new();
+                backend.jaccard_within_rows(
+                    &q,
+                    &qs,
+                    &slab,
+                    &sufs,
+                    suf_stride,
+                    words_per_row,
+                    rows,
+                    radius,
+                    &mut |k, d| got.push((k, d)),
                 );
-                assert_eq!(
-                    inters[r] as usize,
-                    Backend::Scalar.intersection_count(&q, b),
-                    "{backend:?} row {r}"
-                );
-            }
-            for (k, &r) in rows.iter().enumerate() {
-                assert_eq!(dists_rows[k], dists[r as usize], "{backend:?} gather {k}");
+                let want: Vec<(usize, f64)> = rows
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(k, &r)| {
+                        let r = r as usize;
+                        Backend::Scalar
+                            .jaccard_within(&q, qc, row(r), cards[r] as usize, radius)
+                            .map(|d| (k, d))
+                    })
+                    .collect();
+                assert_eq!(got, want, "{backend:?} rows {rows:?}");
+
+                // jaccard_rows ≡ per-row jaccard.
+                let mut dists = Vec::new();
+                backend.jaccard_rows(&q, qc, &slab, &cards, words_per_row, rows, &mut dists);
+                let want: Vec<f64> = rows
+                    .iter()
+                    .map(|&r| {
+                        Backend::Scalar.jaccard(&q, qc, row(r as usize), cards[r as usize] as usize)
+                    })
+                    .collect();
+                assert_eq!(dists, want, "{backend:?} rows {rows:?}");
             }
         }
     }
@@ -1115,9 +842,17 @@ mod tests {
         let mut hits = Vec::new();
         for backend in Backend::available() {
             hits.clear();
-            backend.jaccard_within_batch(&q, &qs, &slab, &sufs, 1, 0, 0..3, 0.5, &mut |r, d| {
-                hits.push((r, d))
-            });
+            backend.jaccard_within_rows(
+                &q,
+                &qs,
+                &slab,
+                &sufs,
+                1,
+                0,
+                &[0, 1, 2],
+                0.5,
+                &mut |k, d| hits.push((k, d)),
+            );
             // Empty vs empty: distance 0 everywhere.
             assert_eq!(hits, vec![(0, 0.0), (1, 0.0), (2, 0.0)], "{backend:?}");
         }

@@ -33,7 +33,6 @@
 
 use super::{jaccard_from_counts, jaccard_within_via_inv, radius_threshold_factor};
 use core::arch::x86_64::*;
-use core::ops::Range;
 
 // ---------------------------------------------------------------------------
 // Safe wrappers: the `Backend` dispatch calls these.
@@ -62,19 +61,6 @@ pub(super) fn sse2_intersection_count_at_least(
     debug_assert!(std::arch::is_x86_feature_detected!("popcnt"));
     // SAFETY: see the wrapper soundness note above.
     unsafe { popcnt_intersection_count_at_least(a, card_a, b, card_b, threshold) }
-}
-
-#[inline]
-pub(super) fn sse2_intersection_count_at_least_suffix(
-    a: &[u64],
-    suffix_a: &[u32],
-    b: &[u64],
-    suffix_b: &[u32],
-    threshold: usize,
-) -> Option<usize> {
-    debug_assert!(std::arch::is_x86_feature_detected!("popcnt"));
-    // SAFETY: see the wrapper soundness note above.
-    unsafe { popcnt_intersection_count_at_least_suffix(a, suffix_a, b, suffix_b, threshold) }
 }
 
 #[inline]
@@ -119,17 +105,6 @@ fn popcnt_intersection_count_at_least(
     threshold: usize,
 ) -> Option<usize> {
     super::scalar::intersection_count_at_least(a, card_a, b, card_b, threshold)
-}
-
-#[target_feature(enable = "popcnt")]
-fn popcnt_intersection_count_at_least_suffix(
-    a: &[u64],
-    suffix_a: &[u32],
-    b: &[u64],
-    suffix_b: &[u32],
-    threshold: usize,
-) -> Option<usize> {
-    super::scalar::intersection_count_at_least_suffix(a, suffix_a, b, suffix_b, threshold)
 }
 
 // ---------------------------------------------------------------------------
@@ -265,9 +240,9 @@ fn avx2_intersection_count_at_least_impl(
 // [`SUFFIX_STRIDE`] words, so a 256-bit popcount pays a high-latency
 // horizontal sum per superblock it cannot amortize — measured slower than
 // eight scalar `POPCNT`s on the early-exit-heavy ball-scan workload. The
-// AVX2 backend dispatches the suffix shapes to the SSE2/POPCNT loops
-// (sound: `Backend::Avx2.supported()` implies `popcnt`); its vector
-// popcounts serve the streaming kernels, where whole-slab accumulation
+// AVX2 backend dispatches the radius-bounded gather loop to the POPCNT
+// flavor (sound: `Backend::Avx2.supported()` implies `popcnt`); its vector
+// popcounts serve the streaming gather loop, where whole-row accumulation
 // amortizes the horizontal sum.
 
 // ---------------------------------------------------------------------------
@@ -283,48 +258,7 @@ fn avx2_intersection_count_at_least_impl(
 // points only after runtime feature detection.
 
 macro_rules! stream_loops {
-    (
-        $backend:expr, $feat:literal,
-        $jb_pub:ident / $jb_impl:ident,
-        $jr_pub:ident / $jr_impl:ident,
-        $count:path
-    ) => {
-        #[inline]
-        pub(super) fn $jb_pub(
-            q: &[u64],
-            q_card: usize,
-            slab: &[u64],
-            cards: &[u32],
-            words_per_row: usize,
-            rows: Range<usize>,
-            out: &mut Vec<f64>,
-        ) {
-            debug_assert!($backend.supported());
-            // SAFETY: see the wrapper soundness note at the top of the file.
-            unsafe { $jb_impl(q, q_card, slab, cards, words_per_row, rows, out) }
-        }
-
-        #[target_feature(enable = $feat)]
-        fn $jb_impl(
-            q: &[u64],
-            q_card: usize,
-            slab: &[u64],
-            cards: &[u32],
-            words_per_row: usize,
-            rows: Range<usize>,
-            out: &mut Vec<f64>,
-        ) {
-            out.reserve(rows.len());
-            for row in rows {
-                let b = &slab[row * words_per_row..(row + 1) * words_per_row];
-                out.push(jaccard_from_counts(
-                    $count(q, b),
-                    q_card,
-                    cards[row] as usize,
-                ));
-            }
-        }
-
+    ($backend:expr, $feat:literal, $jr_pub:ident / $jr_impl:ident, $count:path) => {
         #[inline]
         pub(super) fn $jr_pub(
             q: &[u64],
@@ -364,153 +298,77 @@ macro_rules! stream_loops {
     };
 }
 
-macro_rules! within_loops {
-    (
-        $backend:expr, $feat:literal,
-        $jwb_pub:ident / $jwb_impl:ident,
-        $jwr_pub:ident / $jwr_impl:ident,
-        $suffix:path
-    ) => {
-        #[inline]
-        #[allow(clippy::too_many_arguments)]
-        pub(super) fn $jwb_pub(
-            q: &[u64],
-            q_suf: &[u32],
-            slab: &[u64],
-            sufs: &[u32],
-            suf_stride: usize,
-            words_per_row: usize,
-            rows: Range<usize>,
-            radius: f64,
-            on_hit: &mut dyn FnMut(usize, f64),
-        ) {
-            debug_assert!($backend.supported());
-            // SAFETY: see the wrapper soundness note at the top of the file.
-            unsafe {
-                $jwb_impl(
-                    q,
-                    q_suf,
-                    slab,
-                    sufs,
-                    suf_stride,
-                    words_per_row,
-                    rows,
-                    radius,
-                    on_hit,
-                )
-            }
-        }
-
-        #[target_feature(enable = $feat)]
-        #[allow(clippy::too_many_arguments)]
-        fn $jwb_impl(
-            q: &[u64],
-            q_suf: &[u32],
-            slab: &[u64],
-            sufs: &[u32],
-            suf_stride: usize,
-            words_per_row: usize,
-            rows: Range<usize>,
-            radius: f64,
-            on_hit: &mut dyn FnMut(usize, f64),
-        ) {
-            let q_card = q_suf[0] as usize;
-            let inv = radius_threshold_factor(radius);
-            for row in rows {
-                let b = &slab[row * words_per_row..(row + 1) * words_per_row];
-                let sb = &sufs[row * suf_stride..(row + 1) * suf_stride];
-                let hit = jaccard_within_via_inv(q_card, sb[0] as usize, radius, inv, |t| {
-                    $suffix(q, q_suf, b, sb, t)
-                });
-                if let Some(d) = hit {
-                    on_hit(row, d);
-                }
-            }
-        }
-
-        #[inline]
-        #[allow(clippy::too_many_arguments)]
-        pub(super) fn $jwr_pub(
-            q: &[u64],
-            q_suf: &[u32],
-            slab: &[u64],
-            sufs: &[u32],
-            suf_stride: usize,
-            words_per_row: usize,
-            rows: &[u32],
-            radius: f64,
-            on_hit: &mut dyn FnMut(usize, f64),
-        ) {
-            debug_assert!($backend.supported());
-            // SAFETY: see the wrapper soundness note at the top of the file.
-            unsafe {
-                $jwr_impl(
-                    q,
-                    q_suf,
-                    slab,
-                    sufs,
-                    suf_stride,
-                    words_per_row,
-                    rows,
-                    radius,
-                    on_hit,
-                )
-            }
-        }
-
-        #[target_feature(enable = $feat)]
-        #[allow(clippy::too_many_arguments)]
-        fn $jwr_impl(
-            q: &[u64],
-            q_suf: &[u32],
-            slab: &[u64],
-            sufs: &[u32],
-            suf_stride: usize,
-            words_per_row: usize,
-            rows: &[u32],
-            radius: f64,
-            on_hit: &mut dyn FnMut(usize, f64),
-        ) {
-            let q_card = q_suf[0] as usize;
-            let inv = radius_threshold_factor(radius);
-            for (k, &row) in rows.iter().enumerate() {
-                let row = row as usize;
-                let b = &slab[row * words_per_row..(row + 1) * words_per_row];
-                let sb = &sufs[row * suf_stride..(row + 1) * suf_stride];
-                let hit = jaccard_within_via_inv(q_card, sb[0] as usize, radius, inv, |t| {
-                    $suffix(q, q_suf, b, sb, t)
-                });
-                if let Some(d) = hit {
-                    on_hit(k, d);
-                }
-            }
-        }
-    };
-}
-
 stream_loops!(
     super::Backend::Sse2,
     "popcnt",
-    sse2_jaccard_batch / popcnt_jaccard_batch_impl,
     sse2_jaccard_rows / popcnt_jaccard_rows_impl,
     super::scalar::intersection_count
-);
-
-// The within (bounded suffix) loops exist only in the POPCNT flavor; the
-// AVX2 backend dispatches to them too (see the note above the streaming
-// kernels).
-within_loops!(
-    super::Backend::Sse2,
-    "popcnt",
-    sse2_jaccard_within_batch / popcnt_jaccard_within_batch_impl,
-    sse2_jaccard_within_rows / popcnt_jaccard_within_rows_impl,
-    super::scalar::intersection_count_at_least_suffix
 );
 
 stream_loops!(
     super::Backend::Avx2,
     "avx2,popcnt",
-    avx2_jaccard_batch / avx2_jaccard_batch_impl,
     avx2_jaccard_rows / avx2_jaccard_rows_impl,
     avx2_intersection_count_impl
 );
+
+// The radius-bounded gather loop exists only in the POPCNT flavor; the
+// AVX2 backend dispatches to it too (see the note above).
+
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub(super) fn sse2_jaccard_within_rows(
+    q: &[u64],
+    q_suf: &[u32],
+    slab: &[u64],
+    sufs: &[u32],
+    suf_stride: usize,
+    words_per_row: usize,
+    rows: &[u32],
+    radius: f64,
+    on_hit: &mut dyn FnMut(usize, f64),
+) {
+    debug_assert!(std::arch::is_x86_feature_detected!("popcnt"));
+    // SAFETY: see the wrapper soundness note at the top of the file.
+    unsafe {
+        popcnt_jaccard_within_rows_impl(
+            q,
+            q_suf,
+            slab,
+            sufs,
+            suf_stride,
+            words_per_row,
+            rows,
+            radius,
+            on_hit,
+        )
+    }
+}
+
+#[target_feature(enable = "popcnt")]
+#[allow(clippy::too_many_arguments)]
+fn popcnt_jaccard_within_rows_impl(
+    q: &[u64],
+    q_suf: &[u32],
+    slab: &[u64],
+    sufs: &[u32],
+    suf_stride: usize,
+    words_per_row: usize,
+    rows: &[u32],
+    radius: f64,
+    on_hit: &mut dyn FnMut(usize, f64),
+) {
+    let q_card = q_suf[0] as usize;
+    let inv = radius_threshold_factor(radius);
+    for (k, &row) in rows.iter().enumerate() {
+        let row = row as usize;
+        let b = &slab[row * words_per_row..(row + 1) * words_per_row];
+        let sb = &sufs[row * suf_stride..(row + 1) * suf_stride];
+        let hit = jaccard_within_via_inv(q_card, sb[0] as usize, radius, inv, |t| {
+            super::scalar::intersection_count_at_least_suffix(q, q_suf, b, sb, t)
+        });
+        if let Some(d) = hit {
+            on_hit(k, d);
+        }
+    }
+}

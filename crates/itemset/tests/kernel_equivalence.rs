@@ -2,7 +2,7 @@
 //! bit-for-bit equivalent to the scalar reference on random word slabs —
 //! same integer counts, same `Option` outcomes at every threshold, same
 //! float distances — including ragged tail words (lengths that are not lane
-//! multiples), empty sets, and the batched one-query-vs-many entry points.
+//! multiples), empty sets, and the batched one-query-vs-many gather kernels.
 //!
 //! Inputs are plain tuple strategies (no `prop_flat_map`), so the compat
 //! shim's shrinking reports small counterexamples on failure.
@@ -28,8 +28,8 @@ fn popcount(words: &[u64]) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Single-pair kernels: counts, bounded counts, suffix-bounded counts,
-    /// and radius tests agree with scalar for every available backend.
+    /// Single-pair kernels: counts, bounded counts, and radius tests (plain
+    /// and suffix-bounded) agree with scalar for every available backend.
     #[test]
     fn single_pair_kernels_match_scalar(
         a_raw in proptest::collection::vec(any::<u64>(), 0..24),
@@ -59,11 +59,6 @@ proptest! {
                     scalar.intersection_count_at_least(&a, ca, &b, cb, t),
                     "{:?} t={}", backend, t
                 );
-                prop_assert_eq!(
-                    backend.intersection_count_at_least_suffix(&a, &sa, &b, &sb, t),
-                    scalar.intersection_count_at_least_suffix(&a, &sa, &b, &sb, t),
-                    "{:?} suffix t={}", backend, t
-                );
             }
             prop_assert_eq!(
                 backend.jaccard(&a, ca, &b, cb).to_bits(),
@@ -75,17 +70,25 @@ proptest! {
                 scalar.jaccard_within(&a, ca, &b, cb, radius).map(f64::to_bits),
                 "{:?} r={}", backend, radius
             );
+            // The suffix-bounded kernel, through the gather form over a
+            // one-row slab holding `b`.
+            let mut got = None;
+            backend.jaccard_within_rows(
+                &a, &sa, &b, &sb, sb.len(), n, &[0], radius,
+                &mut |_, d| got = Some(d.to_bits()),
+            );
             prop_assert_eq!(
-                backend.jaccard_within_suffix(&a, &sa, &b, &sb, radius).map(f64::to_bits),
-                scalar.jaccard_within_suffix(&a, &sa, &b, &sb, radius).map(f64::to_bits),
+                got,
+                scalar.jaccard_within(&a, ca, &b, cb, radius).map(f64::to_bits),
                 "{:?} suffix r={}", backend, radius
             );
         }
     }
 
     /// Batched kernels: one query streamed over a random slab returns
-    /// exactly what per-pair scalar calls return, for every backend, on
-    /// both the contiguous and the gather (row-list) forms.
+    /// exactly what per-pair scalar calls return, for every backend, over
+    /// an ascending row list (a contiguous range) and a scattered one with
+    /// a repeat.
     #[test]
     fn batched_kernels_match_scalar(
         slab_raw in proptest::collection::vec(any::<u64>(), 0..72),
@@ -115,74 +118,40 @@ proptest! {
         }
         let radius = raw_r as f64 / 20.0;
         let scalar = Backend::Scalar;
+        let row = |r: u32| &slab[r as usize * words_per_row..(r as usize + 1) * words_per_row];
 
-        // Scalar per-pair reference.
-        let want_within: Vec<(usize, u64)> = (0..n_rows)
-            .filter_map(|r| {
-                let row = &slab[r * words_per_row..(r + 1) * words_per_row];
-                let srow = &sufs[r * suf_stride..(r + 1) * suf_stride];
-                scalar
-                    .jaccard_within_suffix(&q, &qs, row, srow, radius)
-                    .map(|d| (r, d.to_bits()))
-            })
-            .collect();
-        let want_dists: Vec<u64> = (0..n_rows)
-            .map(|r| {
-                let row = &slab[r * words_per_row..(r + 1) * words_per_row];
-                scalar.jaccard(&q, qc, row, cards[r] as usize).to_bits()
-            })
-            .collect();
-        let want_inters: Vec<u32> = (0..n_rows)
-            .map(|r| {
-                let row = &slab[r * words_per_row..(r + 1) * words_per_row];
-                scalar.intersection_count(&q, row) as u32
-            })
-            .collect();
+        let ascending: Vec<u32> = (0..n_rows as u32).collect();
         // A scattered row list with a repeat, when rows exist.
-        let row_list: Vec<u32> = (0..n_rows as u32).rev().chain(0..n_rows.min(1) as u32).collect();
-
-        for backend in Backend::available() {
-            let mut got = Vec::new();
-            backend.jaccard_within_batch(
-                &q, &qs, &slab, &sufs, suf_stride, words_per_row, 0..n_rows, radius,
-                &mut |r, d| got.push((r, d.to_bits())),
-            );
-            prop_assert_eq!(&got, &want_within, "{:?} within_batch", backend);
-
-            let mut got_rows = Vec::new();
-            backend.jaccard_within_rows(
-                &q, &qs, &slab, &sufs, suf_stride, words_per_row, &row_list, radius,
-                &mut |k, d| got_rows.push((k, d.to_bits())),
-            );
-            let want_rows: Vec<(usize, u64)> = row_list
+        let scattered: Vec<u32> = (0..n_rows as u32).rev().chain(0..n_rows.min(1) as u32).collect();
+        for rows in [&ascending, &scattered] {
+            // Scalar per-pair reference.
+            let want_within: Vec<(usize, u64)> = rows
                 .iter()
                 .enumerate()
                 .filter_map(|(k, &r)| {
-                    want_within
-                        .iter()
-                        .find(|&&(wr, _)| wr == r as usize)
-                        .map(|&(_, bits)| (k, bits))
+                    scalar
+                        .jaccard_within(&q, qc, row(r), cards[r as usize] as usize, radius)
+                        .map(|d| (k, d.to_bits()))
                 })
                 .collect();
-            prop_assert_eq!(&got_rows, &want_rows, "{:?} within_rows", backend);
-
-            let mut dists = Vec::new();
-            backend.jaccard_batch(&q, qc, &slab, &cards, words_per_row, 0..n_rows, &mut dists);
-            let got_bits: Vec<u64> = dists.iter().map(|d| d.to_bits()).collect();
-            prop_assert_eq!(&got_bits, &want_dists, "{:?} jaccard_batch", backend);
-
-            let mut dists_rows = Vec::new();
-            backend.jaccard_rows(&q, qc, &slab, &cards, words_per_row, &row_list, &mut dists_rows);
-            let got_row_bits: Vec<u64> = dists_rows.iter().map(|d| d.to_bits()).collect();
-            let want_row_bits: Vec<u64> = row_list
+            let want_dists: Vec<u64> = rows
                 .iter()
-                .map(|&r| want_dists[r as usize])
+                .map(|&r| scalar.jaccard(&q, qc, row(r), cards[r as usize] as usize).to_bits())
                 .collect();
-            prop_assert_eq!(&got_row_bits, &want_row_bits, "{:?} jaccard_rows", backend);
 
-            let mut inters = Vec::new();
-            backend.intersection_count_batch(&q, &slab, words_per_row, 0..n_rows, &mut inters);
-            prop_assert_eq!(&inters, &want_inters, "{:?} intersection_count_batch", backend);
+            for backend in Backend::available() {
+                let mut got = Vec::new();
+                backend.jaccard_within_rows(
+                    &q, &qs, &slab, &sufs, suf_stride, words_per_row, rows, radius,
+                    &mut |k, d| got.push((k, d.to_bits())),
+                );
+                prop_assert_eq!(&got, &want_within, "{:?} jaccard_within_rows {:?}", backend, rows);
+
+                let mut dists = Vec::new();
+                backend.jaccard_rows(&q, qc, &slab, &cards, words_per_row, rows, &mut dists);
+                let got_bits: Vec<u64> = dists.iter().map(|d| d.to_bits()).collect();
+                prop_assert_eq!(&got_bits, &want_dists, "{:?} jaccard_rows {:?}", backend, rows);
+            }
         }
     }
 }

@@ -8,15 +8,19 @@
 //! entry keeps the tid-set Pattern-Fusion needs for distance computations and
 //! fusion.
 //!
-//! Two entry points share one DFS:
+//! One miner, [`delta_pool_slab`], builds every pool. It plans each
+//! first-item subtree as *splice* (bulk-copy its rows from the previous
+//! generation's slab) or *mine* (expand it with the DFS), mines the planned
+//! subtrees **in parallel** over the work-stealing queue
+//! ([`crate::parallel`]), each into a private slab segment, and assembles
+//! the plan in first-item order, so the row sequence is bit-for-bit the
+//! serial DFS emit order at any thread count. A full mine is the plan over
+//! an empty previous generation: every subtree is mined.
 //!
-//! * [`initial_pool_slab`] — the engine's path: mines **in parallel**
-//!   directly into a columnar [`PatternPool`] slab. The per-item DFS
-//!   subtrees are independent, so they are distributed over the
-//!   work-stealing queue ([`crate::parallel`]); each worker emits into a
-//!   private slab segment and the segments are spliced in subtree order, so
-//!   the row sequence is bit-for-bit the serial DFS emit order at any
-//!   thread count.
+//! * [`initial_pool_slab`] — a full mine from a transaction database: it
+//!   builds the vertical index and mines from an empty previous generation.
+//!   The engine, which already holds the index, calls [`delta_pool_slab`]
+//!   directly.
 //! * [`initial_pool`] — the `Vec<PoolPattern>` reference form, kept for
 //!   miners-agreement tests and harnesses that want owned patterns. Same
 //!   order, same tid-sets.
@@ -27,6 +31,7 @@
 
 use crate::parallel::run_tasks;
 use cfp_itemset::{Itemset, PatternPool, TidSet, TransactionDb, VerticalIndex};
+use std::ops::Range;
 use std::time::Duration;
 use std::time::Instant;
 
@@ -46,89 +51,180 @@ impl PoolPattern {
     }
 }
 
-/// What [`initial_pool_slab`] did: evidence for the parallel mine that the
+/// What [`delta_pool_slab`] did: evidence for the parallel mine that the
 /// engine rolls into its run statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolMineStats {
     /// Worker threads the DFS fan-out used.
     pub workers: usize,
-    /// Per-item subtree tasks mined.
+    /// First-item subtrees mined rather than spliced (every frequent item
+    /// in a full mine).
     pub subtrees: usize,
-    /// First-item subtrees that were split one level deeper (depth-2
+    /// Mined first-item subtrees that were split one level deeper (depth-2
     /// head/sub tasks) to balance a skewed fan-out.
     pub split_subtrees: usize,
     /// Wall-clock time of the parallel subtree mining phase.
     pub mine_time: Duration,
-    /// Wall-clock time splicing worker segments into the final slab (plus
-    /// the stratified permutation when requested).
+    /// Wall-clock time assembling worker segments and spliced spans into
+    /// the final slab (plus the stratified permutation when requested).
     pub splice_time: Duration,
-    /// Rows [`delta_pool_slab`] bulk-copied from the previous generation's
-    /// slab (0 for a full mine).
+    /// Rows bulk-copied from the previous generation's slab (0 for a full
+    /// mine).
     pub rows_spliced: usize,
 }
 
 /// Mines all frequent patterns of size ≤ `max_len` with their tid-sets into
 /// a columnar [`PatternPool`], fanning the per-item DFS subtrees out over
-/// `threads` workers.
+/// `threads` workers: builds `db`'s vertical index and runs
+/// [`delta_pool_slab`] from an empty previous generation.
 ///
 /// Rows are emitted in lexicographic itemset order — exactly the serial DFS
-/// order, at any thread count: subtree `i` (all patterns whose smallest item
-/// is frequent item `i`) is mined into its own slab segment, and segments
-/// are spliced in subtree order.
+/// order, at any thread count.
 pub fn initial_pool_slab(
     db: &TransactionDb,
     min_count: usize,
     max_len: usize,
     threads: usize,
 ) -> (PatternPool, PoolMineStats) {
-    let min_count = min_count.max(1);
-    let universe = db.len();
     let index = VerticalIndex::new(db);
-    let frequent: Vec<(u32, &TidSet)> = (0..db.num_items())
+    let empty = PatternPool::new(db.len());
+    delta_pool_slab(&index, min_count, max_len, threads, &empty, &[], &[])
+}
+
+/// First-item subtree spans of a **plain** (DFS emit order) pool slab:
+/// `(item, rows)` per frequent first item, ascending, covering the slab.
+///
+/// The plain emit order opens every first-item subtree with its singleton
+/// row, so each span starts at a 1-item row and runs to the next one —
+/// these are exactly the splice units of the incremental re-mine
+/// ([`delta_pool_slab`]). Meaningless on a stratified/permuted slab.
+pub fn subtree_spans(pool: &PatternPool) -> Vec<(u32, Range<u32>)> {
+    let rows = pool.len() as u32;
+    let mut spans: Vec<(u32, Range<u32>)> = Vec::new();
+    for r in 0..rows {
+        let items = pool.items(r);
+        if items.len() == 1 {
+            if let Some(last) = spans.last_mut() {
+                last.1.end = r;
+            }
+            spans.push((items[0], r..rows));
+        } else {
+            debug_assert!(!spans.is_empty(), "plain pools open with a singleton row");
+        }
+    }
+    spans
+}
+
+/// The one pool miner: mines all frequent patterns of size ≤ `max_len`
+/// of `index`'s database, re-mining only the first-item subtrees a database
+/// delta touched and splicing every untouched subtree forward from the
+/// previous generation's plain slab — bit-for-bit identical to a full mine
+/// of the same database.
+///
+/// Inputs: `index` is the vertical index of the current (possibly grown,
+/// [`VerticalIndex::absorb`]) database; `old_pool` is the previous
+/// generation's plain slab with `old_spans` its [`subtree_spans`]; `dirty`
+/// lists (sorted, ascending) every item with at least one occurrence among
+/// the appended transactions. Appends only ever grow supports, so a
+/// frequent item outside `dirty` kept its exact support set and — because a
+/// clean prefix tid-set contains no appended tid, while any newly frequent
+/// rightward extension has fewer than `min_count` old tids — its whole
+/// subtree re-emits the previous rows zero-extended, which is what
+/// [`PatternPool::splice_rows`] bulk-copies. Dirty subtrees (including
+/// newly frequent items, which are always dirty, and every item without an
+/// old span) are mined with the DFS and assembled at their item's position
+/// in the ascending first-item order, reproducing the serial emit sequence.
+/// With no old spans every subtree is mined: that is the full mine.
+///
+/// The mined subtrees are independent tasks on the work-stealing queue.
+/// Subtrees shrink with the item position (extensions only look
+/// rightward), which keeps workers busy on the long early subtrees —
+/// except when one subtree dominates outright. A deterministic work
+/// estimate (support × rightward fan-out) spots that skew: a mined subtree
+/// estimated above a quarter of the mined total ships as a head task
+/// emitting just `{i}` plus one task per depth-2 branch `{i, j}`. The task
+/// list and each task's emit sequence are functions of pool content alone,
+/// and assembling head + branches in order reproduces the whole-subtree
+/// emit sequence byte for byte, so the split never changes the rows.
+///
+/// The returned [`PoolMineStats`] counts mined subtrees in `subtrees` and
+/// the rows of spliced subtrees in `rows_spliced`.
+pub fn delta_pool_slab(
+    index: &VerticalIndex,
+    min_count: usize,
+    max_len: usize,
+    threads: usize,
+    old_pool: &PatternPool,
+    old_spans: &[(u32, Range<u32>)],
+    dirty: &[u32],
+) -> (PatternPool, PoolMineStats) {
+    let min_count = min_count.max(1);
+    let universe = index.num_transactions();
+    debug_assert!(
+        dirty.windows(2).all(|w| w[0] < w[1]),
+        "dirty must be sorted"
+    );
+    let frequent: Vec<(u32, &TidSet)> = (0..index.num_items())
         .filter_map(|i| {
             let t = index.item_tidset(i);
             (t.count() >= min_count).then_some((i, t))
         })
         .collect();
 
+    // Plan each first-item subtree: splice the old span when the item is
+    // clean, mine it when dirty or without an old span (mining is always
+    // correct, splicing is the shortcut). Both the span list and the
+    // frequent list ascend by item, so one merge walk pairs them.
+    let mut spans = old_spans.iter().peekable();
+    let splices: Vec<Option<Range<u32>>> = frequent
+        .iter()
+        .map(|&(item, _)| {
+            while spans.next_if(|(i, _)| *i < item).is_some() {}
+            spans
+                .next_if(|(i, _)| *i == item)
+                .filter(|_| dirty.binary_search(&item).is_err())
+                .map(|(_, r)| r.clone())
+        })
+        .collect();
     let mut stats = PoolMineStats {
         workers: threads.max(1),
-        subtrees: frequent.len(),
+        subtrees: splices.iter().filter(|s| s.is_none()).count(),
         ..Default::default()
     };
     if max_len == 0 || frequent.is_empty() {
         return (PatternPool::new(universe), stats);
     }
 
-    // One task per frequent first item: the subtree of every pattern whose
-    // smallest item is that item. Subtrees shrink with the item position
-    // (extensions only look rightward), so the work-stealing queue keeps
-    // workers busy on the long early subtrees — except when one subtree
-    // dominates outright. A deterministic work estimate (support × rightward
-    // fan-out) spots that skew, and any subtree estimated above a quarter of
-    // the total is split one level deeper: a head task emitting just `{i}`
-    // plus one task per depth-2 branch `{i, j}`. The task list and each
-    // task's emit sequence are functions of pool content alone, and splicing
-    // head + branches in order reproduces the whole-subtree emit sequence
-    // byte for byte, so the row order stays the serial DFS order no matter
-    // how (or whether) the split decision fires.
-    let split_eligible = threads > 1 && max_len >= 2 && frequent.len() > 1;
-    let estimate: Vec<u64> = frequent
-        .iter()
-        .enumerate()
-        .map(|(pos, (_, t))| t.count() as u64 * (frequent.len() - pos - 1) as u64)
-        .collect();
-    let total_estimate: u64 = estimate.iter().sum();
-    let mut tasks: Vec<SubtreeTask> = Vec::with_capacity(frequent.len());
-    for (pos, est) in estimate.iter().enumerate() {
-        if split_eligible && est.saturating_mul(4) > total_estimate {
-            stats.split_subtrees += 1;
-            tasks.push(SubtreeTask::Head(pos));
-            tasks.extend((pos + 1..frequent.len()).map(|next| SubtreeTask::Sub(pos, next)));
-        } else {
-            tasks.push(SubtreeTask::Whole(pos));
+    let estimate = |pos: usize| frequent[pos].1.count() as u64 * (frequent.len() - pos - 1) as u64;
+    let mined_estimate: u64 = (0..frequent.len())
+        .filter(|&pos| splices[pos].is_none())
+        .map(estimate)
+        .sum();
+    let split_eligible = threads > 1 && max_len >= 2;
+    let mut steps: Vec<Step> = Vec::with_capacity(frequent.len());
+    for (pos, splice) in splices.into_iter().enumerate() {
+        match splice {
+            Some(rows) => {
+                stats.rows_spliced += rows.len();
+                steps.push(Step::Splice(rows));
+            }
+            None if split_eligible && estimate(pos).saturating_mul(4) > mined_estimate => {
+                stats.split_subtrees += 1;
+                steps.push(Step::Mine(SubtreeTask::Head(pos)));
+                steps.extend(
+                    (pos + 1..frequent.len()).map(|next| Step::Mine(SubtreeTask::Sub(pos, next))),
+                );
+            }
+            None => steps.push(Step::Mine(SubtreeTask::Whole(pos))),
         }
     }
+    let tasks: Vec<SubtreeTask> = steps
+        .iter()
+        .filter_map(|step| match step {
+            Step::Mine(task) => Some(*task),
+            Step::Splice(_) => None,
+        })
+        .collect();
 
     let t_mine = Instant::now();
     let frequent_ref = &frequent;
@@ -181,163 +277,13 @@ pub fn initial_pool_slab(
     stats.mine_time = t_mine.elapsed();
 
     let t_splice = Instant::now();
-    let rows = segments.iter().map(PatternPool::len).sum();
-    let mut pool = PatternPool::with_capacity(universe, rows);
-    for seg in &segments {
-        pool.append_pool(seg);
-    }
-    stats.splice_time = t_splice.elapsed();
-    (pool, stats)
-}
-
-/// First-item subtree spans of a **plain** (DFS emit order) pool slab:
-/// `(item, rows)` per frequent first item, ascending, covering the slab.
-///
-/// The plain emit order opens every first-item subtree with its singleton
-/// row, so each span starts at a 1-item row and runs to the next one —
-/// these are exactly the splice units of the incremental re-mine
-/// ([`delta_pool_slab`]). Meaningless on a stratified/permuted slab.
-pub fn subtree_spans(pool: &PatternPool) -> Vec<(u32, std::ops::Range<u32>)> {
-    let rows = pool.len() as u32;
-    let mut spans: Vec<(u32, std::ops::Range<u32>)> = Vec::new();
-    for r in 0..rows {
-        let items = pool.items(r);
-        if items.len() == 1 {
-            if let Some(last) = spans.last_mut() {
-                last.1.end = r;
-            }
-            spans.push((items[0], r..rows));
-        } else {
-            debug_assert!(!spans.is_empty(), "plain pools open with a singleton row");
-        }
-    }
-    spans
-}
-
-/// Re-mines only the first-item subtrees a database delta touched, splicing
-/// every untouched subtree forward from the previous generation's plain
-/// slab — the incremental counterpart of [`initial_pool_slab`], bit-for-bit
-/// identical to it on the grown database.
-///
-/// Inputs: `index` is the vertical index of the **grown** database
-/// ([`VerticalIndex::absorb`]); `old_pool` is the previous generation's
-/// plain slab with `old_spans` its [`subtree_spans`]; `dirty` lists
-/// (sorted, ascending) every item with at least one occurrence among the
-/// appended transactions. Appends only ever grow supports, so a frequent
-/// item outside `dirty` kept its exact support set and — because a clean
-/// prefix tid-set contains no appended tid, while any newly frequent
-/// rightward extension has fewer than `min_count` old tids — its whole
-/// subtree re-emits the previous rows zero-extended, which is what
-/// [`PatternPool::splice_rows`] bulk-copies. Dirty subtrees (including
-/// newly frequent items, which are always dirty) are re-mined with the
-/// same DFS as the full miner and spliced at their item's position in the
-/// ascending first-item order, reproducing the serial emit sequence.
-///
-/// The returned [`PoolMineStats`] counts re-mined subtrees in `subtrees`
-/// and the rows of spliced subtrees in `rows_spliced`.
-pub fn delta_pool_slab(
-    index: &VerticalIndex,
-    min_count: usize,
-    max_len: usize,
-    threads: usize,
-    old_pool: &PatternPool,
-    old_spans: &[(u32, std::ops::Range<u32>)],
-    dirty: &[u32],
-) -> (PatternPool, PoolMineStats) {
-    let min_count = min_count.max(1);
-    let universe = index.num_transactions();
-    debug_assert!(
-        dirty.windows(2).all(|w| w[0] < w[1]),
-        "dirty must be sorted"
-    );
-    let frequent: Vec<(u32, &TidSet)> = (0..index.num_items())
-        .filter_map(|i| {
-            let t = index.item_tidset(i);
-            (t.count() >= min_count).then_some((i, t))
-        })
-        .collect();
-
-    let mut stats = PoolMineStats {
-        workers: threads.max(1),
-        ..Default::default()
-    };
-    if max_len == 0 || frequent.is_empty() {
-        return (PatternPool::new(universe), stats);
-    }
-
-    // Plan each first-item subtree: splice the old span when the item is
-    // clean, re-mine when dirty (or, defensively, when a clean item has no
-    // old span — re-mining is always correct, splicing is the shortcut).
-    // Both span list and frequent list ascend by item, so one merge walk
-    // pairs them.
-    enum Plan {
-        Splice(std::ops::Range<u32>),
-        Mine(usize),
-    }
-    let mut spans = old_spans.iter().peekable();
-    let plans: Vec<Plan> = frequent
-        .iter()
-        .enumerate()
-        .map(|(pos, &(item, _))| {
-            while spans.peek().is_some_and(|&&(i, _)| i < item) {
-                spans.next();
-            }
-            let span = match spans.peek() {
-                Some((i, r)) if *i == item => Some(r.clone()),
-                _ => None,
-            };
-            match span {
-                Some(r) if dirty.binary_search(&item).is_err() => Plan::Splice(r),
-                _ => Plan::Mine(pos),
-            }
-        })
-        .collect();
-
-    let t_mine = Instant::now();
-    let mine_positions: Vec<usize> = plans
-        .iter()
-        .filter_map(|p| match p {
-            Plan::Mine(pos) => Some(*pos),
-            Plan::Splice(_) => None,
-        })
-        .collect();
-    stats.subtrees = mine_positions.len();
-    let frequent_ref = &frequent;
-    let positions_ref = &mine_positions;
-    let segments = run_tasks(mine_positions.len(), threads, |ti| {
-        let pos = positions_ref[ti];
-        let (item, tids) = frequent_ref[pos];
-        let mut seg = PatternPool::new(universe);
-        let mut prefix = vec![item];
-        seg.push_tidset(&prefix, tids);
-        dfs_slab(
-            frequent_ref,
-            pos,
-            tids,
-            &mut prefix,
-            max_len,
-            min_count,
-            &mut seg,
-        );
-        seg
-    });
-    stats.mine_time = t_mine.elapsed();
-
-    let t_splice = Instant::now();
-    stats.rows_spliced = plans
-        .iter()
-        .map(|p| match p {
-            Plan::Splice(r) => r.len(),
-            Plan::Mine(_) => 0,
-        })
-        .sum();
     let rows = segments.iter().map(PatternPool::len).sum::<usize>() + stats.rows_spliced;
     let mut pool = PatternPool::with_capacity(universe, rows);
     let mut seg_iter = segments.iter();
-    for plan in &plans {
-        match plan {
-            Plan::Splice(r) => pool.splice_rows(old_pool, r.start as usize..r.end as usize),
-            Plan::Mine(_) => pool.append_pool(seg_iter.next().expect("one segment per mine plan")),
+    for step in &steps {
+        match step {
+            Step::Splice(r) => pool.splice_rows(old_pool, r.start as usize..r.end as usize),
+            Step::Mine(_) => pool.append_pool(seg_iter.next().expect("one segment per task")),
         }
     }
     stats.splice_time = t_splice.elapsed();
@@ -401,12 +347,19 @@ fn materialize(pool: &PatternPool) -> Vec<PoolPattern> {
         .collect()
 }
 
+/// One step of a pool assembly, in first-item order: a span of the
+/// previous generation's slab to splice, or a task to mine.
+enum Step {
+    Splice(Range<u32>),
+    Mine(SubtreeTask),
+}
+
 /// One unit of the parallel mine. `Whole(i)` is first-item subtree `i`
 /// (prefix `{i}` plus everything below). When a subtree's work estimate
 /// dominates, it ships as `Head(i)` (the `{i}` row alone) followed by
 /// `Sub(i, j)` for every rightward `j` (the `{i, j}` row plus its subtree —
-/// empty when the depth-2 extension is infrequent). Spliced in task order,
-/// both encodings produce the identical row sequence.
+/// empty when the depth-2 extension is infrequent). Assembled in task
+/// order, both encodings produce the identical row sequence.
 #[derive(Debug, Clone, Copy)]
 enum SubtreeTask {
     Whole(usize),
@@ -685,6 +638,47 @@ mod tests {
         assert_eq!(stats.subtrees, 0);
         assert_eq!(stats.rows_spliced, old_pool.len());
         assert_eq!(got, old_pool);
+    }
+
+    /// The append path balances a skewed re-mine too: a dirty subtree that
+    /// dominates the re-mined work is split one level deeper, and the pool
+    /// still equals a full re-mine of the grown database.
+    #[test]
+    fn dirty_dominant_subtree_is_split_on_append() {
+        let db = skewed_db();
+        let min_count = 4;
+        for max_len in [2usize, 3] {
+            let (old_pool, _) = initial_pool_slab(&db, min_count, max_len, 1);
+            let spans = subtree_spans(&old_pool);
+            // Touches the dominant item 0 and one sparse sibling.
+            let delta =
+                cfp_itemset::DbDelta::from_transactions(vec![vec![0, 2, 5], vec![0, 2], vec![0]]);
+            let mut grown = db.clone();
+            let appended = grown.append_delta(&delta);
+            let mut index = VerticalIndex::new(&db);
+            index.absorb(&grown, appended);
+            let mut dirty: Vec<u32> = delta
+                .transactions()
+                .iter()
+                .flatten()
+                .filter_map(|&l| grown.item_map().internal(l))
+                .collect();
+            dirty.sort_unstable();
+            dirty.dedup();
+            let (want, _) = initial_pool_slab(&grown, min_count, max_len, 1);
+            for threads in [2usize, 8] {
+                let (got, stats) = delta_pool_slab(
+                    &index, min_count, max_len, threads, &old_pool, &spans, &dirty,
+                );
+                assert!(
+                    stats.split_subtrees >= 1,
+                    "threads={threads} max_len={max_len}: dominant dirty subtree not split"
+                );
+                assert_eq!(stats.subtrees, dirty.len());
+                assert!(stats.rows_spliced > 0);
+                assert_eq!(got, want, "threads={threads} max_len={max_len}");
+            }
+        }
     }
 
     /// The split decision is depth-gated: at `max_len == 1` there is no

@@ -15,13 +15,14 @@
 //!   ordering (behavioural stand-in for LCM_maximal/MAFIA);
 //! * [`top_k_closed`] — TFP-style top-k closed mining with a minimum-length
 //!   constraint and dynamic threshold raising;
-//! * [`initial_pool_slab`] / [`initial_pool`] — the complete set of frequent
-//!   patterns up to a small size, with support sets, as Pattern-Fusion's
-//!   starting pool: a parallel DFS emitting straight into a columnar
+//! * [`delta_pool_slab`] / [`initial_pool_slab`] / [`initial_pool`] — the
+//!   complete set of frequent patterns up to a small size, with support
+//!   sets, as Pattern-Fusion's starting pool: one splice-or-mine planner
+//!   whose parallel DFS emits straight into a columnar
 //!   [`cfp_itemset::PatternPool`] slab (per-item subtrees on the
-//!   work-stealing queue in [`parallel`], segments spliced in subtree order
-//!   so the row sequence is thread-count-independent), with a `Vec` view
-//!   for harnesses.
+//!   work-stealing queue in [`parallel`], segments assembled in subtree
+//!   order so the row sequence is thread-count-independent), with a
+//!   from-the-database wrapper and a `Vec` view for harnesses.
 //!
 //! The exhaustive miners deliberately explode on pathological inputs (that is
 //! the paper's point); every one of them therefore accepts a [`Budget`] and

@@ -11,7 +11,7 @@
 //!
 //! The queue lives in `cfp_miners` (the lowest crate that schedules work)
 //! and is shared upward: the parallel initial-pool miner
-//! ([`crate::initial_pool_slab`]) distributes per-item DFS subtrees over it,
+//! ([`crate::delta_pool_slab`]) distributes per-item DFS subtrees over it,
 //! and `cfp_core` re-exports it as `cfp_core::parallel` for the fusion
 //! engine's ball scans, per-seed fusions, shard runs, and pivot-table
 //! builds.

@@ -49,7 +49,7 @@ check_absent crates/core/src/algorithm.rs \
 #    mine path must not materialize PoolPattern vectors.
 check_absent crates/core/src/algorithm.rs \
     'cfp_miners::initial_pool(_stratified)?\(' \
-    'engine mines through initial_pool_slab, not the Vec materialization'
+    'engine mines into the slab, not the Vec materialization'
 
 # 5. The out-of-core spill streams shard rows from the base slab borrows
 #    (`dump_slab_rows_path`): no whole-slab permuted copy, no cloned slab
@@ -104,6 +104,16 @@ for file in algorithm delta engine executor oocore; do
     check_absent "crates/core/src/$file.rs" \
         'initial_pool_slab_stratified|stratified_copy|\.permuted\(' \
         'shards deal the one mined slab (no stratified pool copy)'
+done
+
+# 12. One pool miner: the engine and the delta driver drive
+#     `delta_pool_slab` from the vertical index they already hold, so
+#     neither may call the `initial_pool_slab` wrapper, which builds a
+#     second index per mine.
+for file in algorithm delta; do
+    check_absent "crates/core/src/$file.rs" \
+        'initial_pool_slab\(' \
+        'mines from its own vertical index (no initial_pool_slab)'
 done
 
 if [ "$fail" -ne 0 ]; then
