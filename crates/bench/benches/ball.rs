@@ -90,18 +90,19 @@ fn bench_ball(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(3));
 
-    group.bench_function("brute_force_scan", |b| {
-        b.iter(|| {
+    // The two sides of the speedup ratio run in alternating samples, so a
+    // slowdown of a shared box mid-run hits both alike.
+    group.bench_alternating(
+        "brute_force_scan",
+        || {
             let mut members = 0usize;
             for &q in &seeds {
                 members += brute_ball(black_box(&pool), q, radius).len();
             }
             members
-        })
-    });
-
-    group.bench_function("engine_index_plus_queries", |b| {
-        b.iter(|| {
+        },
+        "engine_index_plus_queries",
+        || {
             let index = BallIndex::build(black_box(&store), &rows, radius, PIVOTS);
             let mut stats = BallQueryStats::default();
             let mut members = 0usize;
@@ -109,8 +110,8 @@ fn bench_ball(c: &mut Criterion) {
                 members += index.ball(&store, q, &mut stats).len();
             }
             (members, stats)
-        })
-    });
+        },
+    );
     group.finish();
 
     export_summary(c, &gate_stats);

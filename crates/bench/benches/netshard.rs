@@ -6,7 +6,7 @@
 //! Each measured unit is one complete run. For the in-thread baseline:
 //! partition + per-shard fusion + merge. For the remote executor:
 //! additionally the per-shard CFPSLAB spill, one TCP dial per non-empty
-//! shard, the protocol-v2 framed sub-pool upload (chunked + CRC'd), the
+//! shard, the framed sub-pool upload (chunked + CRC'd), the
 //! host's slab decode, mine, stats record, and the framed archive-slab
 //! download — the full wire round trip, amortized across a 2-host fleet.
 //!

@@ -95,22 +95,24 @@ fn bench_oocore(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(4));
-    group.bench_function("run_inmemory_k4", |b| {
-        b.iter(|| {
+    // The two sides of the overhead ratio run in alternating samples, so a
+    // slowdown of a shared box mid-run hits both alike.
+    group.bench_alternating(
+        "run_inmemory_k4",
+        || {
             let r = inm_engine
                 .mine(Source::Slab(black_box(slab.clone())))
                 .unwrap();
             (r.patterns.len(), r.stats.shards.len())
-        })
-    });
-    group.bench_function("run_oocore_k4_quarter_budget", |b| {
-        b.iter(|| {
+        },
+        "run_oocore_k4_quarter_budget",
+        || {
             let r = oo_engine
                 .mine(Source::Slab(black_box(slab.clone())))
                 .expect("out-of-core run");
             (r.patterns.len(), r.stats.oocore.passes)
-        })
-    });
+        },
+    );
     group.finish();
 
     export_summary(c, &oostats, pool.len(), budget);

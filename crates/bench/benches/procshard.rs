@@ -6,7 +6,7 @@
 //! Each measured unit is one complete run. For the in-thread baseline:
 //! partition + per-shard fusion + merge. For the subprocess executor:
 //! additionally the per-shard CFPSLAB spill (the fallback's input), one
-//! process spawn per non-empty shard, the protocol v2 conversation over
+//! process spawn per non-empty shard, the worker conversation over
 //! each child's pipes (sub-pool frames in; stats record and archive frames
 //! out, every frame CRC-checked on both ends), and the work-directory
 //! lifecycle.

@@ -1,4 +1,4 @@
-//! Query-service benchmark: the v3 pattern query daemon (`cfp_core::serve`)
+//! Query-service benchmark: the pattern query daemon (`cfp_core::serve`)
 //! under concurrent loopback load.
 //!
 //! The server mines Diag16+8 once at startup (untimed), then the measured

@@ -11,6 +11,9 @@
 //! Measurements: after warm-up, each of `sample_size` samples runs the
 //! closure in a batch sized to fill `measurement_time / sample_size`, and the
 //! reported statistics are the min / median / max of the per-iteration means.
+//! [`BenchmarkGroup::bench_alternating`] (not in upstream criterion) times
+//! two closures in alternating samples, so a change in the machine's speed
+//! during the run lands on both sides of a ratio alike.
 //! Results are also collected on the [`Criterion`] so callers (the ball-query
 //! bench) can export machine-readable summaries.
 
@@ -86,8 +89,16 @@ impl Bencher {
     /// Times `f`, running it repeatedly to fill the configured measurement
     /// window.
     pub fn iter<O>(&mut self, mut f: impl FnMut() -> O) {
-        // Warm-up: run until the warm-up window elapses, measuring the rough
-        // per-iteration cost to size measurement batches.
+        let batch = self.warm_up(&mut f);
+        let samples = (0..self.sample_size.max(1))
+            .map(|_| time_batch(&mut f, batch))
+            .collect::<Vec<_>>();
+        self.result = Some((samples, batch * self.sample_size.max(1) as u64));
+    }
+
+    /// Runs `f` until the warm-up window elapses, and returns the batch size
+    /// that fills one sample's share of the measurement window.
+    fn warm_up<O>(&self, f: &mut impl FnMut() -> O) -> u64 {
         let warm_start = Instant::now();
         let mut warm_iters: u64 = 0;
         while warm_start.elapsed() < self.warm_up {
@@ -95,23 +106,18 @@ impl Bencher {
             warm_iters += 1;
         }
         let per_iter = warm_start.elapsed().as_nanos() as u64 / warm_iters.max(1);
-
         let per_sample = self.measurement.as_nanos() as u64 / self.sample_size.max(1) as u64;
-        let batch = (per_sample / per_iter.max(1)).clamp(1, u64::MAX);
-
-        let mut samples = Vec::with_capacity(self.sample_size);
-        let mut total_iters = 0u64;
-        for _ in 0..self.sample_size.max(1) {
-            let t0 = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            let elapsed = t0.elapsed();
-            total_iters += batch;
-            samples.push(elapsed / batch as u32);
-        }
-        self.result = Some((samples, total_iters));
+        (per_sample / per_iter.max(1)).max(1)
     }
+}
+
+/// The per-iteration mean of one batch of `batch` runs of `f`.
+fn time_batch<O>(f: &mut impl FnMut() -> O, batch: u64) -> Duration {
+    let t0 = Instant::now();
+    for _ in 0..batch {
+        black_box(f());
+    }
+    t0.elapsed() / batch as u32
 }
 
 /// A named group of benchmarks sharing timing configuration.
@@ -159,17 +165,57 @@ impl BenchmarkGroup<'_> {
         self.run(&id, |b| f(b, input));
     }
 
-    fn run(&mut self, id: &str, mut f: impl FnMut(&mut Bencher)) {
-        let mut bencher = Bencher {
+    /// Times `a` and `b` in alternating samples — a, b, a, b, … — after
+    /// warming each up, and records each under its own id. A slowdown of
+    /// the machine mid-run then hits both sides alike instead of only the
+    /// one that happened to be running, which keeps a ratio of the two
+    /// honest.
+    pub fn bench_alternating<A, B>(
+        &mut self,
+        id_a: impl IntoBenchmarkId,
+        mut a: impl FnMut() -> A,
+        id_b: impl IntoBenchmarkId,
+        mut b: impl FnMut() -> B,
+    ) {
+        let bencher = self.bencher();
+        let (batch_a, batch_b) = (bencher.warm_up(&mut a), bencher.warm_up(&mut b));
+        let n = self.sample_size.max(1);
+        let (mut samples_a, mut samples_b) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for _ in 0..n {
+            samples_a.push(time_batch(&mut a, batch_a));
+            samples_b.push(time_batch(&mut b, batch_b));
+        }
+        self.record(
+            &id_a.into_benchmark_id().render(),
+            samples_a,
+            batch_a * n as u64,
+        );
+        self.record(
+            &id_b.into_benchmark_id().render(),
+            samples_b,
+            batch_b * n as u64,
+        );
+    }
+
+    fn bencher(&self) -> Bencher {
+        Bencher {
             warm_up: self.warm_up,
             measurement: self.measurement,
             sample_size: self.sample_size,
             result: None,
-        };
+        }
+    }
+
+    fn run(&mut self, id: &str, mut f: impl FnMut(&mut Bencher)) {
+        let mut bencher = self.bencher();
         f(&mut bencher);
-        let Some((mut samples, iterations)) = bencher.result else {
+        let Some((samples, iterations)) = bencher.result else {
             return; // closure never called iter()
         };
+        self.record(id, samples, iterations);
+    }
+
+    fn record(&mut self, id: &str, mut samples: Vec<Duration>, iterations: u64) {
         samples.sort_unstable();
         let m = Measurement {
             id: format!("{}/{}", self.name, id),
@@ -299,6 +345,39 @@ mod tests {
             b.iter(|| (0..n).sum::<u64>())
         });
         group.finish();
+    }
+
+    #[test]
+    fn alternating_pairs_record_both_sides() {
+        let mut c = Criterion::default();
+        let mut group = c.benchmark_group("pair");
+        group
+            .sample_size(4)
+            .warm_up_time(Duration::from_millis(5))
+            .measurement_time(Duration::from_millis(20));
+        let order = std::cell::RefCell::new(Vec::new());
+        group.bench_alternating(
+            "slow",
+            || {
+                order.borrow_mut().push('a');
+                (0..2000u64).map(black_box).sum::<u64>()
+            },
+            "fast",
+            || {
+                order.borrow_mut().push('b');
+                black_box(1u64)
+            },
+        );
+        group.finish();
+        let ids: Vec<&str> = c.measurements.iter().map(|m| m.id.as_str()).collect();
+        assert_eq!(ids, ["pair/slow", "pair/fast"]);
+        assert!(c.measurements.iter().all(|m| m.iterations >= 4));
+        // Each side warms up, then the sides take one batch each per
+        // sample: 2 + 2 × 4 turns. Timing one side's samples after the
+        // other's would show 2.
+        let mut turns = order.into_inner();
+        turns.dedup();
+        assert_eq!(turns.len(), 10, "{turns:?}");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   driver);
 //! * [`ExecutorKind::Subprocess`] — shards as **OS processes**: one
 //!   `cfp shard-host --stdio` child per non-empty shard, spoken to in
-//!   worker interchange protocol v2 ([`crate::net`]) over its stdin and
+//!   the worker interchange protocol ([`crate::net`]) over its stdin and
 //!   stdout — the sub-pool streams in as CRC-checked frames, the stats
 //!   record and the archive slab stream back. Crash isolation per shard:
 //!   a dead or stalled worker surfaces as a typed
@@ -53,9 +53,9 @@
 //! The disk-backed backends spill every sub-pool, empty ones included, to
 //! a CFPSLAB file (`spill_sub_pools`), and every shard mined here from disk
 //! — out-of-core, empty, or a failed worker's fallback — goes through
-//! `fallback_shard`. The process-based backends both speak protocol v2
-//! (the *worker interchange protocol* section of [`cfp_itemset::store`]'s
-//! module docs) and differ only in transport and supervision: the
+//! `fallback_shard`. The process-based backends both speak the worker
+//! protocol (the *wire* section of [`cfp_itemset::store`]'s module docs)
+//! and differ only in transport and supervision: the
 //! subprocess executor talks over a child's pipes and kills a child that
 //! outlives its deadline; the remote executor dials a socket with
 //! per-phase deadlines and retries.
@@ -90,8 +90,8 @@ pub enum ExecutorKind {
     /// Shards as spilled slab files mined in memory-budgeted batches
     /// (the [`crate::oocore`] driver).
     OutOfCore(OocoreConfig),
-    /// Shards as `cfp shard-host --stdio` child processes speaking
-    /// protocol v2 over their pipes.
+    /// Shards as `cfp shard-host --stdio` child processes speaking the
+    /// worker protocol over their pipes.
     Subprocess(SubprocessConfig),
     /// Shards as remote `cfp shard-host` workers over TCP (see
     /// [`crate::net`]). The worker list must be non-empty.
@@ -549,7 +549,7 @@ impl PatternFusion<'_> {
 
     /// The subprocess backend: spill the sub-pools (the fallback's input),
     /// spawn one `cfp shard-host --stdio` child per non-empty shard, and
-    /// run the protocol v2 conversation over each child's pipes on a scoped
+    /// run the worker conversation over each child's pipes on a scoped
     /// thread — the same conversation the remote backend runs over TCP.
     /// Workers are collected in shard order, each bounded by its deadline
     /// from spawn. The parent store stays resident, so the merge interns

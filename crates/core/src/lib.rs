@@ -105,6 +105,7 @@ pub mod robustness;
 pub mod serve;
 pub mod shard;
 pub mod stats;
+pub mod wire;
 
 mod config;
 
@@ -134,7 +135,7 @@ pub use executor::{
 };
 pub use net::{
     retry_backoff, serve, serve_session, spawn_host, FaultAction, FaultPlan, HostOptions, NetError,
-    NetPhase, NetRequest, RemoteConfig, SessionError, NET_PROTOCOL_VERSION,
+    NetPhase, NetRequest, RemoteConfig, SessionError,
 };
 pub use oocore::{OocoreConfig, OocoreError};
 pub use pattern::Pattern;
@@ -142,9 +143,10 @@ pub use pool::PoolStore;
 pub use robustness::robustness;
 pub use serve::{
     serve_queries, spawn_query_server, QueryClient, ServeError, ServeOptions, ServeReply,
-    ServeRequest, SERVE_PROTOCOL_VERSION,
+    ServeRequest,
 };
 pub use shard::{ShardEnvError, ShardStrategy, Sharding};
 pub use stats::{
     IndexMaintenance, IterationStats, NetStats, OocoreStats, PoolStats, RunStats, ShardStats,
 };
+pub use wire::{DaemonOptions, PROTOCOL_VERSION};

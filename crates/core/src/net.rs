@@ -1,4 +1,4 @@
-//! Worker interchange protocol v2: the coordinator + host pair behind
+//! The worker interchange protocol: the coordinator + host pair behind
 //! both process-based shard executors —
 //! [`ExecutorKind::Subprocess`](crate::executor::ExecutorKind) over a
 //! child's pipes and [`ExecutorKind::Remote`](crate::executor::ExecutorKind)
@@ -7,15 +7,18 @@
 //! The partitioned driver ([`crate::executor`]) stays untouched: this
 //! module only supplies the middle of partition → execute → merge. Each
 //! non-empty shard's sub-pool streams to a `cfp shard-host` process as
-//! CRC-checked frames (spec in [`cfp_itemset::store`]'s module docs), the
-//! host mines it with the per-shard loop, and the stats record plus the
-//! archive slab come back the same way. The frame codec and both halves of
-//! a conversation take any [`Read`]/[`Write`] pair: the coordinator's
-//! `converse` runs over a socket or a child's pipes, and [`serve_session`]
-//! is what a TCP host runs per connection and `cfp shard-host --stdio`
-//! runs once on its stdin and stdout. Bit-identity is the contract: the
-//! host runs the identical derived config over identical sub-pool bytes,
-//! so a worker's archives match the in-thread engine's exactly.
+//! CRC-checked frames, the host mines it with the per-shard loop, and the
+//! stats record plus the archive slab come back the same way. The frames,
+//! the message codec behind the request and the stats record, the error
+//! frame and the host's accept loop are the wire shared with `cfp serve`
+//! ([`crate::wire`]; spec in [`cfp_itemset::store`]'s module docs). Both
+//! halves of a conversation take any [`Read`]/[`Write`] pair: the
+//! coordinator's `converse` runs over a socket or a child's pipes, and
+//! [`serve_session`] is what a TCP host runs per connection and
+//! `cfp shard-host --stdio` runs once on its stdin and stdout.
+//! Bit-identity is the contract: the host runs the identical derived
+//! config over identical sub-pool bytes, so a worker's archives match the
+//! in-thread engine's exactly.
 //!
 //! # Failure model (remote executor)
 //!
@@ -42,52 +45,37 @@
 //! ends the conversation (see [`crate::executor`]).
 
 use crate::algorithm::{splitmix64, PatternFusion};
-use crate::ball::MAX_PIVOTS;
+use crate::ball::{BallQueryStats, MAX_PIVOTS};
 use crate::config::FusionConfig;
 use crate::executor::{
     shard_config, spill_sub_pools, ExecutorError, NetFailure, ShardExecution, ShardPlan, ShardRun,
 };
 use crate::pattern::Pattern;
 use crate::pool::PoolStore;
-use crate::shard::MergePattern;
+use crate::shard::{MergePattern, Sharding};
 use crate::stats::{NetStats, RunStats, ShardStats};
-use cfp_itemset::slab_io::{self, Crc32};
+use crate::wire::{
+    accept_loop, bad_value, dial, field, head, is_timeout, spawn_local, DaemonOptions, ErrorFrame,
+    Message, WireError,
+};
+pub use crate::wire::{
+    read_frame, write_frame, FrameError, FrameSink, FrameSource, FRAME_BYE, FRAME_ERROR,
+    FRAME_HEARTBEAT, FRAME_REQUEST, FRAME_SLAB_CHUNK, FRAME_SLAB_END, FRAME_STATS,
+    MAX_FRAME_PAYLOAD, SLAB_CHUNK_BYTES,
+};
+use cfp_itemset::slab_io;
 use cfp_itemset::{PatternPool, SlabIoError};
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Worker interchange protocol version spoken by this build (the request
-/// and stats-record handshake lines).
-pub const NET_PROTOCOL_VERSION: u32 = 2;
-
-/// Frame kinds (the `kind` byte of every frame).
-pub const FRAME_REQUEST: u8 = 1;
-/// A run of slab-image bytes (request direction: sub-pool; response
-/// direction: archive).
-pub const FRAME_SLAB_CHUNK: u8 = 2;
-/// End of a slab stream; payload is the total chunk-payload byte count
-/// (`u64` LE) for cross-checking.
-pub const FRAME_SLAB_END: u8 = 3;
-/// Mine-phase liveness beacon (empty payload).
-pub const FRAME_HEARTBEAT: u8 = 4;
-/// The worker's per-shard stats record (UTF-8 text).
-pub const FRAME_STATS: u8 = 5;
-/// Typed remote failure: payload is `exit=<code>\n<message>` (UTF-8).
-pub const FRAME_ERROR: u8 = 6;
-/// Coordinator's best-effort teardown notice (empty payload).
-pub const FRAME_BYE: u8 = 7;
-
-/// Hard cap on a single frame's payload — a corrupt length field must
-/// never trigger an outsized allocation.
-pub const MAX_FRAME_PAYLOAD: usize = 8 << 20;
-
-/// Slab bytes buffered per [`FRAME_SLAB_CHUNK`] frame.
-pub const SLAB_CHUNK_BYTES: usize = 128 << 10;
+/// The worker request's handshake magic.
+const REQUEST_MAGIC: &str = "cfp-net";
+/// The stats record's handshake magic.
+const STATS_MAGIC: &str = "cfp-stats";
 
 /// How long an injected `stall-mine` fault sleeps — far beyond any test
 /// deadline, far below forever (the enclosing process is always killed or
@@ -95,336 +83,11 @@ pub const SLAB_CHUNK_BYTES: usize = 128 << 10;
 const STALL_SLEEP: Duration = Duration::from_secs(600);
 
 // ---------------------------------------------------------------------------
-// Frame primitives
+// Request and stats record
 // ---------------------------------------------------------------------------
 
-/// Writes one frame: `kind:u8 | len:u32 LE | payload | crc:u32 LE`, the
-/// CRC (CFPSLAB's CRC-32, [`Crc32`]) covering header **and** payload so a
-/// flipped kind or length is caught too.
-pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME_PAYLOAD);
-    let mut head = [0u8; 5];
-    head[0] = kind;
-    head[1..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut crc = Crc32::new();
-    crc.update(&head);
-    crc.update(payload);
-    w.write_all(&head)?;
-    w.write_all(payload)?;
-    w.write_all(&crc.finish().to_le_bytes())
-}
-
-/// Why a frame read failed — the reader distinguishes a peer that closed
-/// cleanly between frames from one that died mid-frame or sent garbage.
-#[derive(Debug)]
-pub enum FrameError {
-    /// The socket deadline expired (`set_read_timeout`).
-    TimedOut,
-    /// EOF on a frame boundary: the peer closed the connection cleanly.
-    Closed,
-    /// Mid-frame EOF, an oversized length, or a CRC mismatch.
-    Corrupt(String),
-    /// Any other I/O failure.
-    Io(io::Error),
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::TimedOut => write!(f, "frame read timed out"),
-            Self::Closed => write!(f, "connection closed"),
-            Self::Corrupt(m) => write!(f, "{m}"),
-            Self::Io(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-/// `true` for the error kinds a socket deadline surfaces as (`TimedOut`
-/// on Unix, `WouldBlock` on some platforms).
-fn is_timeout(kind: io::ErrorKind) -> bool {
-    matches!(kind, io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock)
-}
-
-/// `read_exact` for frame bodies: EOF here means the peer died mid-frame.
-fn read_exact_frame(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
-    match r.read_exact(buf) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(FrameError::Corrupt(
-            "connection closed mid-frame".to_string(),
-        )),
-        Err(e) if is_timeout(e.kind()) => Err(FrameError::TimedOut),
-        Err(e) => Err(FrameError::Io(e)),
-    }
-}
-
-/// Reads one frame, verifying length cap and CRC. EOF on the first header
-/// byte is [`FrameError::Closed`] (a clean close); EOF anywhere later is
-/// [`FrameError::Corrupt`].
-pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), FrameError> {
-    let mut head = [0u8; 5];
-    let mut first = [0u8; 1];
-    loop {
-        match r.read(&mut first) {
-            Ok(0) => return Err(FrameError::Closed),
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) if is_timeout(e.kind()) => return Err(FrameError::TimedOut),
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    head[0] = first[0];
-    read_exact_frame(r, &mut head[1..])?;
-    let kind = head[0];
-    let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]) as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(FrameError::Corrupt(format!(
-            "frame payload of {len} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte cap"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    read_exact_frame(r, &mut payload)?;
-    let mut crc_bytes = [0u8; 4];
-    read_exact_frame(r, &mut crc_bytes)?;
-    let got = u32::from_le_bytes(crc_bytes);
-    let mut crc = Crc32::new();
-    crc.update(&head);
-    crc.update(&payload);
-    let want = crc.finish();
-    if got != want {
-        return Err(FrameError::Corrupt(format!(
-            "frame CRC mismatch (kind {kind}, {len} bytes): got {got:#010x}, computed {want:#010x}"
-        )));
-    }
-    Ok((kind, payload))
-}
-
-/// A [`Write`] adapter that chunks a byte stream into
-/// [`FRAME_SLAB_CHUNK`] frames — `write_slab_rows` streams a sub-pool
-/// straight from the shared base slab through this, so **no whole-slab
-/// copy is ever materialized to send**. [`FrameSink::finish`] emits the
-/// trailing [`FRAME_SLAB_END`] with the total payload byte count.
-pub struct FrameSink<W: Write> {
-    w: W,
-    buf: Vec<u8>,
-    total: u64,
-    /// One-shot sabotage consumed on the first emitted chunk
-    /// (fault-injection; `None` in production).
-    sabotage: Option<FaultAction>,
-}
-
-impl<W: Write> FrameSink<W> {
-    /// Wraps `w`; chunks buffer up to [`SLAB_CHUNK_BYTES`].
-    pub fn new(w: W) -> Self {
-        Self {
-            w,
-            buf: Vec::with_capacity(SLAB_CHUNK_BYTES),
-            total: 0,
-            sabotage: None,
-        }
-    }
-
-    /// Arms a one-shot frame sabotage (corrupt or truncate), fired on the
-    /// first emitted chunk.
-    pub(crate) fn with_sabotage(mut self, action: Option<FaultAction>) -> Self {
-        self.sabotage = action;
-        self
-    }
-
-    /// Emits the buffered bytes as one chunk frame (no-op when empty).
-    fn emit(&mut self) -> io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        match self.sabotage.take() {
-            Some(FaultAction::CorruptFrame) => {
-                // CRC computed over the clean payload, then one payload
-                // byte flipped: the receiver must detect the mismatch.
-                let mut head = [0u8; 5];
-                head[0] = FRAME_SLAB_CHUNK;
-                head[1..].copy_from_slice(&(self.buf.len() as u32).to_le_bytes());
-                let mut crc = Crc32::new();
-                crc.update(&head);
-                crc.update(&self.buf);
-                self.buf[0] ^= 0x40;
-                self.w.write_all(&head)?;
-                self.w.write_all(&self.buf)?;
-                self.w.write_all(&crc.finish().to_le_bytes())?;
-            }
-            Some(FaultAction::TruncateFrame) => {
-                // Header promises a full payload; the stream dies halfway
-                // through it (mid-frame close on the receiver).
-                let mut head = [0u8; 5];
-                head[0] = FRAME_SLAB_CHUNK;
-                head[1..].copy_from_slice(&(self.buf.len() as u32).to_le_bytes());
-                self.w.write_all(&head)?;
-                self.w.write_all(&self.buf[..self.buf.len() / 2])?;
-                self.w.flush()?;
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "injected truncate-frame",
-                ));
-            }
-            _ => write_frame(&mut self.w, FRAME_SLAB_CHUNK, &self.buf)?,
-        }
-        self.total += self.buf.len() as u64;
-        self.buf.clear();
-        Ok(())
-    }
-
-    /// Flushes the remainder, emits [`FRAME_SLAB_END`] with the total
-    /// chunk-payload byte count, and returns that total.
-    pub fn finish(mut self) -> io::Result<u64> {
-        self.emit()?;
-        write_frame(&mut self.w, FRAME_SLAB_END, &self.total.to_le_bytes())?;
-        self.w.flush()?;
-        Ok(self.total)
-    }
-}
-
-impl<W: Write> Write for FrameSink<W> {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        let mut rest = data;
-        while !rest.is_empty() {
-            let take = (SLAB_CHUNK_BYTES - self.buf.len()).min(rest.len());
-            self.buf.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if self.buf.len() == SLAB_CHUNK_BYTES {
-                self.emit()?;
-            }
-        }
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.emit()?;
-        self.w.flush()
-    }
-}
-
-/// A [`Read`] adapter over a chunked slab stream: pulls
-/// [`FRAME_SLAB_CHUNK`] frames on demand, transparently counting and
-/// skipping interleaved heartbeats, and stops at [`FRAME_SLAB_END`].
-/// `read_slab` consumes the image straight out of this — no intermediate
-/// whole-slab buffer. Frame failures surface as `io::Error`s:
-/// `TimedOut` for deadline expiry, `InvalidData` for corruption.
-pub struct FrameSource<R: Read> {
-    r: R,
-    buf: Vec<u8>,
-    pos: usize,
-    total: u64,
-    heartbeats: u64,
-    done: bool,
-    end_total: Option<u64>,
-}
-
-impl<R: Read> FrameSource<R> {
-    /// Wraps `r`, positioned at the first frame of a slab stream.
-    pub fn new(r: R) -> Self {
-        Self {
-            r,
-            buf: Vec::new(),
-            pos: 0,
-            total: 0,
-            heartbeats: 0,
-            done: false,
-            end_total: None,
-        }
-    }
-
-    /// Advances to the next chunk (or the end marker), skipping
-    /// heartbeats.
-    fn next_frame(&mut self) -> io::Result<()> {
-        loop {
-            match read_frame(&mut self.r) {
-                Ok((FRAME_HEARTBEAT, _)) => self.heartbeats += 1,
-                Ok((FRAME_SLAB_CHUNK, payload)) => {
-                    self.total += payload.len() as u64;
-                    self.buf = payload;
-                    self.pos = 0;
-                    return Ok(());
-                }
-                Ok((FRAME_SLAB_END, p)) => {
-                    let bytes: [u8; 8] = p.as_slice().try_into().map_err(|_| {
-                        invalid_data(format!("SlabEnd payload is {} bytes, expected 8", p.len()))
-                    })?;
-                    self.end_total = Some(u64::from_le_bytes(bytes));
-                    self.done = true;
-                    return Ok(());
-                }
-                Ok((FRAME_ERROR, p)) => {
-                    return Err(invalid_data(format!(
-                        "error frame in slab stream: {}",
-                        String::from_utf8_lossy(&p)
-                    )))
-                }
-                Ok((k, _)) => return Err(invalid_data(format!("frame kind {k} in slab stream"))),
-                Err(FrameError::TimedOut) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "slab stream timed out",
-                    ))
-                }
-                Err(FrameError::Closed) => {
-                    return Err(invalid_data("connection closed before SlabEnd"))
-                }
-                Err(FrameError::Corrupt(m)) => return Err(invalid_data(m)),
-                Err(FrameError::Io(e)) => return Err(e),
-            }
-        }
-    }
-
-    /// Validates the stream's tail after the image has been read: no
-    /// leftover bytes, a [`FRAME_SLAB_END`] whose declared total matches
-    /// the bytes streamed. Returns `(payload bytes, heartbeats seen)`.
-    pub fn finish(mut self) -> io::Result<(u64, u64)> {
-        if self.pos != self.buf.len() {
-            return Err(invalid_data(
-                "slab bytes left over after the image was read",
-            ));
-        }
-        while !self.done {
-            self.next_frame()?;
-            if !self.done && !self.buf.is_empty() {
-                return Err(invalid_data("slab chunk after the image was fully read"));
-            }
-        }
-        if let Some(end) = self.end_total {
-            if end != self.total {
-                return Err(invalid_data(format!(
-                    "SlabEnd declared {end} bytes but {} were streamed",
-                    self.total
-                )));
-            }
-        }
-        Ok((self.total, self.heartbeats))
-    }
-}
-
-impl<R: Read> Read for FrameSource<R> {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        while self.pos == self.buf.len() {
-            if self.done {
-                return Ok(0);
-            }
-            self.next_frame()?;
-        }
-        let n = (self.buf.len() - self.pos).min(out.len());
-        out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-fn invalid_data(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-// ---------------------------------------------------------------------------
-// Request
-// ---------------------------------------------------------------------------
-
-/// The request frame's contents: the v2 handshake line plus the derived
-/// per-shard config as a flag list, one token per line.
+/// The request frame's contents: the shard's indices and its fully derived
+/// config, one `key=value` field each in a `cfp-net` [`Message`].
 /// [`NetRequest::to_text`] and [`NetRequest::parse`] are exact inverses.
 #[derive(Debug, Clone)]
 pub struct NetRequest {
@@ -440,252 +103,150 @@ pub struct NetRequest {
 }
 
 impl NetRequest {
-    /// Serializes the request frame payload.
+    /// Serializes the request frame payload. Destructuring the config makes
+    /// a new config field a compile error until the wire carries it;
+    /// `sharding` stays home, as a worker runs one shard.
     pub fn to_text(&self) -> String {
-        let mut s = format!(
-            "cfp-net {NET_PROTOCOL_VERSION} shard={} shards={} attempt={}\n",
-            self.shard, self.shards, self.attempt
-        );
-        s.push_str(&config_flag_args(&self.config).join("\n"));
-        s
+        let FusionConfig {
+            k,
+            min_count,
+            tau,
+            pool_max_len,
+            attempts_per_seed,
+            max_results_per_seed,
+            max_iterations,
+            max_ball_size,
+            closure_step,
+            archive_cap,
+            archive,
+            parallel,
+            threads,
+            ball_pivots,
+            sharding: _,
+            seed,
+        } = &self.config;
+        let mut text = head(REQUEST_MAGIC);
+        field(&mut text, "shard", self.shard);
+        field(&mut text, "shards", self.shards);
+        field(&mut text, "attempt", self.attempt);
+        field(&mut text, "k", k);
+        field(&mut text, "min_count", min_count);
+        field(&mut text, "tau", tau);
+        field(&mut text, "pool_max_len", pool_max_len);
+        field(&mut text, "attempts_per_seed", attempts_per_seed);
+        field(&mut text, "max_results_per_seed", max_results_per_seed);
+        field(&mut text, "max_iterations", max_iterations);
+        field(&mut text, "max_ball_size", max_ball_size);
+        field(&mut text, "closure_step", closure_step);
+        if let Some(cap) = archive_cap {
+            field(&mut text, "archive_cap", cap);
+        }
+        field(&mut text, "archive", archive);
+        field(&mut text, "parallel", parallel);
+        if let Some(threads) = threads {
+            field(&mut text, "threads", threads);
+        }
+        field(&mut text, "ball_pivots", ball_pivots);
+        field(&mut text, "seed", seed);
+        text
     }
 
-    /// Parses and validates a request frame payload: handshake (magic +
-    /// version + indices), then the flag tokens applied onto the
-    /// env-independent base config. Strict: an unknown flag or version is
-    /// an error, never silently ignored.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let head = lines.next().ok_or("empty request")?;
-        let fields: Vec<&str> = head.split(' ').collect();
-        if fields.len() != 5 || fields[0] != "cfp-net" {
-            return Err(format!("bad handshake '{head}'"));
-        }
-        let version: u32 = fields[1]
-            .parse()
-            .map_err(|_| format!("non-numeric protocol version in '{head}'"))?;
-        if version != NET_PROTOCOL_VERSION {
-            return Err(format!(
-                "protocol version {version} not supported (this host speaks {NET_PROTOCOL_VERSION})"
-            ));
-        }
-        let index = |field: &str, prefix: &str| -> Result<usize, String> {
-            field
-                .strip_prefix(prefix)
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| format!("bad handshake field '{field}' (expected {prefix}<n>)"))
+    /// Parses a request frame payload. Every field but `archive_cap` and
+    /// `threads` is required and no other is allowed, so version skew can
+    /// never mine with a half-applied config.
+    pub fn parse(payload: &[u8]) -> Result<Self, WireError> {
+        let mut m = Message::decode(payload, REQUEST_MAGIC)?;
+        let request = Self {
+            shard: m.parse("shard")?,
+            shards: m.parse("shards")?,
+            attempt: m.parse("attempt")?,
+            config: FusionConfig {
+                k: m.parse("k")?,
+                min_count: m.parse("min_count")?,
+                tau: m.parse("tau")?,
+                pool_max_len: m.parse("pool_max_len")?,
+                attempts_per_seed: m.parse("attempts_per_seed")?,
+                max_results_per_seed: m.parse("max_results_per_seed")?,
+                max_iterations: m.parse("max_iterations")?,
+                max_ball_size: m.parse("max_ball_size")?,
+                closure_step: m.parse("closure_step")?,
+                archive_cap: m.parse_opt("archive_cap")?,
+                archive: m.parse("archive")?,
+                parallel: m.parse("parallel")?,
+                threads: m.parse_opt("threads")?,
+                ball_pivots: m.parse("ball_pivots")?,
+                sharding: Sharding::single(),
+                seed: m.parse("seed")?,
+            },
         };
-        let shard = index(fields[2], "shard=")?;
-        let shards = index(fields[3], "shards=")?;
-        let attempt = index(fields[4], "attempt=")?;
-        let mut config = base_worker_config();
-        while let Some(flag) = lines.next() {
-            match flag {
-                "--no-archive" => config.archive = false,
-                "--no-parallel" => config.parallel = false,
-                "--closure" => config.closure_step = true,
-                _ => {
-                    let v = lines
-                        .next()
-                        .ok_or_else(|| format!("flag {flag} is missing its value"))?;
-                    apply_config_value(&mut config, flag, v)?;
-                }
-            }
-        }
-        Ok(Self {
-            shard,
-            shards,
-            attempt,
-            config,
-        })
+        m.finish(&[])?;
+        Ok(request)
     }
 }
 
-/// Serializes a per-shard [`FusionConfig`] as the request's flag list —
-/// the one home of the shipped config field set.
-fn config_flag_args(c: &FusionConfig) -> Vec<String> {
-    let mut args = vec![
-        "--k".into(),
-        c.k.to_string(),
-        "--mincount".into(),
-        c.min_count.to_string(),
-        "--tau".into(),
-        c.tau.to_string(),
-        "--pool-len".into(),
-        c.pool_max_len.to_string(),
-        "--attempts".into(),
-        c.attempts_per_seed.to_string(),
-        "--max-results".into(),
-        c.max_results_per_seed.to_string(),
-        "--max-iterations".into(),
-        c.max_iterations.to_string(),
-        "--max-ball-size".into(),
-        c.max_ball_size.to_string(),
-        "--ball-pivots".into(),
-        c.ball_pivots.to_string(),
-        "--seed".into(),
-        c.seed.to_string(),
-    ];
-    if let Some(cap) = c.archive_cap {
-        args.push("--archive-cap".into());
-        args.push(cap.to_string());
-    }
-    if !c.archive {
-        args.push("--no-archive".into());
-    }
-    if !c.parallel {
-        args.push("--no-parallel".into());
-    }
-    if let Some(t) = c.threads {
-        args.push("--threads".into());
-        args.push(t.to_string());
-    }
-    if c.closure_step {
-        args.push("--closure".into());
-    }
-    args
-}
-
-/// Applies one valued config flag from the request's flag list; an unknown
-/// flag or an unparsable value is an error.
-fn apply_config_value(cfg: &mut FusionConfig, flag: &str, v: &str) -> Result<(), String> {
-    let bad = |what: &str| format!("invalid {flag} value '{v}' ({what})");
-    match flag {
-        "--k" => cfg.k = v.parse().map_err(|_| bad("usize"))?,
-        "--mincount" => cfg.min_count = v.parse().map_err(|_| bad("usize"))?,
-        "--tau" => cfg.tau = v.parse().map_err(|_| bad("f64"))?,
-        "--pool-len" => cfg.pool_max_len = v.parse().map_err(|_| bad("usize"))?,
-        "--attempts" => cfg.attempts_per_seed = v.parse().map_err(|_| bad("usize"))?,
-        "--max-results" => cfg.max_results_per_seed = v.parse().map_err(|_| bad("usize"))?,
-        "--max-iterations" => cfg.max_iterations = v.parse().map_err(|_| bad("usize"))?,
-        "--max-ball-size" => cfg.max_ball_size = v.parse().map_err(|_| bad("usize"))?,
-        "--ball-pivots" => cfg.ball_pivots = v.parse().map_err(|_| bad("usize"))?,
-        "--seed" => cfg.seed = v.parse().map_err(|_| bad("u64"))?,
-        "--archive-cap" => cfg.archive_cap = Some(v.parse().map_err(|_| bad("usize"))?),
-        "--threads" => cfg.threads = Some(v.parse().map_err(|_| bad("usize"))?),
-        _ => return Err(format!("unknown config flag '{flag}'")),
-    }
-    Ok(())
-}
-
-/// The env-independent base config a request's flag list applies onto:
-/// single-shard sharding, every other field shipped explicitly.
-fn base_worker_config() -> FusionConfig {
-    FusionConfig::new(1, 1).with_shards(1)
-}
-
-// ---------------------------------------------------------------------------
-// Stats record
-// ---------------------------------------------------------------------------
-
-/// Serializes a shard's counters as the stats frame's payload: the
-/// `cfp-stats <version> shard=<s>` handshake line, one `key value` line per
-/// counter (the pivot-prune counts as one space-separated row), and a
-/// terminating `end`. Wall-clock `elapsed` stays off the wire: the
-/// coordinator stamps its own.
-fn stats_record(st: &ShardStats) -> String {
+/// Serializes a shard's counters as the stats frame's payload, a
+/// `cfp-stats` [`Message`] with one field per counter. Wall-clock
+/// `elapsed` stays off the wire: the coordinator stamps its own.
+pub(crate) fn stats_record(st: &ShardStats) -> String {
     let b = &st.ball;
-    let pivots: Vec<String> = b.pivot_prune_counts.iter().map(u64::to_string).collect();
-    format!(
-        "cfp-stats {NET_PROTOCOL_VERSION} shard={}\n\
-         pool_size {}\npatterns {}\niterations {}\nconverged {}\n\
-         tombstoned {}\ninserted {}\ncompactions {}\n\
-         ball.pairs_total {}\nball.cardinality_pruned {}\nball.pivot_pruned {}\n\
-         ball.exact_checked {}\nball.ball_members {}\nball.accepted_by_bound {}\n\
-         ball.pivots_active {}\nball.pivot_prune_counts {}\nend\n",
-        st.shard,
-        st.pool_size,
-        st.patterns,
-        st.iterations,
-        st.converged as u8,
-        st.tombstoned,
-        st.inserted,
-        st.compactions,
-        b.pairs_total,
-        b.cardinality_pruned,
-        b.pivot_pruned,
-        b.exact_checked,
-        b.ball_members,
-        b.accepted_by_bound,
-        b.pivots_active,
-        pivots.join(" "),
-    )
+    let mut text = head(STATS_MAGIC);
+    field(&mut text, "shard", st.shard);
+    field(&mut text, "pool_size", st.pool_size);
+    field(&mut text, "patterns", st.patterns);
+    field(&mut text, "iterations", st.iterations);
+    field(&mut text, "converged", st.converged);
+    field(&mut text, "tombstoned", st.tombstoned);
+    field(&mut text, "inserted", st.inserted);
+    field(&mut text, "compactions", st.compactions);
+    field(&mut text, "ball.pairs_total", b.pairs_total);
+    field(&mut text, "ball.cardinality_pruned", b.cardinality_pruned);
+    field(&mut text, "ball.pivot_pruned", b.pivot_pruned);
+    field(&mut text, "ball.exact_checked", b.exact_checked);
+    field(&mut text, "ball.ball_members", b.ball_members);
+    field(&mut text, "ball.accepted_by_bound", b.accepted_by_bound);
+    field(&mut text, "ball.pivots_active", b.pivots_active);
+    for (i, count) in b.pivot_prune_counts.iter().enumerate() {
+        field(&mut text, &format!("ball.pivot_prune_counts.{i}"), count);
+    }
+    text
 }
 
-/// Parses a stats record, validating the handshake (version AND shard
-/// index) and the terminator. Strict on every field: a truncated record,
-/// or one with a missing, repeated or unknown key, from a half-dead or
-/// skewed worker must fail typed, not load zeros into the merge.
-/// `elapsed` comes back zero.
-fn parse_stats_record(text: &str, shard: usize) -> Result<ShardStats, String> {
-    let mut lines = text.lines();
-    let head = lines.next().ok_or("empty stats record")?;
-    let want = format!("cfp-stats {NET_PROTOCOL_VERSION} shard={shard}");
-    if head != want {
-        return Err(format!("bad handshake '{head}' (expected '{want}')"));
+/// Parses `shard`'s stats record. Every counter is required and a record
+/// for another shard is refused: a half-dead or skewed worker must fail
+/// typed, not load zeros into the merge. `elapsed` comes back zero.
+pub(crate) fn parse_stats_record(payload: &[u8], shard: usize) -> Result<ShardStats, WireError> {
+    let mut m = Message::decode(payload, STATS_MAGIC)?;
+    let from = m.require("shard")?;
+    if from != shard.to_string() {
+        return Err(bad_value("shard", from));
     }
-    let mut fields: HashMap<&str, &str> = HashMap::new();
-    let mut ended = false;
-    for line in lines {
-        if line == "end" {
-            ended = true;
-            break;
-        }
-        let (key, value) = line
-            .split_once(' ')
-            .ok_or_else(|| format!("malformed line '{line}'"))?;
-        if fields.insert(key, value).is_some() {
-            return Err(format!("repeated stats key '{key}'"));
-        }
-    }
-    if !ended {
-        return Err("stats record not terminated by 'end' (worker died mid-write?)".into());
-    }
-    let mut take = |key: &str| -> Result<&str, String> {
-        fields
-            .remove(key)
-            .ok_or_else(|| format!("stats record lacks key '{key}'"))
+    let mut ball = BallQueryStats {
+        pairs_total: m.parse("ball.pairs_total")?,
+        cardinality_pruned: m.parse("ball.cardinality_pruned")?,
+        pivot_pruned: m.parse("ball.pivot_pruned")?,
+        exact_checked: m.parse("ball.exact_checked")?,
+        ball_members: m.parse("ball.ball_members")?,
+        accepted_by_bound: m.parse("ball.accepted_by_bound")?,
+        pivot_prune_counts: [0; MAX_PIVOTS],
+        pivots_active: m.parse("ball.pivots_active")?,
     };
-    let num = |key: &str, v: &str| -> Result<u64, String> {
-        v.parse::<u64>()
-            .map_err(|_| format!("non-numeric value '{v}' for {key}"))
-    };
-    let mut int = |key: &str| num(key, take(key)?);
-    let mut out = ShardStats {
+    for (i, count) in ball.pivot_prune_counts.iter_mut().enumerate() {
+        *count = m.parse(&format!("ball.pivot_prune_counts.{i}"))?;
+    }
+    let stats = ShardStats {
         shard,
-        pool_size: int("pool_size")? as usize,
-        patterns: int("patterns")? as usize,
-        iterations: int("iterations")? as usize,
-        converged: int("converged")? != 0,
-        tombstoned: int("tombstoned")?,
-        inserted: int("inserted")?,
-        compactions: int("compactions")? as usize,
-        ..Default::default()
+        pool_size: m.parse("pool_size")?,
+        patterns: m.parse("patterns")?,
+        iterations: m.parse("iterations")?,
+        converged: m.parse("converged")?,
+        ball,
+        tombstoned: m.parse("tombstoned")?,
+        inserted: m.parse("inserted")?,
+        compactions: m.parse("compactions")?,
+        elapsed: Duration::ZERO,
     };
-    let b = &mut out.ball;
-    b.pairs_total = int("ball.pairs_total")?;
-    b.cardinality_pruned = int("ball.cardinality_pruned")?;
-    b.pivot_pruned = int("ball.pivot_pruned")?;
-    b.exact_checked = int("ball.exact_checked")?;
-    b.ball_members = int("ball.ball_members")?;
-    b.accepted_by_bound = int("ball.accepted_by_bound")?;
-    b.pivots_active = int("ball.pivots_active")?;
-    let key = "ball.pivot_prune_counts";
-    let counts: Vec<u64> = take(key)?
-        .split(' ')
-        .map(|v| num(key, v))
-        .collect::<Result<Vec<u64>, String>>()?;
-    if counts.len() != MAX_PIVOTS {
-        return Err(format!(
-            "pivot_prune_counts has {} entries, expected {MAX_PIVOTS}",
-            counts.len()
-        ));
-    }
-    b.pivot_prune_counts.copy_from_slice(&counts);
-    if let Some(other) = fields.keys().next() {
-        return Err(format!("unknown stats key '{other}'"));
-    }
-    Ok(out)
+    m.finish(&[])?;
+    Ok(stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -821,17 +382,6 @@ pub enum FaultAction {
 }
 
 impl FaultAction {
-    /// The action's `CFP_FAULT` spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::DropConn => "drop-conn",
-            Self::StallMine => "stall-mine",
-            Self::CorruptFrame => "corrupt-frame",
-            Self::TruncateFrame => "truncate-frame",
-            Self::KillWorker => "kill-worker",
-        }
-    }
-
     /// Parses a `CFP_FAULT` action name.
     pub fn parse(s: &str) -> Option<Self> {
         Some(match s {
@@ -1146,26 +696,16 @@ impl PatternFusion<'_> {
                 .map(|h| h.join().expect("remote shard thread panicked"))
                 .collect()
         });
+        // Every shard's counters merge before the first failure returns.
         let mut runs = Vec::with_capacity(plan.n);
-        let mut first_err: Option<ExecutorError> = None;
         for (res, net) in results {
             stats.net.merge(&net);
-            match res {
-                Ok(run) => runs.push(run),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
+            runs.push(res);
         }
         Ok(ShardExecution {
             pool_rows: plan.rows.to_vec(),
             store,
-            runs,
+            runs: runs.into_iter().collect::<Result<_, _>>()?,
         })
     }
 
@@ -1247,37 +787,11 @@ fn remote_attempt(
     {
         return Err(NetError::Connect("injected drop-conn".into()));
     }
-    let timeout = rc.timeout.max(Duration::from_millis(1));
-    let addrs: Vec<SocketAddr> = addr
-        .to_socket_addrs()
-        .map_err(|e| NetError::Connect(format!("{addr}: {e}")))?
-        .collect();
-    let mut stream = None;
-    let mut last_err = None;
-    for a in addrs {
-        match TcpStream::connect_timeout(&a, timeout) {
-            Ok(s) => {
-                stream = Some(s);
-                break;
-            }
-            Err(e) if is_timeout(e.kind()) => {
-                return Err(NetError::Timeout {
-                    phase: NetPhase::Connect,
-                })
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
-    let stream = stream.ok_or_else(|| {
-        NetError::Connect(match last_err {
-            Some(e) => format!("{addr}: {e}"),
-            None => format!("{addr}: no addresses resolved"),
-        })
-    })?;
-    let _ = stream.set_nodelay(true);
-    let sock = |e: io::Error| NetError::Connect(format!("socket deadline: {e}"));
-    stream.set_read_timeout(Some(timeout)).map_err(sock)?;
-    stream.set_write_timeout(Some(timeout)).map_err(sock)?;
+    let stream = match dial(addr, rc.timeout) {
+        Ok(stream) => stream,
+        Err(e) if is_timeout(e.kind()) => return Err(io_error(NetPhase::Connect, e)),
+        Err(e) => return Err(NetError::Connect(format!("{addr}: {e}"))),
+    };
     converse(
         io::BufReader::new(&stream),
         io::BufWriter::new(&stream),
@@ -1316,12 +830,17 @@ pub(crate) fn converse<R: Read, W: Write>(
         match read_frame(&mut r) {
             Ok((FRAME_HEARTBEAT, _)) => net.heartbeats += 1,
             Ok((FRAME_STATS, payload)) => {
-                let text = String::from_utf8(payload)
-                    .map_err(|_| NetError::FrameCorrupt("stats record is not UTF-8".into()))?;
-                net.bytes_received += text.len() as u64;
-                break parse_stats_record(&text, req.shard).map_err(NetError::FrameCorrupt)?;
+                net.bytes_received += payload.len() as u64;
+                break parse_stats_record(&payload, req.shard)
+                    .map_err(|e| NetError::FrameCorrupt(format!("stats record: {e}")))?;
             }
-            Ok((FRAME_ERROR, payload)) => return Err(parse_error_frame(&payload)),
+            Ok((FRAME_ERROR, payload)) => {
+                let frame = ErrorFrame::decode(&payload);
+                return Err(NetError::WorkerRemote {
+                    exit: frame.exit,
+                    stderr: frame.message,
+                });
+            }
             Ok((k, _)) => {
                 return Err(NetError::FrameCorrupt(format!(
                     "unexpected frame kind {k} while waiting for stats"
@@ -1375,16 +894,6 @@ fn stream_slab_rows<W: Write>(
     sink.finish().map_err(|e| io_error(NetPhase::Send, e))
 }
 
-/// Decodes a [`FRAME_ERROR`] payload (`exit=<code>\n<message>`).
-fn parse_error_frame(payload: &[u8]) -> NetError {
-    let text = String::from_utf8_lossy(payload);
-    let (head, rest) = text.split_once('\n').unwrap_or((text.as_ref(), ""));
-    NetError::WorkerRemote {
-        exit: head.strip_prefix("exit=").and_then(|v| v.parse().ok()),
-        stderr: rest.trim_end().to_string(),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Host (worker side)
 // ---------------------------------------------------------------------------
@@ -1392,16 +901,10 @@ fn parse_error_frame(payload: &[u8]) -> NetError {
 /// `cfp shard-host` behavior knobs.
 #[derive(Debug, Clone)]
 pub struct HostOptions {
+    /// The settings shared with `cfp serve`.
+    pub daemon: DaemonOptions,
     /// Mine-phase heartbeat cadence.
     pub heartbeat: Duration,
-    /// Socket deadline for reading the request / sub-pool and writing the
-    /// response — the host must never hang on a dead coordinator either.
-    pub io_timeout: Duration,
-    /// Serve at most this many connections, then return (tests and the
-    /// CI smoke job; `None` = serve forever).
-    pub max_conns: Option<usize>,
-    /// Log per-connection failures to stderr.
-    pub verbose: bool,
     /// Host-side fault schedule (tests only).
     pub fault: FaultPlan,
 }
@@ -1409,10 +912,8 @@ pub struct HostOptions {
 impl Default for HostOptions {
     fn default() -> Self {
         Self {
+            daemon: DaemonOptions::default(),
             heartbeat: Duration::from_millis(500),
-            io_timeout: Duration::from_secs(60),
-            max_conns: None,
-            verbose: false,
             fault: FaultPlan::default(),
         }
     }
@@ -1425,24 +926,6 @@ impl HostOptions {
         self
     }
 
-    /// Sets the host's socket deadline.
-    pub fn with_io_timeout(mut self, timeout: Duration) -> Self {
-        self.io_timeout = timeout;
-        self
-    }
-
-    /// Caps the number of connections served.
-    pub fn with_max_conns(mut self, max: usize) -> Self {
-        self.max_conns = Some(max);
-        self
-    }
-
-    /// Enables per-connection stderr logging.
-    pub fn with_verbose(mut self, verbose: bool) -> Self {
-        self.verbose = verbose;
-        self
-    }
-
     /// Sets the host-side fault schedule.
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = fault;
@@ -1450,49 +933,18 @@ impl HostOptions {
     }
 }
 
-/// The host's accept loop: one thread per connection, each serving a
-/// single shard request then closing. With
-/// [`HostOptions::max_conns`] set, returns after that many connections
-/// have been accepted **and** their handlers joined.
+/// The host: [`accept_loop`] with one [`serve_session`] per connection,
+/// each serving a single shard request then closing. TCP hosts have no
+/// dataset, so closure requests are refused.
 pub fn serve(listener: TcpListener, opts: &HostOptions) -> io::Result<()> {
-    let mut served = 0usize;
-    let mut handles = Vec::new();
-    for conn in listener.incoming() {
-        let stream = match conn {
-            Ok(s) => s,
-            Err(e) => {
-                if opts.verbose {
-                    eprintln!("cfp shard-host: accept failed: {e}");
-                }
-                continue;
-            }
-        };
-        let o = opts.clone();
-        let handle = thread::spawn(move || {
-            if let Err(e) = handle_conn(stream, &o) {
-                if o.verbose {
-                    eprintln!("cfp shard-host: {e}");
-                }
-            }
-        });
-        served += 1;
-        match opts.max_conns {
-            Some(max) => {
-                // Bounded serving joins its handlers so "serve N then
-                // exit" cannot strand a half-written response.
-                handles.push(handle);
-                if served >= max {
-                    break;
-                }
-            }
-            // Unbounded serving detaches handlers: a daemon's handle list
-            // must not grow without bound.
-            None => drop(handle),
-        }
-    }
-    for h in handles {
-        let _ = h.join();
-    }
+    accept_loop(listener, &opts.daemon, "cfp shard-host", |stream| {
+        serve_session(
+            io::BufReader::new(stream),
+            io::BufWriter::new(stream),
+            None,
+            opts,
+        )
+    });
     Ok(())
 }
 
@@ -1502,30 +954,7 @@ pub fn serve(listener: TcpListener, opts: &HostOptions) -> io::Result<()> {
 pub fn spawn_host(
     opts: HostOptions,
 ) -> io::Result<(SocketAddr, thread::JoinHandle<io::Result<()>>)> {
-    let listener = TcpListener::bind(("127.0.0.1", 0))?;
-    let addr = listener.local_addr()?;
-    let handle = thread::spawn(move || serve(listener, &opts));
-    Ok((addr, handle))
-}
-
-/// Serves one connection: socket deadlines, then one [`serve_session`]
-/// over the socket (TCP hosts have no dataset, so closure requests are
-/// refused).
-fn handle_conn(stream: TcpStream, opts: &HostOptions) -> Result<(), SessionError> {
-    let _ = stream.set_nodelay(true);
-    let io_timeout = opts.io_timeout.max(Duration::from_millis(1));
-    let sock = |e: io::Error| SessionError {
-        exit: 1,
-        reason: format!("socket deadline: {e}"),
-    };
-    stream.set_read_timeout(Some(io_timeout)).map_err(sock)?;
-    stream.set_write_timeout(Some(io_timeout)).map_err(sock)?;
-    serve_session(
-        io::BufReader::new(&stream),
-        io::BufWriter::new(&stream),
-        None,
-        opts,
-    )
+    spawn_local(move |listener| serve(listener, &opts))
 }
 
 /// Why a host session ended without serving its shard.
@@ -1564,15 +993,8 @@ pub fn serve_session<R: Read, W: Write>(
 ) -> Result<(), SessionError> {
     let fail = |reason: String| SessionError { exit: 1, reason };
     let req = match read_frame(&mut r) {
-        Ok((FRAME_REQUEST, payload)) => {
-            let parsed = String::from_utf8(payload)
-                .map_err(|_| "request frame is not UTF-8".to_string())
-                .and_then(|text| NetRequest::parse(&text));
-            match parsed {
-                Ok(req) => req,
-                Err(e) => return Err(reject(&mut w, 3, format!("bad request: {e}"))),
-            }
-        }
+        Ok((FRAME_REQUEST, payload)) => NetRequest::parse(&payload)
+            .map_err(|e| reject(&mut w, 3, format!("bad request: {e}")))?,
         Ok((k, _)) => return Err(fail(format!("expected a request frame, got kind {k}"))),
         Err(e) => return Err(fail(format!("reading request: {e}"))),
     };
@@ -1658,16 +1080,8 @@ pub fn serve_session<R: Read, W: Write>(
 
 /// Sends a typed error frame and returns the matching session error.
 fn reject(w: &mut impl Write, exit: i32, reason: String) -> SessionError {
-    send_error_frame(w, exit, &reason);
+    ErrorFrame::send(w, exit, &reason);
     SessionError { exit, reason }
-}
-
-/// Sends a typed [`FRAME_ERROR`] (best-effort — the peer may be gone).
-/// Shared with the v3 query service ([`crate::serve`]), whose error frames
-/// carry the same `exit=<code>\n<message>` payload shape.
-pub(crate) fn send_error_frame(mut w: impl Write, exit: i32, msg: &str) {
-    let payload = format!("exit={exit}\n{msg}");
-    let _ = write_frame(&mut w, FRAME_ERROR, payload.as_bytes()).and_then(|()| w.flush());
 }
 
 #[cfg(test)]
@@ -1675,197 +1089,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frames_round_trip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, FRAME_STATS, b"hello").unwrap();
-        write_frame(&mut buf, FRAME_HEARTBEAT, b"").unwrap();
-        let mut r = &buf[..];
-        assert!(matches!(read_frame(&mut r), Ok((FRAME_STATS, p)) if p == b"hello"));
-        assert!(matches!(read_frame(&mut r), Ok((FRAME_HEARTBEAT, p)) if p.is_empty()));
-        // Clean EOF between frames is Closed, not Corrupt.
-        assert!(matches!(read_frame(&mut r), Err(FrameError::Closed)));
-    }
-
-    #[test]
-    fn corrupt_and_truncated_frames_are_detected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, FRAME_SLAB_CHUNK, b"payload").unwrap();
-        // Flip one payload byte: CRC must catch it.
-        let mut flipped = buf.clone();
-        flipped[6] ^= 0x01;
-        assert!(matches!(
-            read_frame(&mut &flipped[..]),
-            Err(FrameError::Corrupt(m)) if m.contains("CRC")
-        ));
-        // Flip the kind byte (covered by the CRC too).
-        let mut kind_flip = buf.clone();
-        kind_flip[0] = FRAME_STATS;
-        assert!(matches!(
-            read_frame(&mut &kind_flip[..]),
-            Err(FrameError::Corrupt(_))
-        ));
-        // Mid-frame EOF is Corrupt, not Closed.
-        let cut = &buf[..buf.len() - 3];
-        assert!(matches!(
-            read_frame(&mut &cut[..]),
-            Err(FrameError::Corrupt(m)) if m.contains("mid-frame")
-        ));
-        // An oversized declared length is rejected before allocating.
-        let mut huge = vec![FRAME_SLAB_CHUNK];
-        huge.extend_from_slice(&(u32::MAX).to_le_bytes());
-        assert!(matches!(
-            read_frame(&mut &huge[..]),
-            Err(FrameError::Corrupt(m)) if m.contains("cap")
-        ));
-    }
-
-    #[test]
-    fn sink_and_source_round_trip_with_heartbeats() {
-        // Bytes spanning several chunks.
-        let body: Vec<u8> = (0..(3 * SLAB_CHUNK_BYTES + 177)).map(|i| i as u8).collect();
-        let mut wire = Vec::new();
-        // A heartbeat may precede the stream (mine phase bleed-over).
-        write_frame(&mut wire, FRAME_HEARTBEAT, b"").unwrap();
-        let mut sink = FrameSink::new(&mut wire);
-        sink.write_all(&body).unwrap();
-        let total = sink.finish().unwrap();
-        assert_eq!(total, body.len() as u64);
-
-        let mut source = FrameSource::new(&wire[..]);
-        let mut got = Vec::new();
-        source.read_to_end(&mut got).unwrap();
-        assert_eq!(got, body);
-        let (bytes, beats) = source.finish().unwrap();
-        assert_eq!(bytes, body.len() as u64);
-        assert_eq!(beats, 1);
-    }
-
-    #[test]
-    fn source_rejects_a_lying_slab_end() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, FRAME_SLAB_CHUNK, b"abcdef").unwrap();
-        write_frame(&mut wire, FRAME_SLAB_END, &99u64.to_le_bytes()).unwrap();
-        let mut source = FrameSource::new(&wire[..]);
-        let mut got = Vec::new();
-        source.read_to_end(&mut got).unwrap();
-        let err = source.finish().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("SlabEnd declared"));
-    }
-
-    #[test]
-    fn sink_sabotage_reaches_the_crc_check_and_the_truncation_path() {
-        let mut wire = Vec::new();
-        let mut sink = FrameSink::new(&mut wire).with_sabotage(Some(FaultAction::CorruptFrame));
-        sink.write_all(b"some slab bytes").unwrap();
-        sink.finish().unwrap();
-        assert!(matches!(
-            read_frame(&mut &wire[..]),
-            Err(FrameError::Corrupt(m)) if m.contains("CRC")
-        ));
-
-        let mut wire = Vec::new();
-        let mut sink = FrameSink::new(&mut wire).with_sabotage(Some(FaultAction::TruncateFrame));
-        sink.write_all(b"some slab bytes").unwrap();
-        let err = sink.finish().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        assert!(matches!(
-            read_frame(&mut &wire[..]),
-            Err(FrameError::Corrupt(m)) if m.contains("mid-frame")
-        ));
-    }
-
-    #[test]
-    fn requests_round_trip_and_reject_other_versions() {
-        let mut config = base_worker_config();
-        config.k = 17;
-        config.min_count = 4;
-        config.tau = 0.85;
-        config.pool_max_len = 5;
-        config.attempts_per_seed = 4;
-        config.max_results_per_seed = 11;
-        config.max_iterations = 9;
-        config.max_ball_size = 48;
-        config.ball_pivots = 6;
-        config.seed = 1234;
-        config.archive_cap = Some(99);
-        config.archive = false;
-        config.threads = Some(1);
-        config.parallel = false;
-        config.closure_step = true;
-        let req = NetRequest {
-            shard: 2,
-            shards: 4,
-            attempt: 1,
-            config,
-        };
-        let parsed = NetRequest::parse(&req.to_text()).expect("round trip");
-        assert_eq!(parsed.shard, 2);
-        assert_eq!(parsed.shards, 4);
-        assert_eq!(parsed.attempt, 1);
-        assert_eq!(parsed.config, req.config);
-
-        let other = req.to_text().replacen("cfp-net 2", "cfp-net 1", 1);
-        let err = NetRequest::parse(&other).unwrap_err();
-        assert!(err.contains("version 1 not supported"), "{err}");
-        assert!(NetRequest::parse("garbage\n--k 3").is_err());
-        assert!(NetRequest::parse("cfp-net 2 shard=0 shards=1 attempt=0\n--no-such-flag").is_err());
-    }
-
-    #[test]
-    fn stats_record_round_trips() {
-        let mut stats = ShardStats {
-            shard: 2,
-            pool_size: 12,
-            patterns: 3,
-            iterations: 5,
-            converged: true,
-            tombstoned: 77,
-            inserted: 9,
-            compactions: 1,
-            ..Default::default()
-        };
-        stats.ball.pairs_total = 1_000_000;
-        stats.ball.pivot_pruned = 123_456;
-        stats.ball.pivot_prune_counts[0] = 100_000;
-        stats.ball.pivot_prune_counts[3] = 23_456;
-        stats.ball.accepted_by_bound = 4_242;
-        stats.ball.pivots_active = 6;
-        let record = stats_record(&stats);
-        assert!(record.starts_with("cfp-stats 2 shard=2\n"));
-        assert!(record.ends_with("end\n"));
-        let parsed = parse_stats_record(&record, 2).expect("round trip");
-        assert_eq!(parsed, stats);
-    }
-
-    #[test]
-    fn stats_record_rejects_corruption() {
-        let record = stats_record(&ShardStats::default());
-        // Wrong shard in the handshake.
-        assert!(parse_stats_record(&record, 1).is_err());
-        // Truncated (no `end`): a worker that died mid-write.
-        let cut = record.trim_end_matches("end\n");
-        assert!(parse_stats_record(cut, 0).unwrap_err().contains("end"));
-        // Garbage value.
-        let bad = record.replace("pool_size 0", "pool_size zero");
-        assert!(parse_stats_record(&bad, 0).is_err());
-        // Unknown key.
-        let unk = record.replace("pool_size", "pool_sizes");
-        assert!(parse_stats_record(&unk, 0).is_err());
-        let extra = record.replace("end\n", "ball.bogus 0\nend\n");
-        assert!(parse_stats_record(&extra, 0)
-            .unwrap_err()
-            .contains("unknown stats key 'ball.bogus'"));
-        // A key line missing from a terminated record must not read as 0.
-        for key in ["ball.exact_checked", "ball.accepted_by_bound"] {
-            let missing = record.replace(&format!("{key} 0\n"), "");
-            assert!(parse_stats_record(&missing, 0).unwrap_err().contains(key));
-        }
-        // A repeated key must not overwrite the first.
-        let repeated = record.replace("inserted 0\n", "inserted 0\ninserted 5\n");
-        assert!(parse_stats_record(&repeated, 0)
-            .unwrap_err()
-            .contains("repeated"));
+    fn an_old_version_request_gets_an_exit_3_error_frame() {
+        let mut input = Vec::new();
+        let old = b"cfp-net 2 shard=0 shards=1 attempt=0\n--k\n3";
+        write_frame(&mut input, FRAME_REQUEST, old).unwrap();
+        let mut output = Vec::new();
+        let err = serve_session(&input[..], &mut output, None, &HostOptions::default());
+        assert_eq!(err.unwrap_err().exit, 3);
+        let (kind, payload) = read_frame(&mut &output[..]).unwrap();
+        assert_eq!(kind, FRAME_ERROR);
+        let frame = ErrorFrame::decode(&payload);
+        assert_eq!(frame.exit, Some(3));
+        assert!(
+            frame.message.contains("protocol version 2 not supported"),
+            "{}",
+            frame.message
+        );
     }
 
     #[test]
@@ -1903,22 +1142,5 @@ mod tests {
         assert!(FaultPlan::parse("drop-conn:shardx").is_err());
         assert!(FaultPlan::parse("drop-conn:node3").is_err());
         assert!(FaultPlan::parse("").expect("empty spec").rules.is_empty());
-    }
-
-    #[test]
-    fn error_frames_carry_exit_and_message() {
-        let err = parse_error_frame(b"exit=3\nbad request: unknown config flag '--x'");
-        match err {
-            NetError::WorkerRemote { exit, stderr } => {
-                assert_eq!(exit, Some(3));
-                assert!(stderr.contains("unknown config flag"));
-            }
-            other => panic!("expected WorkerRemote, got {other:?}"),
-        }
-        // A mangled payload still produces a typed error, just without a code.
-        assert!(matches!(
-            parse_error_frame(b"whatever"),
-            NetError::WorkerRemote { exit: None, .. }
-        ));
     }
 }

@@ -15,20 +15,17 @@
 //!   service's similarity answers are bit-identical to what the engine
 //!   itself would compute.
 //!
-//! # Wire protocol (v3)
+//! # Wire protocol
 //!
-//! The service reuses the CRC-checked length-prefixed frame layer of
-//! [`crate::net`] verbatim (`kind | len:u32 LE | payload | crc32 LE`), with
-//! a request/response text protocol on top — the full byte-level spec lives
-//! with the other interchange formats in [`cfp_itemset::store`]'s module
-//! docs. In short: a client sends [`FRAME_REQUEST`] frames whose payload is
-//! a `cfp-serve 3 <verb>` handshake line plus `key=value` lines
-//! ([`ServeRequest`]); the server streams the response text through
-//! [`FrameSink`] chunk frames terminated by a byte-counted end frame, or
-//! answers with a typed [`FRAME_ERROR`] (`exit=<code>` + message) that never
-//! tears down the frame boundary — a rejected request leaves the connection
-//! usable. Connections are long-lived: many requests per connection, ended
-//! by a `bye` verb, a [`FRAME_BYE`], or a clean close.
+//! The service speaks the wire it shares with the worker protocol
+//! ([`crate::wire`]; byte-level spec in [`cfp_itemset::store`]'s module
+//! docs). A request is a `cfp-serve` [`Message`] ([`ServeRequest`]); the
+//! reply — a head with the verb and the epoch, an empty line, the body —
+//! streams back as [`FrameSink`] chunk frames, or a rejected request gets a
+//! typed [`ErrorFrame`] that leaves the connection usable. Connections are
+//! long-lived: many requests each, ended by a `bye` verb, a [`FRAME_BYE`],
+//! or a clean close; each runs on its own thread of the shared
+//! [`accept_loop`].
 //!
 //! # Generations and epoch swaps
 //!
@@ -72,86 +69,41 @@ use crate::config::FusionConfig;
 use crate::delta::DeltaEngine;
 use crate::distance::ball_radius;
 use crate::engine::Source;
-use crate::net::{
-    read_frame, send_error_frame, write_frame, FrameError, FrameSink, FRAME_BYE, FRAME_ERROR,
-    FRAME_HEARTBEAT, FRAME_REQUEST, FRAME_SLAB_CHUNK, FRAME_SLAB_END,
-};
 use crate::pattern::Pattern;
 use crate::pool::{rank_rows, PoolStore};
+use crate::wire::{
+    accept_loop, bad_value, dial, field, head, is_timeout, read_frame, spawn_local, write_frame,
+    DaemonOptions, ErrorFrame, FrameError, FrameSink, FrameSource, Message, WireError, FRAME_BYE,
+    FRAME_REQUEST,
+};
 use cfp_itemset::{kernels, DbDelta, Item, Itemset, TidSet, TransactionDb};
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread;
 use std::time::Duration;
 
-/// Version tag of the query-service request/response protocol. Bumped on
-/// any incompatible change to the request text, response text, or framing
-/// (version 2 is the worker interchange protocol of [`crate::net`]; version
-/// 1 was its retired subprocess predecessor).
-pub const SERVE_PROTOCOL_VERSION: u32 = 3;
+/// The handshake magic of every serve message.
+const SERVE_MAGIC: &str = "cfp-serve";
 
 /// Default `k` for a `topk` request that does not specify one.
 const DEFAULT_TOPK: usize = 10;
 /// Default cap on `contain` scan output rows.
 const DEFAULT_CONTAIN_LIMIT: usize = 32;
 
-// ---------------------------------------------------------------------------
-// Options
-// ---------------------------------------------------------------------------
-
-/// Tuning knobs for [`serve_queries`].
-#[derive(Debug, Clone)]
-pub struct ServeOptions {
-    /// Socket deadline for reading a request / writing a response. An idle
-    /// connection that sends nothing for this long is dropped.
-    pub io_timeout: Duration,
-    /// Serve at most this many connections, then return (tests and the CI
-    /// smoke job; `None` = serve forever).
-    pub max_conns: Option<usize>,
-    /// Log per-connection failures to stderr.
-    pub verbose: bool,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        Self {
-            io_timeout: Duration::from_secs(60),
-            max_conns: None,
-            verbose: false,
-        }
-    }
-}
-
-impl ServeOptions {
-    /// Sets the per-socket read/write deadline.
-    pub fn with_io_timeout(mut self, timeout: Duration) -> Self {
-        self.io_timeout = timeout;
-        self
-    }
-
-    /// Caps the number of connections served.
-    pub fn with_max_conns(mut self, max: usize) -> Self {
-        self.max_conns = Some(max);
-        self
-    }
-
-    /// Enables per-connection stderr logging.
-    pub fn with_verbose(mut self, verbose: bool) -> Self {
-        self.verbose = verbose;
-        self
-    }
-}
+/// Tuning knobs for [`serve_queries`]: the settings every daemon shares.
+pub type ServeOptions = DaemonOptions;
 
 // ---------------------------------------------------------------------------
 // Request
 // ---------------------------------------------------------------------------
 
-/// A parsed v3 request: the handshake verb plus its `key=value` fields.
-/// [`ServeRequest::to_text`] and [`ServeRequest::parse`] are exact inverses
-/// (fields serialize in insertion order; parse is order-preserving).
+/// A parsed request: its verb plus the `key=value` fields the verb
+/// admits. On the wire it is a `cfp-serve` [`Message`] whose `verb` field
+/// comes first. [`ServeRequest::to_text`] and [`ServeRequest::parse`] are
+/// exact inverses (fields keep their wire order).
 #[derive(Debug, Clone)]
 pub struct ServeRequest {
     /// The request verb (`topk`, `lookup`, `contain`, `similar`, `put`,
@@ -175,57 +127,24 @@ impl ServeRequest {
 
     /// Serializes the request frame payload.
     pub fn to_text(&self) -> String {
-        let mut s = format!("cfp-serve {SERVE_PROTOCOL_VERSION} {}\n", self.verb);
+        let mut text = head(SERVE_MAGIC);
+        field(&mut text, "verb", &self.verb);
         for (k, v) in &self.fields {
-            s.push_str(k);
-            s.push('=');
-            s.push_str(v);
-            s.push('\n');
+            field(&mut text, k, v);
         }
-        s
+        text
     }
 
-    /// Parses and validates a request frame payload: handshake (magic +
-    /// version + verb), then `key=value` lines. Strict: a bad handshake, an
-    /// unsupported version, a malformed line, or a duplicate key is an
-    /// error, never silently ignored.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let head = lines.next().ok_or("empty request")?;
-        let parts: Vec<&str> = head.split(' ').collect();
-        if parts.len() != 3 || parts[0] != "cfp-serve" {
-            return Err(format!("bad handshake '{head}'"));
-        }
-        let version: u32 = parts[1]
-            .parse()
-            .map_err(|_| format!("non-numeric protocol version in '{head}'"))?;
-        if version != SERVE_PROTOCOL_VERSION {
-            return Err(format!(
-                "protocol version {version} not supported (this server speaks \
-                 {SERVE_PROTOCOL_VERSION})"
-            ));
-        }
-        let verb = parts[2];
-        if verb.is_empty() {
-            return Err(format!("bad handshake '{head}' (empty verb)"));
-        }
-        let mut fields: Vec<(String, String)> = Vec::new();
-        for line in lines {
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| format!("bad field line '{line}' (expected key=value)"))?;
-            if k.is_empty() {
-                return Err(format!("bad field line '{line}' (empty key)"));
-            }
-            if fields.iter().any(|(seen, _)| seen == k) {
-                return Err(format!("duplicate field '{k}'"));
-            }
-            fields.push((k.to_string(), v.to_string()));
-        }
-        Ok(Self {
-            verb: verb.to_string(),
-            fields,
-        })
+    /// Parses and validates a request frame payload: an unknown verb, or a
+    /// field the verb does not admit, is a typed error like any other.
+    pub fn parse(payload: &[u8]) -> Result<Self, WireError> {
+        let mut m = Message::decode(payload, SERVE_MAGIC)?;
+        let verb = m.require("verb")?;
+        let admitted = allowed_fields(verb).ok_or_else(|| WireError::Unknown {
+            what: "verb",
+            name: verb.to_string(),
+        })?;
+        Ok(Self::new(verb, &m.finish(admitted)?))
     }
 
     /// The value of field `key`, if present.
@@ -237,9 +156,9 @@ impl ServeRequest {
     }
 }
 
-/// The `key=value` fields each verb accepts — the dispatch layer rejects
-/// anything outside this table (and unknown verbs) with a typed error, so
-/// a misspelled field can never be silently ignored.
+/// The `key=value` fields each verb accepts — [`ServeRequest::parse`]
+/// rejects anything outside this table (and unknown verbs) with a typed
+/// error, so a misspelled field can never be silently ignored.
 fn allowed_fields(verb: &str) -> Option<&'static [&'static str]> {
     Some(match verb {
         "topk" => &["k", "session", "tids"],
@@ -332,9 +251,10 @@ impl Session {
     }
 
     /// Catches the overlay up with the current generation: re-fork from
-    /// the new base and re-intern the session's own patterns. A pattern
-    /// the new base now contains stops being overlay-local (it is in the
-    /// shared ranking already) but remains owned by the session.
+    /// the new base and re-intern the session's own patterns, their
+    /// tid-sets first widened to the new universe (an `append` grows it). A
+    /// pattern the new base now contains stops being overlay-local (it is
+    /// in the shared ranking already) but remains owned by the session.
     fn refresh(&mut self, gen: &Generation) {
         if self.epoch == gen.epoch {
             return;
@@ -343,8 +263,9 @@ impl Session {
         self.store = gen.store.fork();
         self.local_rows.clear();
         let base_len = self.store.base_len() as u32;
-        let patterns = std::mem::take(&mut self.patterns);
-        for p in &patterns {
+        let mut patterns = std::mem::take(&mut self.patterns);
+        for p in &mut patterns {
+            p.tids.grow_universe(gen.store.universe());
             let row = self.store.intern(p);
             if row >= base_len {
                 self.local_rows.push(row);
@@ -376,8 +297,8 @@ enum BuilderJob {
 /// clone or replace the `Arc`, never across a build or a query.
 type GenerationCell = Arc<RwLock<Arc<Generation>>>;
 
-/// Everything the connection handlers share, one `Arc` clone per scoped
-/// per-connection thread.
+/// Everything the connection handlers share (borrowed by each scoped
+/// per-connection thread).
 struct ServerState {
     generation: GenerationCell,
     sessions: Mutex<HashMap<String, Arc<Mutex<Session>>>>,
@@ -410,10 +331,11 @@ impl ServerState {
 // Server
 // ---------------------------------------------------------------------------
 
-/// Mines `db` once, then serves v3 query traffic on `listener` until the
-/// connection cap (if any) is reached: one handler thread per connection,
-/// all reading the same epoch-swappable generation. See the module docs
-/// for the protocol and concurrency model.
+/// Mines `db` once, then serves query traffic on `listener` through the
+/// shared [`accept_loop`] until the connection cap (if any) is reached:
+/// one handler thread per connection, all reading the same
+/// epoch-swappable generation. See the module docs for the protocol and
+/// concurrency model.
 ///
 /// The builder thread mines generation 0 before the first connection is
 /// accepted; if that build fails, the builder's panic propagates out of
@@ -425,49 +347,26 @@ pub fn serve_queries(
     opts: &ServeOptions,
 ) -> io::Result<()> {
     thread::scope(|scope| {
-        let (reload_tx, reload_rx) = mpsc::channel::<BuilderJob>();
+        let (jobs, job_rx) = mpsc::channel::<BuilderJob>();
         let (cell_tx, cell_rx) = mpsc::channel::<GenerationCell>();
-        scope.spawn(move || builder_loop(db, config, reload_rx, cell_tx));
+        scope.spawn(move || builder_loop(db, config, job_rx, cell_tx));
         // A builder that failed to build generation 0 dropped `cell_tx`
         // unwinding; the scope re-raises its panic when it joins it.
         let Ok(generation) = cell_rx.recv() else {
             return;
         };
-        let state = Arc::new(ServerState {
+        let state = ServerState {
             generation,
             sessions: Mutex::new(HashMap::new()),
             connections: AtomicU64::new(0),
             requests: AtomicU64::new(0),
-        });
-        let mut served = 0usize;
-        for conn in listener.incoming() {
-            let stream = match conn {
-                Ok(s) => s,
-                Err(e) => {
-                    if opts.verbose {
-                        eprintln!("cfp serve: accept failed: {e}");
-                    }
-                    continue;
-                }
-            };
+        };
+        accept_loop(listener, opts, "cfp serve", |stream| {
             state.connections.fetch_add(1, Ordering::Relaxed);
-            let (st, tx) = (Arc::clone(&state), reload_tx.clone());
-            scope.spawn(move || {
-                if let Err(e) = handle_conn(stream, &st, &tx, opts) {
-                    if opts.verbose {
-                        eprintln!("cfp serve: {e}");
-                    }
-                }
-            });
-            served += 1;
-            if opts.max_conns.is_some_and(|max| served >= max) {
-                break;
-            }
-        }
-        // Dropping the sender ends the builder once the last handler's
-        // clone goes away; the scope then joins every thread, so bounded
-        // serving cannot strand a half-written response.
-        drop(reload_tx);
+            handle_conn(stream, &state, &jobs)
+        });
+        // Every handler has finished; dropping `jobs` here ends the
+        // builder, and the scope joins it.
     });
     Ok(())
 }
@@ -480,10 +379,7 @@ pub fn spawn_query_server(
     config: FusionConfig,
     opts: ServeOptions,
 ) -> io::Result<(SocketAddr, thread::JoinHandle<io::Result<()>>)> {
-    let listener = TcpListener::bind(("127.0.0.1", 0))?;
-    let addr = listener.local_addr()?;
-    let handle = thread::spawn(move || serve_queries(listener, &db, config, &opts));
-    Ok((addr, handle))
+    spawn_local(move |listener| serve_queries(listener, &db, config, &opts))
 }
 
 /// The dedicated builder thread: owns the [`DeltaEngine`] from launch,
@@ -540,66 +436,43 @@ fn builder_loop(
 /// (bad verb, bad field, bad values) keep the connection alive; transport
 /// failures (corrupt frame, timeout, mid-frame close) end it.
 fn handle_conn(
-    stream: TcpStream,
+    stream: &TcpStream,
     state: &ServerState,
-    reload: &mpsc::Sender<BuilderJob>,
-    opts: &ServeOptions,
+    jobs: &mpsc::Sender<BuilderJob>,
 ) -> Result<(), String> {
-    let _ = stream.set_nodelay(true);
-    let io_timeout = opts.io_timeout.max(Duration::from_millis(1));
-    let sock = |e: io::Error| format!("socket deadline: {e}");
-    stream.set_read_timeout(Some(io_timeout)).map_err(sock)?;
-    stream.set_write_timeout(Some(io_timeout)).map_err(sock)?;
-    let mut r = BufReader::new(&stream);
+    let mut r = BufReader::new(stream);
     loop {
         let payload = match read_frame(&mut r) {
             Ok((FRAME_REQUEST, payload)) => payload,
-            Ok((FRAME_BYE, _)) => return Ok(()),
-            Ok((kind, _)) => {
-                send_error_frame(&stream, 3, &format!("unexpected frame kind {kind}"));
-                return Err(format!("unexpected frame kind {kind}"));
-            }
-            Err(FrameError::Closed) => return Ok(()),
-            Err(e @ FrameError::Corrupt(_)) => {
-                // The stream position is unreliable after a corrupt frame;
-                // answer with a typed error, then drop the connection.
-                send_error_frame(&stream, 3, &format!("bad frame: {e}"));
-                return Err(format!("bad frame: {e}"));
-            }
+            Ok((FRAME_BYE, _)) | Err(FrameError::Closed) => return Ok(()),
+            Ok((kind, _)) => return refuse(stream, format!("unexpected frame kind {kind}")),
+            // The stream position is unreliable after a corrupt frame.
+            Err(e @ FrameError::Corrupt(_)) => return refuse(stream, format!("bad frame: {e}")),
             Err(e) => return Err(format!("reading request: {e}")),
         };
         state.requests.fetch_add(1, Ordering::Relaxed);
-        let text = match String::from_utf8(payload) {
-            Ok(t) => t,
-            Err(_) => {
-                send_error_frame(&stream, 3, "request frame is not UTF-8");
-                continue;
-            }
-        };
-        let req = match ServeRequest::parse(&text) {
-            Ok(req) => req,
-            Err(e) => {
-                send_error_frame(&stream, 3, &e);
-                continue;
-            }
-        };
-        let closing = req.verb == "bye";
-        match dispatch(state, reload, &req) {
-            Ok(body) => {
-                let mut w = BufWriter::new(&stream);
-                let mut sink = FrameSink::new(&mut w);
-                sink.write_all(body.as_bytes())
+        let req = ServeRequest::parse(&payload).map_err(|e| bad_request(e.to_string()));
+        let closing = req.as_ref().is_ok_and(|req| req.verb == "bye");
+        match req.and_then(|req| dispatch(state, jobs, &req)) {
+            Ok(text) => {
+                let mut sink = FrameSink::new(BufWriter::new(stream));
+                sink.write_all(text.as_bytes())
+                    .and_then(|()| sink.finish())
                     .map_err(|e| format!("sending response: {e}"))?;
-                sink.finish()
-                    .map_err(|e| format!("sending response: {e}"))?;
-                w.flush().map_err(|e| format!("flush: {e}"))?;
             }
-            Err((exit, msg)) => send_error_frame(&stream, exit, &msg),
+            Err((exit, msg)) => ErrorFrame::send(stream, exit, &msg),
         }
         if closing {
             return Ok(());
         }
     }
+}
+
+/// Answers a transport fault with a typed error frame; the caller then
+/// drops the connection.
+fn refuse(stream: &TcpStream, why: String) -> Result<(), String> {
+    ErrorFrame::send(stream, 3, &why);
+    Err(why)
 }
 
 // ---------------------------------------------------------------------------
@@ -614,24 +487,14 @@ fn bad_request(msg: impl Into<String>) -> Fault {
     (3, msg.into())
 }
 
-/// Routes one parsed request to its verb handler and renders the response
-/// text (handshake line carrying the answering epoch, then verb-specific
-/// `key=value` / `pattern ...` lines).
+/// Routes one parsed request to its verb handler and renders the reply
+/// ([`reply_text`]: the answering epoch, then verb-specific `key=value` /
+/// `pattern ...` lines).
 fn dispatch(
     state: &ServerState,
-    reload: &mpsc::Sender<BuilderJob>,
+    jobs: &mpsc::Sender<BuilderJob>,
     req: &ServeRequest,
 ) -> Result<String, Fault> {
-    let allowed = allowed_fields(&req.verb)
-        .ok_or_else(|| bad_request(format!("unknown verb '{}'", req.verb)))?;
-    for (k, _) in &req.fields {
-        if !allowed.contains(&k.as_str()) {
-            return Err(bad_request(format!(
-                "verb '{}' does not accept field '{k}'",
-                req.verb
-            )));
-        }
-    }
     let gen = state.generation();
     let (epoch, body) = match req.verb.as_str() {
         "topk" => (gen.epoch, topk(state, &gen, req)?),
@@ -641,60 +504,68 @@ fn dispatch(
         "put" => (gen.epoch, put(state, &gen, req)?),
         "stats" => (gen.epoch, server_stats(state, &gen)),
         "reload" => {
-            let (epoch, body) = trigger_reload(&gen, reload, req)?;
-            (epoch, body)
+            let seed = parse_num::<u64>(req, "seed")?;
+            let (epoch, how) = enqueue(&gen, jobs, req, |ack| BuilderJob::Reload { seed, ack })?;
+            (epoch, format!("{how}\n"))
         }
         "append" => {
-            let (epoch, body) = trigger_append(&gen, reload, req)?;
-            (epoch, body)
+            let raw = req
+                .get("txns")
+                .ok_or_else(|| bad_request("missing required field 'txns'"))?;
+            let delta = parse_txns(raw)?;
+            let appended = delta.len();
+            let (epoch, how) = enqueue(&gen, jobs, req, |ack| BuilderJob::Append { delta, ack })?;
+            (epoch, format!("appended={appended} {how}\n"))
         }
         "bye" => (gen.epoch, "closing=1\n".to_string()),
-        _ => unreachable!("allowed_fields() vetted the verb"),
+        _ => unreachable!("ServeRequest::parse vetted the verb"),
     };
-    Ok(format!(
-        "cfp-serve {SERVE_PROTOCOL_VERSION} ok {} epoch={epoch}\n{body}",
-        req.verb
-    ))
+    Ok(reply_text(&req.verb, epoch, &body))
 }
 
-/// Parses a required comma-separated item list into a canonical itemset.
-fn parse_items(req: &ServeRequest) -> Result<Itemset, Fault> {
+/// A reply's text: a `cfp-serve` head with the verb and the answering
+/// epoch, an empty line, then the verb's body.
+pub(crate) fn reply_text(verb: &str, epoch: u64, body: &str) -> String {
+    let mut text = head(SERVE_MAGIC);
+    field(&mut text, "verb", verb);
+    field(&mut text, "epoch", epoch);
+    text.push('\n');
+    text.push_str(body);
+    text
+}
+
+/// Parses required field `key` as a non-empty comma-separated list.
+fn parse_list<T: std::str::FromStr>(req: &ServeRequest, key: &str) -> Result<Vec<T>, Fault> {
     let raw = req
-        .get("items")
-        .ok_or_else(|| bad_request("missing required field 'items'"))?;
-    let mut items: Vec<Item> = Vec::new();
-    for tok in raw.split(',').filter(|t| !t.is_empty()) {
-        items.push(
+        .get(key)
+        .ok_or_else(|| bad_request(format!("missing required field '{key}'")))?;
+    let list = raw
+        .split(',')
+        .filter(|t| !t.is_empty())
+        .map(|tok| {
             tok.parse()
-                .map_err(|_| bad_request(format!("bad item '{tok}' in items list")))?,
-        );
+                .map_err(|_| bad_request(format!("bad value '{tok}' in {key} list")))
+        })
+        .collect::<Result<Vec<T>, Fault>>()?;
+    if list.is_empty() {
+        return Err(bad_request(format!("empty {key} list")));
     }
-    if items.is_empty() {
-        return Err(bad_request("empty items list"));
-    }
-    Ok(Itemset::from_items(&items))
+    Ok(list)
 }
 
-/// Parses a required comma-separated tid list (sorted, deduplicated),
-/// validating every tid against the generation's universe.
+/// Parses a required item list into a canonical itemset.
+fn parse_items(req: &ServeRequest) -> Result<Itemset, Fault> {
+    Ok(Itemset::from_items(&parse_list::<Item>(req, "items")?))
+}
+
+/// Parses a required tid list (sorted, deduplicated), validating every tid
+/// against the generation's universe.
 fn parse_tids(req: &ServeRequest, universe: usize) -> Result<Vec<usize>, Fault> {
-    let raw = req
-        .get("tids")
-        .ok_or_else(|| bad_request("missing required field 'tids'"))?;
-    let mut tids: Vec<usize> = Vec::new();
-    for tok in raw.split(',').filter(|t| !t.is_empty()) {
-        let t: usize = tok
-            .parse()
-            .map_err(|_| bad_request(format!("bad tid '{tok}' in tids list")))?;
-        if t >= universe {
-            return Err(bad_request(format!(
-                "tid {t} is outside the universe of {universe} transactions"
-            )));
-        }
-        tids.push(t);
-    }
-    if tids.is_empty() {
-        return Err(bad_request("empty tids list"));
+    let mut tids: Vec<usize> = parse_list(req, "tids")?;
+    if let Some(t) = tids.iter().find(|&&t| t >= universe) {
+        return Err(bad_request(format!(
+            "tid {t} is outside the universe of {universe} transactions"
+        )));
     }
     tids.sort_unstable();
     tids.dedup();
@@ -702,13 +573,10 @@ fn parse_tids(req: &ServeRequest, universe: usize) -> Result<Vec<usize>, Fault> 
 }
 
 fn parse_num<T: std::str::FromStr>(req: &ServeRequest, key: &str) -> Result<Option<T>, Fault> {
-    match req.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| bad_request(format!("bad value '{v}' for field '{key}'"))),
-    }
+    let bad = |v| bad_request(format!("bad value '{v}' for field '{key}'"));
+    req.get(key)
+        .map(|v| v.parse().map_err(|_| bad(v)))
+        .transpose()
 }
 
 /// One `pattern ...` response line: the row's itemset and support, plus
@@ -742,28 +610,39 @@ fn pattern_line(store: &PoolStore, row: u32, with_tids: bool, out: &mut String) 
     out.push('\n');
 }
 
-/// `topk`: the first `k` rows of the result ranking. With a session, the
-/// tenant's overlay rows compete in the same ranking.
-fn topk(state: &ServerState, gen: &Generation, req: &ServeRequest) -> Result<String, Fault> {
-    let k = parse_num::<usize>(req, "k")?.unwrap_or(DEFAULT_TOPK);
-    let with_tids = req.get("tids") == Some("1");
-    let render = |store: &PoolStore, rows: &[u32]| {
-        let mut out = format!("count={} total={}\n", k.min(rows.len()), rows.len());
-        for &row in rows.iter().take(k) {
-            pattern_line(store, row, with_tids, &mut out);
-        }
-        out
-    };
+/// Runs `render` over the rows a request sees, in ranking order: the
+/// shared generation's, or — with a session — the session's overlay rows
+/// ranked in among them (the session stays locked while `render` runs).
+fn ranked_view(
+    state: &ServerState,
+    gen: &Generation,
+    req: &ServeRequest,
+    render: impl FnOnce(&PoolStore, &[u32]) -> String,
+) -> String {
     match req.get("session") {
-        None => Ok(render(&gen.store, &gen.rows)),
+        None => render(&gen.store, &gen.rows),
         Some(name) => {
             let cell = state.session(name, gen);
             let sess = cell.lock().expect("session lock");
             let mut rows: Vec<u32> = gen.rows.iter().chain(&sess.local_rows).copied().collect();
             rank_rows(&sess.store, &mut rows);
-            Ok(render(&sess.store, &rows))
+            render(&sess.store, &rows)
         }
     }
+}
+
+/// `topk`: the first `k` rows of the result ranking. With a session, the
+/// tenant's overlay rows compete in the same ranking.
+fn topk(state: &ServerState, gen: &Generation, req: &ServeRequest) -> Result<String, Fault> {
+    let k = parse_num::<usize>(req, "k")?.unwrap_or(DEFAULT_TOPK);
+    let with_tids = req.get("tids") == Some("1");
+    Ok(ranked_view(state, gen, req, |store, rows| {
+        let mut out = format!("count={} total={}\n", k.min(rows.len()), rows.len());
+        for &row in rows.iter().take(k) {
+            pattern_line(store, row, with_tids, &mut out);
+        }
+        out
+    }))
 }
 
 /// `lookup`: exact-itemset support lookup through the interning table —
@@ -794,7 +673,7 @@ fn lookup(state: &ServerState, gen: &Generation, req: &ServeRequest) -> Result<S
 fn contain(state: &ServerState, gen: &Generation, req: &ServeRequest) -> Result<String, Fault> {
     let items = parse_items(req)?;
     let limit = parse_num::<usize>(req, "limit")?.unwrap_or(DEFAULT_CONTAIN_LIMIT);
-    let render = |store: &PoolStore, rows: &[u32]| {
+    Ok(ranked_view(state, gen, req, |store, rows| {
         let mut matched = 0usize;
         let mut lines = String::new();
         for &row in rows {
@@ -810,17 +689,7 @@ fn contain(state: &ServerState, gen: &Generation, req: &ServeRequest) -> Result<
             matched.min(limit),
             rows.len()
         )
-    };
-    match req.get("session") {
-        None => Ok(render(&gen.store, &gen.rows)),
-        Some(name) => {
-            let cell = state.session(name, gen);
-            let sess = cell.lock().expect("session lock");
-            let mut rows: Vec<u32> = gen.rows.iter().chain(&sess.local_rows).copied().collect();
-            rank_rows(&sess.store, &mut rows);
-            Ok(render(&sess.store, &rows))
-        }
-    }
+    }))
 }
 
 /// Sorted-slice subset test: is every item of `needle` in `hay`?
@@ -901,33 +770,27 @@ fn server_stats(state: &ServerState, gen: &Generation) -> String {
     )
 }
 
-/// `reload`: enqueues a re-mine on the builder thread. With `wait=1` the
-/// response reports the freshly swapped epoch; without it, the epoch that
-/// answered and `scheduled=1`.
-fn trigger_reload(
+/// `reload` and `append`: queues the builder job `job` builds around its
+/// ack channel (an append is absorbed incrementally, see [`crate::delta`]).
+/// With `wait=1` the reply reports the freshly swapped epoch and
+/// `waited=1`; without it, the epoch that answered and `scheduled=1`.
+fn enqueue(
     gen: &Generation,
-    reload: &mpsc::Sender<BuilderJob>,
+    jobs: &mpsc::Sender<BuilderJob>,
     req: &ServeRequest,
-) -> Result<(u64, String), Fault> {
-    let seed = parse_num::<u64>(req, "seed")?;
+    job: impl FnOnce(Option<mpsc::Sender<u64>>) -> BuilderJob,
+) -> Result<(u64, &'static str), Fault> {
     let wait = req.get("wait") == Some("1");
     let (ack_tx, ack_rx) = mpsc::channel();
-    let job = BuilderJob::Reload {
-        seed,
-        ack: wait.then(|| ack_tx.clone()),
-    };
-    reload
-        .send(job)
+    jobs.send(job(wait.then_some(ack_tx)))
         .map_err(|_| (2, "the generation builder has shut down".to_string()))?;
-    if wait {
-        drop(ack_tx);
-        let epoch = ack_rx
-            .recv()
-            .map_err(|_| (2, "the generation builder died mid-build".to_string()))?;
-        Ok((epoch, "waited=1\n".to_string()))
-    } else {
-        Ok((gen.epoch, "scheduled=1\n".to_string()))
+    if !wait {
+        return Ok((gen.epoch, "scheduled=1"));
     }
+    let epoch = ack_rx
+        .recv()
+        .map_err(|_| (2, "the generation builder died mid-build".to_string()))?;
+    Ok((epoch, "waited=1"))
 }
 
 /// Parses an `append` request's `txns=` field: `;`-separated transactions,
@@ -949,44 +812,7 @@ fn parse_txns(raw: &str) -> Result<DbDelta, Fault> {
         }
         delta.push(&txn);
     }
-    if delta.is_empty() {
-        return Err(bad_request("missing or empty field 'txns'"));
-    }
     Ok(delta)
-}
-
-/// `append`: stages a transaction delta onto the builder thread, which
-/// absorbs it incrementally (see [`crate::delta`]) and swaps in a new
-/// generation bit-identical to a cold mine of the grown database. `wait=1`
-/// reports the freshly swapped epoch, mirroring `reload`.
-fn trigger_append(
-    gen: &Generation,
-    reload: &mpsc::Sender<BuilderJob>,
-    req: &ServeRequest,
-) -> Result<(u64, String), Fault> {
-    let raw = req
-        .get("txns")
-        .ok_or_else(|| bad_request("missing required field 'txns'"))?;
-    let delta = parse_txns(raw)?;
-    let appended = delta.len();
-    let wait = req.get("wait") == Some("1");
-    let (ack_tx, ack_rx) = mpsc::channel();
-    let job = BuilderJob::Append {
-        delta,
-        ack: wait.then(|| ack_tx.clone()),
-    };
-    reload
-        .send(job)
-        .map_err(|_| (2, "the generation builder has shut down".to_string()))?;
-    if wait {
-        drop(ack_tx);
-        let epoch = ack_rx
-            .recv()
-            .map_err(|_| (2, "the generation builder died mid-build".to_string()))?;
-        Ok((epoch, format!("appended={appended} waited=1\n")))
-    } else {
-        Ok((gen.epoch, format!("appended={appended} scheduled=1\n")))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1006,8 +832,9 @@ pub enum ServeError {
         /// The server's human-readable explanation.
         message: String,
     },
-    /// The reply arrived intact but violated the v3 protocol shape.
-    Protocol(String),
+    /// The reply arrived intact but its head is not a valid reply to the
+    /// request.
+    Protocol(WireError),
 }
 
 impl std::fmt::Display for ServeError {
@@ -1015,33 +842,34 @@ impl std::fmt::Display for ServeError {
         match self {
             Self::Frame(e) => write!(f, "transport: {e}"),
             Self::Server { exit, message } => write!(f, "server error (exit {exit}): {message}"),
-            Self::Protocol(m) => write!(f, "protocol: {m}"),
+            Self::Protocol(e) => write!(f, "protocol: {e}"),
         }
     }
 }
 
 impl std::error::Error for ServeError {}
 
-impl From<FrameError> for ServeError {
-    fn from(e: FrameError) -> Self {
-        Self::Frame(e)
-    }
-}
-
+/// A reply read through [`FrameSource`] fails with an `io::Error`: one that
+/// wraps an [`ErrorFrame`] is the server's typed error.
 impl From<io::Error> for ServeError {
     fn from(e: io::Error) -> Self {
-        Self::Frame(FrameError::Io(e))
+        match e.downcast::<ErrorFrame>() {
+            Ok(frame) => Self::Server {
+                exit: frame.exit.unwrap_or(-1),
+                message: frame.message,
+            },
+            Err(e) if is_timeout(e.kind()) => Self::Frame(FrameError::TimedOut),
+            Err(e) => Self::Frame(FrameError::Io(e)),
+        }
     }
 }
 
-/// A parsed v3 reply: the answering epoch plus the verb-specific body
-/// lines (handshake line already consumed and validated).
+/// A parsed reply: the answering epoch plus the verb-specific body lines
+/// (the head already consumed and validated).
 #[derive(Debug)]
 pub struct ServeReply {
     /// The generation epoch that answered.
     pub epoch: u64,
-    /// The verb echoed by the server.
-    pub verb: String,
     /// The response body, one entry per line.
     pub lines: Vec<String>,
 }
@@ -1066,27 +894,35 @@ impl ServeReply {
     }
 }
 
-/// A blocking v3 client over one long-lived connection: send a request
+/// Decodes a reply to `verb`: its head must answer that verb, and the body
+/// lines follow the empty line.
+pub(crate) fn parse_reply(payload: &[u8], verb: &str) -> Result<ServeReply, WireError> {
+    let (mut m, body) = Message::decode_head(payload, SERVE_MAGIC)?;
+    let answered = m.require("verb")?;
+    if answered != verb {
+        return Err(bad_value("verb", answered));
+    }
+    let epoch = m.parse("epoch")?;
+    m.finish(&[])?;
+    Ok(ServeReply {
+        epoch,
+        lines: body.lines().map(str::to_string).collect(),
+    })
+}
+
+/// A blocking client over one long-lived connection: send a request
 /// frame, collect the chunked reply. Used by the `cfp query` subcommand
 /// and the service tests.
 pub struct QueryClient {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
+    conn: BufReader<TcpStream>,
 }
 
 impl QueryClient {
-    /// Connects and applies `timeout` to every subsequent socket
+    /// Connects ([`dial`]) and applies `timeout` to every subsequent socket
     /// operation.
     pub fn connect(addr: impl ToSocketAddrs, timeout: Duration) -> io::Result<Self> {
-        let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "no address to connect to")
-        })?;
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Self { stream, reader })
+        let conn = BufReader::new(dial(addr, timeout)?);
+        Ok(Self { conn })
     }
 
     /// Sends one request and reads its complete reply.
@@ -1096,127 +932,23 @@ impl QueryClient {
         fields: &[(&str, &str)],
     ) -> Result<ServeReply, ServeError> {
         let text = ServeRequest::new(verb, fields).to_text();
-        write_frame(&mut &self.stream, FRAME_REQUEST, text.as_bytes())?;
-        let mut body = Vec::new();
-        loop {
-            match read_frame(&mut self.reader)? {
-                (FRAME_SLAB_CHUNK, chunk) => body.extend_from_slice(&chunk),
-                (FRAME_HEARTBEAT, _) => continue,
-                (FRAME_SLAB_END, tail) => {
-                    let declared = u64::from_le_bytes(
-                        tail.try_into()
-                            .map_err(|_| ServeError::Protocol("malformed end frame".into()))?,
-                    );
-                    if declared != body.len() as u64 {
-                        return Err(ServeError::Protocol(format!(
-                            "reply declared {declared} bytes but {} arrived",
-                            body.len()
-                        )));
-                    }
-                    break;
-                }
-                (FRAME_ERROR, payload) => return Err(parse_error_frame(&payload)),
-                (kind, _) => {
-                    return Err(ServeError::Protocol(format!(
-                        "unexpected frame kind {kind}"
-                    )))
-                }
-            }
-        }
-        let text = String::from_utf8(body)
-            .map_err(|_| ServeError::Protocol("reply is not UTF-8".into()))?;
-        parse_reply(&text, verb)
+        write_frame(&mut self.conn.get_ref(), FRAME_REQUEST, text.as_bytes())?;
+        let mut source = FrameSource::new(&mut self.conn);
+        let mut reply = Vec::new();
+        source.read_to_end(&mut reply)?;
+        source.finish()?;
+        parse_reply(&reply, verb).map_err(ServeError::Protocol)
     }
 
     /// Ends the connection with a [`FRAME_BYE`] (best-effort).
     pub fn bye(self) {
-        let _ = write_frame(&mut &self.stream, FRAME_BYE, &[]);
+        let _ = write_frame(&mut self.conn.get_ref(), FRAME_BYE, &[]);
     }
-}
-
-/// Decodes a [`FRAME_ERROR`] payload (`exit=<code>\n<message>`).
-fn parse_error_frame(payload: &[u8]) -> ServeError {
-    let text = String::from_utf8_lossy(payload);
-    let (head, message) = text.split_once('\n').unwrap_or((text.as_ref(), ""));
-    let exit = head
-        .strip_prefix("exit=")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(-1);
-    ServeError::Server {
-        exit,
-        message: message.to_string(),
-    }
-}
-
-/// Validates the reply handshake line and splits out the body.
-fn parse_reply(text: &str, want_verb: &str) -> Result<ServeReply, ServeError> {
-    let bad = |m: String| ServeError::Protocol(m);
-    let mut lines = text.lines();
-    let head = lines.next().ok_or_else(|| bad("empty reply".into()))?;
-    let parts: Vec<&str> = head.split(' ').collect();
-    if parts.len() != 5 || parts[0] != "cfp-serve" || parts[2] != "ok" {
-        return Err(bad(format!("bad reply handshake '{head}'")));
-    }
-    if parts[1] != SERVE_PROTOCOL_VERSION.to_string() {
-        return Err(bad(format!(
-            "reply speaks protocol {}, not {SERVE_PROTOCOL_VERSION}",
-            parts[1]
-        )));
-    }
-    if parts[3] != want_verb {
-        return Err(bad(format!(
-            "reply answers verb '{}', expected '{want_verb}'",
-            parts[3]
-        )));
-    }
-    let epoch = parts[4]
-        .strip_prefix("epoch=")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| bad(format!("bad epoch field in '{head}'")))?;
-    Ok(ServeReply {
-        epoch,
-        verb: want_verb.to_string(),
-        lines: lines.map(str::to_string).collect(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn request_text_round_trips() {
-        let req = ServeRequest::new("topk", &[("k", "5"), ("session", "alice")]);
-        let parsed = ServeRequest::parse(&req.to_text()).unwrap();
-        assert_eq!(parsed.verb, "topk");
-        assert_eq!(parsed.get("k"), Some("5"));
-        assert_eq!(parsed.get("session"), Some("alice"));
-        assert_eq!(parsed.to_text(), req.to_text());
-    }
-
-    #[test]
-    fn request_parse_is_strict() {
-        for bad in [
-            "",
-            "cfp-net 2 topk",
-            "cfp-serve x topk",
-            "cfp-serve 2 topk",
-            "cfp-serve 3",
-            "cfp-serve 3 topk extra",
-            "cfp-serve 3 topk\nnot-a-field",
-            "cfp-serve 3 topk\n=5",
-            "cfp-serve 3 topk\nk=5\nk=6",
-        ] {
-            assert!(ServeRequest::parse(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn unknown_verbs_and_fields_are_rejected_by_the_table() {
-        assert!(allowed_fields("frobnicate").is_none());
-        assert!(allowed_fields("topk").is_some_and(|a| !a.contains(&"seed")));
-        assert!(allowed_fields("append").is_some_and(|a| a.contains(&"txns")));
-    }
 
     #[test]
     fn txns_fields_parse_strictly() {
@@ -1233,30 +965,5 @@ mod tests {
         assert!(contains_all(&[1, 3, 5, 9], &[]));
         assert!(!contains_all(&[1, 3, 5, 9], &[3, 4]));
         assert!(!contains_all(&[], &[1]));
-    }
-
-    #[test]
-    fn error_frame_payloads_decode() {
-        match parse_error_frame(b"exit=3\nno such verb") {
-            ServeError::Server { exit, message } => {
-                assert_eq!(exit, 3);
-                assert_eq!(message, "no such verb");
-            }
-            other => panic!("wrong decode: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn reply_handshakes_are_validated() {
-        assert!(parse_reply("cfp-serve 3 ok topk epoch=4\ncount=0 total=0\n", "topk").is_ok());
-        for bad in [
-            "",
-            "cfp-serve 3 err topk epoch=4\n",
-            "cfp-serve 2 ok topk epoch=4\n",
-            "cfp-serve 3 ok stats epoch=4\n",
-            "cfp-serve 3 ok topk epoch=x\n",
-        ] {
-            assert!(parse_reply(bad, "topk").is_err(), "accepted {bad:?}");
-        }
     }
 }

@@ -1,8 +1,9 @@
-//! Service tests for the v3 pattern query daemon (`cfp_core::serve`):
+//! Service tests for the pattern query daemon (`cfp_core::serve`):
 //! concurrent clients against one generation are bit-identical to a serial
 //! client, epoch swaps under load are atomic (every reply is wholly one
-//! generation), malformed frames get typed errors instead of panics, and
-//! session overlays isolate tenants across reloads.
+//! generation), malformed frames and old-version requests get typed errors
+//! instead of panics, and session overlays isolate tenants across reloads
+//! and across appends that grow the tid universe.
 
 use cfp_core::net::{read_frame, write_frame, FrameError, FRAME_ERROR, FRAME_REQUEST};
 use cfp_core::serve::ServeRequest;
@@ -446,4 +447,77 @@ fn similar_equals_the_engine_own_ball_semantics() {
     assert_eq!(got, want, "served ball differs from the engine's own ball");
     assert_eq!(reply.field("count"), Some(want.len().to_string().as_str()));
     c.bye();
+}
+
+#[test]
+fn sessions_survive_an_append_that_grows_the_tid_universe() {
+    let addr = spawn(ServeOptions::default());
+    let mut c = client(addr);
+    let put = c
+        .request(
+            "put",
+            &[("session", "alice"), ("items", "2,4"), ("tids", "1,3,5,7")],
+        )
+        .unwrap();
+    assert_eq!(put.field("fresh"), Some("1"));
+
+    // 300 appended transactions take the 24-tid universe past the first
+    // 256-tid lane, so every tid row of the new generation is wider than
+    // the session's own pattern was when it was put.
+    let txns = (0..300)
+        .map(|i| if i % 2 == 0 { "1,2" } else { "999" })
+        .collect::<Vec<_>>()
+        .join(";");
+    let grown = c
+        .request("append", &[("txns", &txns), ("wait", "1")])
+        .unwrap();
+    assert_eq!(grown.field("appended"), Some("300"));
+
+    // Every request naming the session re-interns its pattern into the
+    // new generation; none may panic the handler or poison the session.
+    for _ in 0..2 {
+        let alice = c
+            .request("lookup", &[("items", "2,4"), ("session", "alice")])
+            .unwrap();
+        assert_eq!(alice.epoch, grown.epoch);
+        assert_eq!(alice.field("found"), Some("1"));
+        assert_eq!(alice.field("support"), Some("4"));
+        let line = alice.patterns().next().expect("the session's pattern");
+        assert!(line.ends_with(" tids=1,3,5,7"), "{line}");
+    }
+    let shared = c.request("topk", &[("k", "1000")]).unwrap();
+    let alice = c
+        .request("topk", &[("k", "1000"), ("session", "alice")])
+        .unwrap();
+    let total = |r: &ServeReply| r.field("total").unwrap().parse::<usize>().unwrap();
+    let shared_has = c.request("lookup", &[("items", "2,4")]).unwrap();
+    let private = usize::from(shared_has.field("found") == Some("0"));
+    assert_eq!(total(&alice), total(&shared) + private);
+    let again = c
+        .request(
+            "put",
+            &[("session", "alice"), ("items", "2,4"), ("tids", "1,3,5,7")],
+        )
+        .unwrap();
+    assert_eq!(again.field("fresh"), Some("0"));
+    c.bye();
+}
+
+#[test]
+fn an_old_version_request_is_refused_typed_and_the_connection_survives() {
+    let addr = spawn(ServeOptions::default());
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(TIMEOUT)).unwrap();
+    // What a version-3 client sent: the verb on the handshake line.
+    write_frame(&mut s, FRAME_REQUEST, b"cfp-serve 3 topk\nk=5\n").unwrap();
+    let (kind, payload) = read_frame(&mut &s).unwrap();
+    assert_eq!(kind, FRAME_ERROR);
+    let text = String::from_utf8_lossy(&payload);
+    assert!(text.starts_with("exit=3\n"), "untyped error: {text}");
+    assert!(text.contains("protocol version 3 not supported"), "{text}");
+    // A refused request is a request-level fault: the connection stays up.
+    let text = ServeRequest::new("topk", &[("k", "1")]).to_text();
+    write_frame(&mut s, FRAME_REQUEST, text.as_bytes()).unwrap();
+    let (kind, _) = read_frame(&mut &s).unwrap();
+    assert_eq!(kind, cfp_core::net::FRAME_SLAB_CHUNK);
 }

@@ -60,17 +60,13 @@
 //! bit-flips, and mismatched section tables each surface as a typed
 //! [`crate::slab_io::SlabIoError`], never a panic.
 //!
-//! # Worker interchange protocol (version 2)
+//! # The wire (protocol version 4)
 //!
-//! CFPSLAB doubles as the shard interchange of the process-based shard
-//! executors (`cfp_core::net`): a coordinator ships each shard's sub-pool
-//! to a `cfp shard-host` worker and reads the shard's archive back, both
-//! as CFPSLAB bytes re-framed for a byte stream. The protocol runs over
-//! two transports with the same frames: **TCP** (the remote executor
-//! dials a `cfp shard-host` listener, one connection per shard attempt)
-//! and **pipes** (the subprocess executor spawns `<worker> shard-host
-//! --stdio [--db FILE]` per shard and converses over the child's stdin
-//! and stdout, which carries frames only). Every frame is
+//! Two daemons speak one wire (`cfp_core::wire`): `cfp shard-host`, the
+//! worker half of the process-based shard executors (`cfp_core::net`),
+//! and `cfp serve`, the pattern query service (`cfp_core::serve`).
+//!
+//! **Frames.** Every byte travels in a frame:
 //!
 //! ```text
 //! offset  size   field
@@ -85,45 +81,73 @@
 //! Frame kinds: `1` request, `2` slab chunk, `3` slab end, `4`
 //! heartbeat, `5` stats record, `6` error, `7` bye. A short read, a bad
 //! CRC, an unknown kind, or an over-cap length is a typed corrupt-frame
-//! failure — never a panic, never a partial merge.
+//! failure — never a panic, never a partial merge. A long payload (a slab
+//! image, a serve reply) streams as chunk frames of up to 128 KiB closed
+//! by a slab-end frame whose payload is the total byte count (u64 LE); a
+//! heartbeat frame may precede any chunk, and an end-total mismatch or
+//! trailing bytes are corrupt-frame failures.
 //!
-//! **Handshake** (request payload, ASCII): `cfp-net 2 shard=<S>
-//! shards=<N> attempt=<A>` on the first line, then the full per-shard
-//! fusion configuration as flags, one token per line (`--k`,
-//! `--mincount`, `--tau`, `--pool-len`, `--attempts`, `--max-results`,
-//! `--max-iterations`, `--max-ball-size`, `--ball-pivots`, `--seed`,
-//! each followed by its value, and the optional `--archive-cap N`,
-//! `--no-archive`, `--no-parallel`, `--threads N`, `--closure`). A host
-//! rejects any version or flag it does not know — never silently
-//! ignored, so coordinator/host version skew cannot mine with a
+//! **Messages.** Every text payload — the worker request, the stats
+//! record, the serve request and the head of a serve reply — is one
+//! message: a handshake line `<magic> <version>` (magic `cfp-net`,
+//! `cfp-stats` or `cfp-serve`; version `4`), then one `key=value` field
+//! per line, the key non-empty and the value everything after the first
+//! `=`. Decoding is strict, and each fault is its own typed error: a
+//! payload that is not UTF-8, a bad handshake, another version, a line
+//! that is not `key=value`, a missing, repeated or unknown key, and a
+//! value that does not parse as its field's type. The version is read
+//! before the handshake's word count, so a version-2 worker or version-3
+//! query peer, whose handshakes carried more words, is told "protocol
+//! version N not supported". Nothing is silently ignored or defaulted.
+//!
+//! **Error frames.** An error frame's payload is `exit=<code>` on the
+//! first line and the failure text after it, unchanged since version 2.
+//! A payload with no readable code decodes to its whole text, codeless.
+//!
+//! ## Worker messages
+//!
+//! CFPSLAB doubles as the shard interchange of the process-based shard
+//! executors: a coordinator ships each shard's sub-pool to a
+//! `cfp shard-host` worker and reads the shard's archive back, both as
+//! CFPSLAB bytes in chunk frames. The protocol runs over two transports
+//! with the same frames: **TCP** (the remote executor dials a
+//! `cfp shard-host` listener, one connection per shard attempt) and
+//! **pipes** (the subprocess executor spawns `<worker> shard-host --stdio
+//! [--db FILE]` per shard and converses over the child's stdin and
+//! stdout, which carries frames only).
+//!
+//! **Request** (a `cfp-net` message): `shard`, `shards` and `attempt`,
+//! then the full per-shard fusion configuration, one field each — `k`,
+//! `min_count`, `tau`, `pool_max_len`, `attempts_per_seed`,
+//! `max_results_per_seed`, `max_iterations`, `max_ball_size`,
+//! `closure_step`, `archive`, `parallel` (the three flags `true` /
+//! `false`), `ball_pivots`, `seed`, and the optional `archive_cap` and
+//! `threads`. `tau` is written as the shortest decimal that reads back to
+//! the same `f64` bits. Every other field is required and no other is
+//! allowed, so coordinator/host version skew cannot mine with a
 //! half-applied configuration. `attempt` makes redelivery explicit: a
 //! host treats every attempt as idempotent (same sub-pool → same answer).
 //!
-//! **Slab streaming**: the coordinator frames the shard's sub-pool — a
+//! **Slab streaming**: the coordinator streams the shard's sub-pool — a
 //! CFPSLAB image of the shard's rows in the parent's partition order —
-//! as chunk frames (128 KiB each) closed by a slab-end frame whose
-//! payload is the total byte count (u64 LE). The host mines rows
-//! `0..rows` in slab order, so the sub-pool's row order (not content
-//! hashing) carries the determinism contract across the process
-//! boundary. After its stats frame the host streams the archive slab
-//! back the same way, rows in its deterministic output order; the
-//! coordinator re-interns them against its own base slab, restoring
-//! row-id identity for the deterministic merge. End-total mismatches
-//! and trailing bytes are corrupt-frame failures.
+//! as chunk frames. The host mines rows `0..rows` in slab order, so the
+//! sub-pool's row order (not content hashing) carries the determinism
+//! contract across the process boundary. After its stats frame the host
+//! streams the archive slab back the same way, rows in its deterministic
+//! output order; the coordinator re-interns them against its own base
+//! slab, restoring row-id identity for the deterministic merge.
 //!
-//! **Stats record** (stats-frame payload, line-oriented ASCII): a
-//! handshake line `cfp-stats 2 shard=<S>`, then one `key value` line, in
-//! any order, for each of `pool_size`, `patterns`, `iterations`,
-//! `converged`, `tombstoned`, `inserted`, `compactions`,
-//! `ball.pairs_total`, `ball.cardinality_pruned`, `ball.pivot_pruned`,
-//! `ball.exact_checked`, `ball.ball_members`, `ball.accepted_by_bound`,
-//! `ball.pivots_active` and `ball.pivot_prune_counts` (one space-separated
-//! row of per-pivot totals), closed by a literal `end` line. The coordinator parses
-//! strictly — a missing terminator, a missing or repeated key, an unknown
-//! key, a `pool_size` that does not match what was shipped, or an archive
-//! whose row count does not match `patterns` is a typed failure, because
-//! per-shard counters are part of the bit-identity gate, not best-effort
-//! telemetry.
+//! **Stats record** (a `cfp-stats` message): `shard`, then one field per
+//! counter — `pool_size`, `patterns`, `iterations`, `converged` (`true` /
+//! `false`), `tombstoned`, `inserted`, `compactions`, `ball.pairs_total`,
+//! `ball.cardinality_pruned`, `ball.pivot_pruned`, `ball.exact_checked`,
+//! `ball.ball_members`, `ball.accepted_by_bound`, `ball.pivots_active`,
+//! and `ball.pivot_prune_counts.<i>` for each pivot slot `i` (the
+//! per-pivot totals). The coordinator parses strictly — a record for
+//! another shard, a missing, repeated or unknown key, a `pool_size` that
+//! does not match what was shipped, or an archive whose row count does
+//! not match `patterns` is a typed failure, because per-shard counters
+//! are part of the bit-identity gate, not best-effort telemetry.
 //!
 //! **Liveness**: while mining, the host emits a heartbeat frame at a
 //! configurable cadence. Over TCP the coordinator arms `SO_RCVTIMEO` /
@@ -132,34 +156,29 @@
 //! the coordinator bounds each child by one deadline from its spawn and
 //! kills a child that outlives it, which ends the conversation.
 //!
-//! **Errors**: an error frame carries `exit=<code>` (`2` slab I/O, `3`
-//! malformed request, or a dataset problem — a closure request to a host
-//! without a dataset, or one that fails to load) and the failure text on
-//! the following lines. A `--stdio` host then exits with that code (`1`
-//! for any failure that sent no error frame). Over TCP the coordinator
-//! maps an error frame to a typed remote-worker failure, retries the
-//! shard with deterministic backoff on a rotated host, and — when
-//! retries are exhausted — either re-mines the shard in-thread from its
-//! spilled slab or surfaces a typed network failure naming the shard,
-//! the attempt count, and the last error. Over pipes a failed
-//! conversation is a typed worker failure carrying the shard index, the
-//! child's exit status, and its captured stderr, with an opt-in
-//! in-process re-mine from the spilled slab.
+//! **Errors**: a worker's error frame carries exit code `2` (slab I/O)
+//! or `3` (a malformed request, or a dataset problem — a closure request
+//! to a host without a dataset, or one that fails to load). A `--stdio`
+//! host then exits with that code (`1` for any failure that sent no
+//! error frame). Over TCP the coordinator maps an error frame to a typed
+//! remote-worker failure, retries the shard with deterministic backoff
+//! on a rotated host, and — when retries are exhausted — either re-mines
+//! the shard in-thread from its spilled slab or surfaces a typed network
+//! failure naming the shard, the attempt count, and the last error. Over
+//! pipes a failed conversation is a typed worker failure carrying the
+//! shard index, the child's exit status, and its captured stderr, with an
+//! opt-in in-process re-mine from the spilled slab.
 //!
-//! # Query service protocol (version 3)
+//! ## Query messages
 //!
-//! The pattern query daemon (`cfp_core::serve`: long-lived clients ↔ a
-//! `cfp serve` process) speaks version 3 over the version-2 transport —
-//! the identical frame layout (kind, length, payload, CRC-32; 8 MiB cap)
-//! and kind numbering — with line-oriented ASCII payloads in place of
-//! slab bytes. One connection carries many requests, strictly
-//! request-reply; concurrent connections each get their own thread.
+//! The pattern query daemon (long-lived clients ↔ a `cfp serve`
+//! process) carries text in the same frames. One connection carries
+//! many requests, strictly request-reply; concurrent connections each
+//! get their own thread.
 //!
-//! **Request** (request-frame payload, ASCII): a handshake line
-//! `cfp-serve 3 <verb>`, then one `key=value` field per line. Parsing is
-//! strict — an unknown verb, a field the verb does not admit, a
-//! duplicate key, an empty key, or a bad handshake is a typed request
-//! error, never silently ignored. Verbs and their admitted fields:
+//! **Request** (a `cfp-serve` message): a `verb` field, then the verb's
+//! own fields. An unknown verb, or a field the verb does not admit, is a
+//! typed request error like any other. Verbs and their admitted fields:
 //!
 //! ```text
 //! verb     fields                      answer
@@ -175,32 +194,31 @@
 //! bye      —                           close the connection
 //! ```
 //!
-//! **Reply**: chunk frames closed by a slab-end frame carrying the total
-//! byte count (u64 LE) — the version-2 streaming shape reused for text.
-//! The first payload line is `cfp-serve 3 ok <verb> epoch=<E>`; body
-//! lines follow (`count=…`, `pattern items=… support=… [tids=…]`,
-//! `found=0|1`, `row=… fresh=…`, `waited=1` / `scheduled=1`, and
-//! `key=value` stats lines). `epoch` names the immutable generation
-//! snapshot (slab + ranking + ball index) that answered: `reload`
-//! re-mines on a background builder and swaps the generation
-//! atomically, so two replies stamped with the same epoch are
+//! **Reply**: streamed as chunk frames closed by a slab-end frame. The
+//! payload is a `cfp-serve` message head — `verb` and `epoch` — then an
+//! empty line, then the body lines (`count=…`, `pattern items=…
+//! support=… [tids=…]`, `found=0|1`, `row=… fresh=…`, `waited=1` /
+//! `scheduled=1`, and `key=value` stats lines). `epoch` names the
+//! immutable generation snapshot (slab + ranking + ball index) that
+//! answered: `reload` re-mines on a background builder and swaps the
+//! generation atomically, so two replies stamped with the same epoch are
 //! byte-identical and a reader never blocks on, or observes, a build in
-//! progress. A heartbeat frame may precede any reply; clients skip it.
+//! progress.
 //!
 //! **Sessions**: a `session=<name>` field routes the request through
 //! that tenant's private interning overlay (a fork of the shared
 //! generation's slab); `put` patterns are visible only to their own
 //! session and are re-interned across epoch swaps, so tenant state
-//! survives a reload without leaking between tenants.
+//! survives a reload — and an append, which widens their tid-sets to the
+//! grown universe — without leaking between tenants.
 //!
-//! **Errors**: an error frame carries `exit=<code>` (`3` = the request
-//! was at fault, `2` = the server failed) with the failure text on the
-//! following lines, exactly as in version 2. A request-level fault
-//! (unknown verb, bad field, out-of-universe tid) keeps the connection
-//! alive for the next request; a transport-level fault (bad CRC,
-//! oversize length, truncation) is answered with an error frame and the
-//! connection is closed. The `bye` verb — or a bare bye frame — closes
-//! cleanly.
+//! **Errors**: a query error frame carries exit code `3` (the request
+//! was at fault) or `2` (the server failed). A request-level fault
+//! (another version, unknown verb, bad field, out-of-universe tid) keeps
+//! the connection alive for the next request; a transport-level fault
+//! (bad CRC, oversize length, truncation) is answered with an error
+//! frame and the connection is closed. The `bye` verb — or a bare bye
+//! frame — closes cleanly.
 //!
 //! # `DbDelta` interchange and append semantics
 //!
@@ -213,10 +231,10 @@
 //!   format — one transaction per line, space-separated non-negative
 //!   integer labels, blank lines skipped, any other token a parse error
 //!   with a 1-based line number ([`crate::DbDelta::read_fimi`]).
-//! * **Serve `append` verb (protocol 3)**: a `txns=` field holding the
-//!   batch as `;`-separated transactions of `,`-separated labels (e.g.
+//! * **Serve `append` verb**: a `txns=` field holding the batch as
+//!   `;`-separated transactions of `,`-separated labels (e.g.
 //!   `txns=1,2,5;2,5` is the two-line file `1 2 5` / `2 5`; an empty
-//!   segment is an empty transaction). The optional `wait=1` blocks until
+//!   segment is a typed request error). The optional `wait=1` blocks until
 //!   the re-mined generation is swapped in and stamps the reply with its
 //!   epoch, exactly like `reload`.
 //!

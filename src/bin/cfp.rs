@@ -25,7 +25,7 @@
 //! one of the paper's workloads in FIMI format.
 //!
 //! `shard-host` is the worker half of both process-based executors
-//! (worker interchange protocol v2; see the CFPSLAB spec in
+//! (the worker interchange protocol; see the wire spec in
 //! `cfp_itemset::store`): over TCP it serves remote coordinators, and with
 //! `--stdio` it serves one shard on stdin/stdout for the `process`
 //! executor that spawned it.
@@ -34,8 +34,8 @@ use colossal::fusion::env as cfp_env;
 use colossal::fusion::net;
 use colossal::fusion::oocore::{parse_budget, OocoreConfig};
 use colossal::fusion::{
-    serve_queries, BallQueryStats, ExecutorKind, FusionConfig, FusionResult, HostOptions,
-    QueryClient, RemoteConfig, ServeOptions, Source, SubprocessConfig,
+    serve_queries, BallQueryStats, DaemonOptions, ExecutorKind, FusionConfig, FusionResult,
+    HostOptions, QueryClient, RemoteConfig, Source, SubprocessConfig,
 };
 use colossal::itemset::slab_io;
 use colossal::itemset::{read_fimi, write_fimi, TransactionDb};
@@ -131,7 +131,7 @@ usage:
   cfp load <pool.slab>               validate a dumped slab and summarize it
   cfp stats <file.dat>               dataset summary
   cfp serve <file.dat> [options]     mine once, then serve pattern queries
-                                     over TCP (query protocol v3; concurrent
+                                     over TCP (protocol v4; concurrent
                                      long-lived connections; `reload` re-mines
                                      in the background and swaps epochs
                                      without blocking readers)
@@ -142,7 +142,7 @@ usage:
       --verbose        log per-connection failures to stderr
       (prints the bound address on stdout once listening)
   cfp query <host:port> <verb> [key=value ...]
-                                     one v3 request against a cfp serve
+                                     one v4 request against a cfp serve
                                      daemon; body lines print on stdout
       verbs: topk [k=N] [tids=1] [session=S]      top-K colossal patterns
              lookup items=a,b,c [session=S]       exact support lookup
@@ -191,15 +191,10 @@ fn load(path: &str) -> Result<TransactionDb, String> {
     read_fimi(path).map_err(|e| format!("reading {path}: {e}"))
 }
 
-fn cmd_mine(args: &[String]) -> Result<(), String> {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        return Err("mine: missing <file.dat>".into());
-    };
-    let db = load(path)?;
-    if db.is_empty() {
-        return Err("dataset has no transactions".into());
-    }
-
+/// The mining flags `mine` and `serve` share: the support threshold
+/// (`--mincount`, else `--minsup` against `db`), `--k`, `--tau`,
+/// `--pool-len`, `--seed` and `--closure`.
+fn mining_config(args: &[String], db: &TransactionDb) -> Result<FusionConfig, String> {
     let min_count = match parse_value::<usize>(args, "--mincount")? {
         Some(c) => c,
         None => {
@@ -214,19 +209,57 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     if !(tau > 0.0 && tau <= 1.0) {
         return Err(format!("--tau {tau} outside (0, 1]"));
     }
-
-    eprintln!(
-        "mining {path}: {} transactions, {} items, min support {min_count}, K={k}, τ={tau}",
-        db.len(),
-        db.num_items()
-    );
-    // `--shards N` / `--shard-strategy stratum|minhash` override the
-    // CFP_SHARDS / CFP_SHARD_STRATEGY environment defaults.
-    let mut config = FusionConfig::new(k, min_count)
+    Ok(FusionConfig::new(k, min_count)
         .with_tau(tau)
         .with_pool_max_len(pool_len)
         .with_seed(seed)
-        .with_closure_step(parse_flag(args, "--closure"));
+        .with_closure_step(parse_flag(args, "--closure")))
+}
+
+/// The listener flags `serve` and `shard-host` share: binds `--bind`
+/// (default 127.0.0.1:0) and reads `--max-conns`, `--verbose` and
+/// `--io-timeout` (else `CFP_NET_TIMEOUT`).
+fn listen(args: &[String]) -> Result<(std::net::TcpListener, DaemonOptions), String> {
+    let bind = parse_value::<String>(args, "--bind")?.unwrap_or_else(|| "127.0.0.1:0".into());
+    let listener =
+        std::net::TcpListener::bind(&bind).map_err(|e| format!("binding {bind}: {e}"))?;
+    let mut opts = DaemonOptions {
+        verbose: parse_flag(args, "--verbose"),
+        ..DaemonOptions::default()
+    };
+    if let Some(n) = parse_value::<usize>(args, "--max-conns")? {
+        opts = opts.with_max_conns(n);
+    }
+    let io_timeout = match parse_value::<u64>(args, "--io-timeout")? {
+        Some(ms) => Some(std::time::Duration::from_millis(ms.max(1))),
+        None => net::timeout_from_env(),
+    };
+    if let Some(t) = io_timeout {
+        opts = opts.with_io_timeout(t);
+    }
+    Ok((listener, opts))
+}
+
+fn cmd_mine(args: &[String]) -> Result<(), String> {
+    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
+        return Err("mine: missing <file.dat>".into());
+    };
+    let db = load(path)?;
+    if db.is_empty() {
+        return Err("dataset has no transactions".into());
+    }
+
+    let mut config = mining_config(args, &db)?;
+    eprintln!(
+        "mining {path}: {} transactions, {} items, min support {}, K={}, τ={}",
+        db.len(),
+        db.num_items(),
+        config.min_count,
+        config.k,
+        config.tau
+    );
+    // `--shards N` / `--shard-strategy stratum|minhash` override the
+    // CFP_SHARDS / CFP_SHARD_STRATEGY environment defaults.
     if let Some(shards) = parse_value::<usize>(args, "--shards")? {
         config = config.with_shards(shards);
     }
@@ -619,7 +652,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 }
 
 /// The `serve` subcommand — mines the dataset once through the engine
-/// facade, then serves v3 pattern-query traffic on long-lived connections
+/// facade, then serves pattern-query traffic on long-lived connections
 /// (see `cfp_core::serve`). Announces the bound address on stdout so
 /// scripts can scrape an OS-assigned port.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
@@ -630,44 +663,16 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if db.is_empty() {
         return Err("dataset has no transactions".into());
     }
-    let min_count = match parse_value::<usize>(args, "--mincount")? {
-        Some(c) => c,
-        None => {
-            let frac = parse_value::<f64>(args, "--minsup")?.unwrap_or(0.05);
-            db.min_support(frac).map_err(|e| e.to_string())?.count()
-        }
-    };
-    let k = parse_value::<usize>(args, "--k")?.unwrap_or(50);
-    let tau = parse_value::<f64>(args, "--tau")?.unwrap_or(0.5);
-    if !(tau > 0.0 && tau <= 1.0) {
-        return Err(format!("--tau {tau} outside (0, 1]"));
-    }
-    let config = FusionConfig::new(k, min_count)
-        .with_tau(tau)
-        .with_pool_max_len(parse_value::<usize>(args, "--pool-len")?.unwrap_or(3))
-        .with_seed(parse_value::<u64>(args, "--seed")?.unwrap_or(2007))
-        .with_closure_step(parse_flag(args, "--closure"));
-
-    let bind = parse_value::<String>(args, "--bind")?.unwrap_or_else(|| "127.0.0.1:0".into());
-    let listener =
-        std::net::TcpListener::bind(&bind).map_err(|e| format!("binding {bind}: {e}"))?;
+    let config = mining_config(args, &db)?;
+    let (listener, opts) = listen(args)?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    let mut opts = ServeOptions::default().with_verbose(parse_flag(args, "--verbose"));
-    if let Some(n) = parse_value::<usize>(args, "--max-conns")? {
-        opts = opts.with_max_conns(n);
-    }
-    match parse_value::<u64>(args, "--io-timeout")? {
-        Some(ms) => opts = opts.with_io_timeout(std::time::Duration::from_millis(ms.max(1))),
-        None => {
-            if let Some(t) = net::timeout_from_env() {
-                opts = opts.with_io_timeout(t);
-            }
-        }
-    }
     eprintln!(
-        "serving {path}: {} transactions, {} items, min support {min_count}, K={k}, τ={tau}",
+        "serving {path}: {} transactions, {} items, min support {}, K={}, τ={}",
         db.len(),
-        db.num_items()
+        db.num_items(),
+        config.min_count,
+        config.k,
+        config.tau
     );
     println!("cfp serve listening on {addr}");
     use std::io::Write as _;
@@ -675,7 +680,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     serve_queries(listener, &db, config, &opts).map_err(|e| format!("serve: {e}"))
 }
 
-/// The `query` subcommand — one v3 request against a `cfp serve` daemon.
+/// The `query` subcommand — one request against a `cfp serve` daemon.
 /// Fields are the trailing `key=value` arguments; the reply's body lines
 /// print on stdout (the answering epoch goes to stderr).
 fn cmd_query(args: &[String]) -> Result<(), String> {
@@ -712,7 +717,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 }
 
 /// `shard-host --stdio` — the worker half of the subprocess executor:
-/// serves one shard conversation (worker interchange protocol v2) on
+/// serves one shard conversation (the worker interchange protocol) on
 /// stdin/stdout, which carries frames only, then exits with the session's
 /// code (0 ok, 2 slab I/O, 3 malformed request or dataset, 1 otherwise).
 fn cmd_shard_host_stdio(args: &[String]) -> ExitCode {
@@ -734,33 +739,22 @@ fn cmd_shard_host_stdio(args: &[String]) -> ExitCode {
 }
 
 /// The `shard-host` subcommand — the worker half of the remote executor
-/// (worker interchange protocol v2). Binds, announces the bound address on
+/// (the worker interchange protocol). Binds, announces the bound address on
 /// stdout (an OS-assigned `:0` port is the fixture-friendly default), and
 /// serves one shard request per connection until `--max-conns` runs out.
 fn cmd_shard_host(args: &[String]) -> Result<(), String> {
     if parse_flag(args, "--db") {
         return Err("shard-host: --db needs --stdio (TCP hosts serve no dataset)".into());
     }
-    let bind = parse_value::<String>(args, "--bind")?.unwrap_or_else(|| "127.0.0.1:0".into());
-    let listener =
-        std::net::TcpListener::bind(&bind).map_err(|e| format!("binding {bind}: {e}"))?;
+    let (listener, daemon) = listen(args)?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    let mut opts = HostOptions::default()
-        .with_verbose(parse_flag(args, "--verbose"))
-        .with_fault(net::FaultPlan::from_env());
-    if let Some(n) = parse_value::<usize>(args, "--max-conns")? {
-        opts = opts.with_max_conns(n);
+    let mut opts = HostOptions {
+        daemon,
+        ..HostOptions::default()
     }
+    .with_fault(net::FaultPlan::from_env());
     if let Some(ms) = parse_value::<u64>(args, "--heartbeat")? {
         opts = opts.with_heartbeat(std::time::Duration::from_millis(ms.max(1)));
-    }
-    match parse_value::<u64>(args, "--io-timeout")? {
-        Some(ms) => opts = opts.with_io_timeout(std::time::Duration::from_millis(ms.max(1))),
-        None => {
-            if let Some(t) = net::timeout_from_env() {
-                opts = opts.with_io_timeout(t);
-            }
-        }
     }
     // Announce on stdout (flushed) so scripts can scrape the port even
     // when it was OS-assigned.
