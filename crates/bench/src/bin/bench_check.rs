@@ -140,7 +140,7 @@ const GATES: [Gate; 10] = [
         target: 2.5,
         direction: Direction::AtMost,
         what: "subprocess shard executor (4 workers) vs in-thread sharded engine",
-        bench: "cargo bench -p cfp-bench --bench procshard",
+        bench: "cargo bench -p cfp-bench --bench wire",
     },
     Gate {
         file: "BENCH_netshard.json",
@@ -148,7 +148,7 @@ const GATES: [Gate; 10] = [
         target: 3.0,
         direction: Direction::AtMost,
         what: "networked shard executor (loopback TCP, 2 hosts) vs in-thread sharded engine",
-        bench: "cargo bench -p cfp-bench --bench netshard",
+        bench: "cargo bench -p cfp-bench --bench wire",
     },
     Gate {
         file: "BENCH_serve.json",

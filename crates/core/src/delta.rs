@@ -39,10 +39,9 @@
 use crate::algorithm::{threads_for, FusionResult, PatternFusion};
 use crate::config::FusionConfig;
 use crate::pool::PoolStore;
-use cfp_itemset::{DbDelta, PatternPool, RowTable, TransactionDb, VerticalIndex};
+use cfp_itemset::{DbDelta, PatternPool, TransactionDb, VerticalIndex};
 use cfp_miners::PoolMineStats;
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What one [`DeltaEngine::append`] actually did — the evidence that the
@@ -98,9 +97,9 @@ pub struct DeltaEngine {
     config: FusionConfig,
     db: TransactionDb,
     vindex: VerticalIndex,
-    /// The current generation's plain (serial-DFS-order) initial pool,
-    /// shared with the stores built over it.
-    plain: Arc<PatternPool>,
+    /// The current generation's plain (serial-DFS-order) initial pool: a
+    /// store sharing its slab and interning table with the run over it.
+    plain: PoolStore,
     /// First-item subtree spans of `plain` (see
     /// [`cfp_miners::subtree_spans`]).
     spans: Vec<(u32, Range<u32>)>,
@@ -128,7 +127,7 @@ impl DeltaEngine {
             config,
             db,
             vindex,
-            plain: Arc::new(PatternPool::new(0)),
+            plain: PoolStore::new(PatternPool::new(0)),
             spans: Vec::new(),
             result: None,
             last_append: AppendStats::default(),
@@ -167,21 +166,11 @@ impl DeltaEngine {
     /// result is bit-identical to [`crate::Engine::mine`] over the same
     /// database and configuration.
     pub fn mine(&mut self) -> FusionResult {
-        let threads = threads_for(&self.config);
-        // The full mine is the one pool miner over an empty previous
-        // generation: with no old spans every subtree is mined, as in a
-        // cold `Engine::mine`.
-        let empty = PatternPool::new(self.db.len());
-        let (plain, mine) = cfp_miners::delta_pool_slab(
-            &self.vindex,
-            self.config.min_count,
-            self.config.pool_max_len,
-            threads,
-            &empty,
-            &[],
-            &[],
-        );
-        self.install_generation(plain, mine, None)
+        // A cold `Engine::mine`'s pool mine, over the maintained index.
+        let (store, mine) =
+            PatternFusion::with_vertical_index(&self.db, &self.vindex, self.config.clone())
+                .mine_store();
+        self.install_generation(store, mine, None)
     }
 
     /// Absorbs `delta` and re-mines: the database and vertical index widen
@@ -227,7 +216,7 @@ impl DeltaEngine {
             self.config.min_count,
             self.config.pool_max_len,
             threads,
-            &self.plain,
+            self.plain.base_pool(),
             &self.spans,
             &dirty,
         );
@@ -236,7 +225,7 @@ impl DeltaEngine {
             appended: appended.len(),
             t0,
         });
-        self.install_generation(plain, mine, carry)
+        self.install_generation(PoolStore::new(plain), mine, carry)
     }
 
     /// Shared tail of [`DeltaEngine::mine`] / [`DeltaEngine::append`]:
@@ -244,26 +233,22 @@ impl DeltaEngine {
     /// caches. `carry` is present only on the append path.
     fn install_generation(
         &mut self,
-        plain: PatternPool,
+        store: PoolStore,
         mine: PoolMineStats,
         carry: Option<AppendCarry>,
     ) -> FusionResult {
         let t0 = carry.as_ref().map(|c| c.t0).unwrap_or_else(Instant::now);
-        self.spans = cfp_miners::subtree_spans(&plain);
-        self.plain = Arc::new(plain);
+        self.spans = cfp_miners::subtree_spans(store.base_pool());
+        self.plain = store.fork();
         let mut stats = AppendStats {
             appended_transactions: carry.as_ref().map(|c| c.appended).unwrap_or(0),
             dirty_items: carry.as_ref().map(|c| c.dirty_items).unwrap_or(0),
             subtrees_remined: mine.subtrees,
             rows_spliced: mine.rows_spliced,
-            pool_rows: self.plain.len(),
+            pool_rows: self.plain.base_len(),
             ..Default::default()
         };
 
-        let store = PoolStore::from_shared(
-            Arc::clone(&self.plain),
-            Arc::new(RowTable::build(&self.plain)),
-        );
         let pf = PatternFusion::with_vertical_index(&self.db, &self.vindex, self.config.clone());
         let result = pf.run_from_store(store, mine);
 

@@ -17,19 +17,13 @@
 //! * [`ExecutorKind::OutOfCore`] — shards as spilled slab files mined in
 //!   budgeted batches with the pool evicted (the [`crate::oocore`]
 //!   driver);
-//! * [`ExecutorKind::Subprocess`] — shards as **OS processes**: one
-//!   `cfp shard-host --stdio` child per non-empty shard, spoken to in
-//!   the worker interchange protocol ([`crate::net`]) over its stdin and
-//!   stdout — the sub-pool streams in as CRC-checked frames, the stats
-//!   record and the archive slab stream back. Crash isolation per shard:
-//!   a dead or stalled worker surfaces as a typed
-//!   [`ExecutorError::Worker`], never a hang or a corrupt merge, with an
-//!   opt-in in-process fallback
+//! * [`ExecutorKind::Subprocess`] — shards as `cfp shard-host --stdio`
+//!   child processes speaking the worker protocol ([`crate::net`]) over
+//!   their pipes, with an opt-in in-process fallback
 //!   ([`SubprocessConfig::fallback_in_process`]);
 //! * [`ExecutorKind::Remote`] — the same protocol over TCP to
-//!   `cfp shard-host` processes, with per-phase deadlines, deterministic
-//!   retry/backoff, and in-thread fallback when a shard exhausts its
-//!   attempts (see [`crate::net`]).
+//!   `cfp shard-host` processes, with deterministic retry and, by default,
+//!   in-thread fallback.
 //!
 //! A run with more than one shard deals its pool in stratified
 //! `(support, itemset)` order — a sorted row list over the one mined slab
@@ -48,21 +42,24 @@
 //! sets, AND per-shard counters are bit-equal to the in-thread engine for
 //! both partition strategies at any shard and thread count.
 //!
-//! # One spill-and-mine path
+//! # One spill-and-mine path, one wire dispatcher
 //!
 //! The disk-backed backends spill every sub-pool, empty ones included, to
 //! a CFPSLAB file (`spill_sub_pools`), and every shard mined here from disk
 //! — out-of-core, empty, or a failed worker's fallback — goes through
-//! `fallback_shard`. The process-based backends both speak the worker
-//! protocol (the *wire* section of [`cfp_itemset::store`]'s module docs)
-//! and differ only in transport and supervision: the
-//! subprocess executor talks over a child's pipes and kills a child that
-//! outlives its deadline; the remote executor dials a socket with
-//! per-phase deadlines and retries.
+//! `fallback_shard`. The process and remote backends share one dispatcher
+//! (`execute_wire`): a scoped thread per shard makes the attempts, with a
+//! deterministic backoff before each retry, then falls back or returns the
+//! typed error. Only the *link* each attempt runs the one conversation
+//! over differs. A **child** link spawns `cfp shard-host --stdio`, talks
+//! over its pipes, kills it at its deadline from spawn and fails as a
+//! [`WorkerFailure`]; a child gets one attempt. A **socket** link dials the
+//! next worker address with per-phase deadlines and fails as a
+//! [`NetFailure`] after [`RemoteConfig::attempts`].
 
 use crate::algorithm::{threads_for, PatternFusion};
 use crate::config::FusionConfig;
-use crate::net::{converse, NetError, NetRequest, RemoteConfig};
+use crate::net::{converse, remote_attempt, retry_backoff, NetError, NetRequest, RemoteConfig};
 use crate::oocore::{OocoreConfig, OocoreError};
 use crate::parallel::run_tasks;
 use crate::pool::PoolStore;
@@ -72,9 +69,9 @@ use cfp_itemset::{slab_io, PatternPool, SlabIoError};
 use std::fmt;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitStatus, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread::{self, ScopedJoinHandle};
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// Distinguishes concurrently running executors' spill directories within
@@ -247,18 +244,11 @@ pub struct WorkerFailure {
 impl fmt::Display for WorkerFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let marker = if self.timed_out { " [timeout]" } else { "" };
-        match self.exit {
-            Some(code) => write!(
-                f,
-                "shard {} worker failed{marker} (exit {code}): {}",
-                self.shard, self.detail
-            ),
-            None => write!(
-                f,
-                "shard {} worker failed{marker}: {}",
-                self.shard, self.detail
-            ),
+        write!(f, "shard {} worker failed{marker}", self.shard)?;
+        if let Some(code) = self.exit {
+            write!(f, " (exit {code})")?;
         }
+        write!(f, ": {}", self.detail)
     }
 }
 
@@ -485,8 +475,12 @@ impl PatternFusion<'_> {
             ExecutorKind::OutOfCore(oo) => {
                 self.execute_out_of_core(store, &plan, oo, &mut stats)?
             }
-            ExecutorKind::Subprocess(sp) => self.execute_subprocess(store, &plan, sp)?,
-            ExecutorKind::Remote(rc) => self.execute_remote(store, &plan, rc, &mut stats)?,
+            ExecutorKind::Subprocess(sp) => {
+                self.execute_wire(store, &plan, &Link::child(cfg, sp)?, &mut stats)?
+            }
+            ExecutorKind::Remote(rc) => {
+                self.execute_wire(store, &plan, &Link::socket(cfg, rc)?, &mut stats)?
+            }
         };
         let ShardExecution {
             mut store,
@@ -547,150 +541,103 @@ impl PatternFusion<'_> {
         }
     }
 
-    /// The subprocess backend: spill the sub-pools (the fallback's input),
-    /// spawn one `cfp shard-host --stdio` child per non-empty shard, and
-    /// run the worker conversation over each child's pipes on a scoped
-    /// thread — the same conversation the remote backend runs over TCP.
-    /// Workers are collected in shard order, each bounded by its deadline
-    /// from spawn. The parent store stays resident, so the merge interns
-    /// worker archives straight into it — identical row identity to the
-    /// in-thread engine.
-    fn execute_subprocess(
+    /// The process and remote backends: spill every sub-pool (the
+    /// fallback's input), then run [`PatternFusion::wire_shard`] for each
+    /// shard on its own scoped thread. The parent store stays resident, so
+    /// the merge interns worker archives straight into it — identical row
+    /// identity to the in-thread engine. Every shard's counters merge, in
+    /// shard order, before the first failure returns.
+    fn execute_wire(
         &self,
         store: PoolStore,
         plan: &ShardPlan,
-        sp: &SubprocessConfig,
+        link: &Link,
+        stats: &mut RunStats,
     ) -> Result<ShardExecution, ExecutorError> {
-        let cfg = self.config();
-        if cfg.closure_step && sp.db_path.is_none() {
-            return Err(ExecutorError::Unsupported(
-                "closure_step needs SubprocessConfig::db_path: workers rebuild the vertical \
-                 index from the dataset file"
-                    .into(),
-            ));
-        }
-        let (spill, sub_rows, _) = spill_sub_pools(
-            &store,
-            plan,
-            sp.work_dir.as_deref(),
-            sp.keep_work,
-            "cfp-procshard",
-        )?;
-        let worker = match &sp.worker_cmd {
-            Some(cmd) => cmd.clone(),
-            None => std::env::current_exe().map_err(|e| ExecutorError::Disk(e.into()))?,
+        let (work_dir, keep, prefix) = match link {
+            Link::Child(sp, _) => (sp.work_dir.as_deref(), sp.keep_work, "cfp-procshard"),
+            Link::Socket(rc) => (rc.work_dir.as_deref(), rc.keep_work, "cfp-netshard"),
         };
-        let deadline = sp.deadline();
+        let (spill, sub_rows, _) = spill_sub_pools(&store, plan, work_dir, keep, prefix)?;
         let base = store.base_pool();
-        let runs = thread::scope(|scope| {
-            // Per shard: no worker (an empty shard, mined here from its
-            // spilled slab), a running one, or a spawn failure — surfaced
-            // at collection time so earlier shards still collect (or fall
-            // back) first.
-            let launches: Vec<Result<Option<Worker>, WorkerFailure>> = (0..plan.n)
+        let results: Vec<(Result<ShardRun, ExecutorError>, NetStats)> = thread::scope(|scope| {
+            let shards: Vec<_> = (0..plan.n)
                 .map(|s| {
-                    if sub_rows[s].is_empty() {
-                        return Ok(None);
-                    }
-                    let mut cmd = Command::new(&worker);
-                    cmd.args(["shard-host", "--stdio"])
-                        .stdin(Stdio::piped())
-                        .stdout(Stdio::piped())
-                        .stderr(Stdio::piped());
-                    if let (true, Some(db)) = (cfg.closure_step, &sp.db_path) {
-                        // Only the closure step reads the dataset; any
-                        // other worker would parse the whole file for
-                        // nothing.
-                        cmd.arg("--db").arg(db);
-                    }
-                    if let Some(spec) = &sp.fault {
-                        // Forwarded on the child's environment only — never
-                        // set on the parent process (tests run concurrently).
-                        cmd.env("CFP_FAULT", spec);
-                    }
-                    let mut child = match cmd.spawn() {
-                        Ok(child) => Reaped(child),
-                        Err(e) => {
-                            return Err(WorkerFailure {
-                                shard: s,
-                                exit: None,
-                                detail: format!("failed to spawn {}: {e}", worker.display()),
-                                timed_out: false,
-                            })
-                        }
-                    };
-                    let spawned = Instant::now();
-                    let (stdin, stdout, stderr) = (
-                        child.0.stdin.take().expect("piped stdin"),
-                        child.0.stdout.take().expect("piped stdout"),
-                        child.0.stderr.take().expect("piped stderr"),
-                    );
-                    let req = NetRequest {
-                        shard: s,
-                        shards: plan.n,
-                        attempt: 0,
-                        config: shard_config(cfg, plan.seed_budget[s], s, plan.n),
-                    };
-                    let sub_rows = &sub_rows[s];
-                    let talk = scope.spawn(move || {
-                        let mut r = io::BufReader::new(stdout);
-                        let w = io::BufWriter::new(stdin);
-                        let talked =
-                            converse(&mut r, w, &req, base, sub_rows, &mut NetStats::default());
-                        if talked.is_err() {
-                            // Read the child out to its exit, so it never
-                            // dies of the parent hanging up: its exit
-                            // status and stderr then name the failure.
-                            let _ = io::copy(&mut r, &mut io::sink());
-                        }
-                        (talked, spawned.elapsed())
-                    });
-                    // Drained on its own thread: a chatty child must never
-                    // block on a full stderr pipe.
-                    let errs = scope.spawn(move || {
-                        let mut buf = Vec::new();
-                        let _ = { stderr }.read_to_end(&mut buf);
-                        buf
-                    });
-                    Ok(Some(Worker {
-                        child,
-                        spawned,
-                        talk,
-                        errs,
-                    }))
+                    let (sub_rows, dir) = (&sub_rows[s], &spill.dir);
+                    scope.spawn(move || self.wire_shard(s, plan, link, base, sub_rows, dir))
                 })
                 .collect();
-            // Collect in shard order. Returning early — the first failure
-            // without fallback, or a fallback that cannot load its slab —
-            // drops the remaining launches, which kills their children: a
-            // dead worker never leaves the parent waiting on the others.
-            let mut runs = Vec::with_capacity(plan.n);
-            for (s, launch) in launches.into_iter().enumerate() {
-                let outcome = match launch {
-                    Ok(None) => {
-                        runs.push(self.fallback_shard(s, plan, &spill.dir)?.0);
-                        continue;
-                    }
-                    Ok(Some(worker)) => worker.finish(s, deadline),
-                    Err(wf) => Err(wf),
-                };
-                match outcome {
-                    Ok(run) => runs.push(run),
-                    // Bit-identical recovery: the shard's slab is on disk;
-                    // mine it here under the same derived config.
-                    Err(_) if sp.fallback_in_process => {
-                        runs.push(self.fallback_shard(s, plan, &spill.dir)?.0)
-                    }
-                    Err(wf) => return Err(ExecutorError::Worker(wf)),
-                }
-            }
-            Ok(runs)
-        })?;
+            shards
+                .into_iter()
+                .map(|h| h.join().expect("shard dispatch thread panicked"))
+                .collect()
+        });
+        for (_, net) in &results {
+            stats.net.merge(net);
+        }
         Ok(ShardExecution {
             pool_rows: plan.rows.to_vec(),
             store,
-            runs,
+            runs: results
+                .into_iter()
+                .map(|(run, _)| run)
+                .collect::<Result<_, _>>()?,
         })
+    }
+
+    /// One shard's dispatch: an empty shard mines here from its slab;
+    /// otherwise the link's attempts, with a deterministic backoff before
+    /// each retry, then the fallback from the spilled slab or the last
+    /// attempt's typed error.
+    fn wire_shard(
+        &self,
+        s: usize,
+        plan: &ShardPlan,
+        link: &Link,
+        base: &PatternPool,
+        sub_rows: &[u32],
+        dir: &Path,
+    ) -> (Result<ShardRun, ExecutorError>, NetStats) {
+        let mut net = NetStats::default();
+        if sub_rows.is_empty() {
+            return (self.fallback_shard(s, plan, dir).map(|(run, _)| run), net);
+        }
+        let t0 = Instant::now();
+        net.shards_dispatched = 1;
+        let cfg = self.config();
+        let (attempts, backoff_base, fallback) = match link {
+            Link::Child(sp, _) => (1, Duration::ZERO, sp.fallback_in_process),
+            Link::Socket(rc) => (rc.attempts.max(1), rc.backoff_base, rc.fallback_in_thread),
+        };
+        let mut req = NetRequest {
+            shard: s,
+            shards: plan.n,
+            attempt: 0,
+            config: shard_config(cfg, plan.seed_budget[s], s, plan.n),
+        };
+        let mut last = None;
+        for attempt in 0..attempts {
+            if attempt > 0 {
+                net.retries += 1;
+                let pause = retry_backoff(cfg.seed, s, attempt, backoff_base);
+                net.backoff_total += pause;
+                thread::sleep(pause);
+            }
+            net.attempts += 1;
+            req.attempt = attempt;
+            match link.attempt(&req, base, sub_rows, &mut net) {
+                Ok(mut run) => {
+                    run.stats.elapsed = t0.elapsed();
+                    return (Ok(run), net);
+                }
+                Err(e) => last = Some(e),
+            }
+        }
+        if fallback {
+            net.fallbacks += 1;
+            return (self.fallback_shard(s, plan, dir).map(|(run, _)| run), net);
+        }
+        (Err(last.expect("every link makes an attempt")), net)
     }
 
     /// Mines shard `s` in this process from its spilled slab — an
@@ -809,9 +756,79 @@ pub(crate) fn shard_slab_path(dir: &Path, s: usize) -> PathBuf {
     dir.join(format!("shard-{s}.slab"))
 }
 
+/// Where a wire shard's attempts run — the only per-backend part of
+/// [`PatternFusion::execute_wire`].
+enum Link<'a> {
+    /// A `cfp shard-host --stdio` child per attempt, spawned from the
+    /// resolved worker binary.
+    Child(&'a SubprocessConfig, PathBuf),
+    /// A `cfp shard-host` over TCP, the next worker address per attempt.
+    Socket(&'a RemoteConfig),
+}
+
+impl<'a> Link<'a> {
+    /// The child link; a closure run needs a dataset to hand its workers.
+    fn child(cfg: &FusionConfig, sp: &'a SubprocessConfig) -> Result<Self, ExecutorError> {
+        if cfg.closure_step && sp.db_path.is_none() {
+            return Err(ExecutorError::Unsupported(
+                "closure_step needs SubprocessConfig::db_path: workers rebuild the vertical \
+                 index from the dataset file"
+                    .into(),
+            ));
+        }
+        let worker = match &sp.worker_cmd {
+            Some(cmd) => cmd.clone(),
+            None => std::env::current_exe().map_err(|e| ExecutorError::Disk(e.into()))?,
+        };
+        Ok(Link::Child(sp, worker))
+    }
+
+    /// The socket link; it needs a worker, and its hosts have no dataset.
+    fn socket(cfg: &FusionConfig, rc: &'a RemoteConfig) -> Result<Self, ExecutorError> {
+        if rc.workers.is_empty() {
+            return Err(ExecutorError::Unsupported(
+                "the remote executor needs at least one worker address \
+                 (--workers host:port,... or CFP_WORKERS)"
+                    .into(),
+            ));
+        }
+        if cfg.closure_step {
+            return Err(ExecutorError::Unsupported(
+                "closure_step is not supported by the remote executor: hosts have no \
+                 dataset to rebuild the vertical index from"
+                    .into(),
+            ));
+        }
+        Ok(Link::Socket(rc))
+    }
+
+    /// One attempt at `req`'s shard over a fresh child or connection, its
+    /// failure typed for the backend.
+    fn attempt(
+        &self,
+        req: &NetRequest,
+        base: &PatternPool,
+        sub_rows: &[u32],
+        net: &mut NetStats,
+    ) -> Result<ShardRun, ExecutorError> {
+        match self {
+            Link::Child(sp, worker) => {
+                child_attempt(sp, worker, req, base, sub_rows, net).map_err(ExecutorError::Worker)
+            }
+            Link::Socket(rc) => remote_attempt(req, base, sub_rows, rc, net).map_err(|last| {
+                ExecutorError::Net(NetFailure {
+                    shard: req.shard,
+                    attempts: req.attempt + 1,
+                    last,
+                })
+            }),
+        }
+    }
+}
+
 /// A spawned worker child, killed and reaped when dropped: whichever path
-/// leaves the executor, no child outlives the run (killing one that has
-/// already exited is a no-op).
+/// leaves the attempt, no child outlives it (killing one that has already
+/// exited is a no-op).
 struct Reaped(Child);
 
 impl Drop for Reaped {
@@ -821,54 +838,96 @@ impl Drop for Reaped {
     }
 }
 
-/// What a worker's conversation thread returns: the shard's run (or the
-/// typed wire failure) and the time from spawn to the end of the
-/// conversation.
-type Talk = (Result<ShardRun, NetError>, Duration);
-
-/// One running worker: the child, its spawn time, the thread conversing
-/// over its pipes, and the thread draining its stderr.
-struct Worker<'scope> {
-    child: Reaped,
-    spawned: Instant,
-    talk: ScopedJoinHandle<'scope, Talk>,
-    errs: ScopedJoinHandle<'scope, Vec<u8>>,
-}
-
-impl Worker<'_> {
-    /// Waits for the conversation to end and the child to exit, bounded by
-    /// `deadline` from spawn: a child still running past it is killed,
-    /// which ends the conversation. A completed conversation is the
-    /// shard's run — its frames were CRC-checked and its archive matched
-    /// its stats record, however the child exits afterwards. A failed one
-    /// is a typed [`WorkerFailure`]: timed out, died (non-zero exit, with
-    /// its stderr), or — for a child that exited cleanly — the wire error.
-    fn finish(mut self, s: usize, deadline: Duration) -> Result<ShardRun, WorkerFailure> {
+/// The child link's attempt: spawn `cfp shard-host --stdio`, converse over
+/// its pipes on a scoped thread, and wait for the conversation to end and
+/// the child to exit, bounded by its deadline from spawn — a child still
+/// running past it is killed, which ends the conversation. A completed
+/// conversation is the shard's run: its frames were CRC-checked and its
+/// archive matched its stats record, however the child exits afterwards. A
+/// failed one is a typed [`WorkerFailure`]: timed out, died (non-zero
+/// exit, with its stderr), or — for a child that exited cleanly — the
+/// wire error.
+fn child_attempt(
+    sp: &SubprocessConfig,
+    worker: &Path,
+    req: &NetRequest,
+    base: &PatternPool,
+    sub_rows: &[u32],
+    net: &mut NetStats,
+) -> Result<ShardRun, WorkerFailure> {
+    let failure = |exit, detail, timed_out| WorkerFailure {
+        shard: req.shard,
+        exit,
+        detail,
+        timed_out,
+    };
+    let mut cmd = Command::new(worker);
+    cmd.args(["shard-host", "--stdio"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped());
+    if let (true, Some(db)) = (req.config.closure_step, &sp.db_path) {
+        // Only the closure step reads the dataset; any other worker would
+        // parse the whole file for nothing.
+        cmd.arg("--db").arg(db);
+    }
+    if let Some(spec) = &sp.fault {
+        // Forwarded on the child's environment only — never set on the
+        // parent process (tests run concurrently).
+        cmd.env("CFP_FAULT", spec);
+    }
+    let spawn_failed = |e: io::Error| {
+        failure(
+            None,
+            format!("failed to spawn {}: {e}", worker.display()),
+            false,
+        )
+    };
+    let mut child = Reaped(cmd.spawn().map_err(spawn_failed)?);
+    let (spawned, deadline) = (Instant::now(), sp.deadline());
+    let (stdin, stdout, stderr) = (
+        child.0.stdin.take().expect("piped stdin"),
+        child.0.stdout.take().expect("piped stdout"),
+        child.0.stderr.take().expect("piped stderr"),
+    );
+    thread::scope(|scope| {
+        let talk = scope.spawn(move || {
+            let mut r = io::BufReader::new(stdout);
+            let talked = converse(&mut r, io::BufWriter::new(stdin), req, base, sub_rows, net);
+            if talked.is_err() {
+                // Read the child out to its exit, so it never dies of the
+                // parent hanging up: its exit status and stderr then name
+                // the failure.
+                let _ = io::copy(&mut r, &mut io::sink());
+            }
+            talked
+        });
+        // Drained on its own thread: a chatty child must never block on a
+        // full stderr pipe.
+        let errs = scope.spawn(move || {
+            let mut buf = Vec::new();
+            let _ = { stderr }.read_to_end(&mut buf);
+            buf
+        });
         let mut timed_out = false;
-        let status: io::Result<ExitStatus> = loop {
-            if self.talk.is_finished() {
-                match self.child.0.try_wait() {
-                    Ok(Some(status)) => break Ok(status),
-                    Ok(None) => {}
-                    Err(e) => break Err(e),
+        let status = loop {
+            if talk.is_finished() {
+                if let Some(status) = child.0.try_wait().transpose() {
+                    break status;
                 }
             }
-            if self.spawned.elapsed() >= deadline {
-                let _ = self.child.0.kill();
+            if spawned.elapsed() >= deadline {
+                let _ = child.0.kill();
                 timed_out = true;
-                break self.child.0.wait();
+                break child.0.wait();
             }
             thread::sleep(Duration::from_millis(1));
         };
-        let (talked, elapsed) = self.talk.join().expect("worker conversation panicked");
-        let err = match talked {
-            Ok(mut run) => {
-                run.stats.elapsed = elapsed;
-                return Ok(run);
-            }
+        let err = match talk.join().expect("worker conversation panicked") {
+            Ok(run) => return Ok(run),
             Err(e) => e,
         };
-        let stderr = self.errs.join().unwrap_or_default();
+        let stderr = errs.join().unwrap_or_default();
         let stderr = String::from_utf8_lossy(&stderr);
         let with_stderr = |head: String| match stderr.trim() {
             "" => head,
@@ -886,13 +945,8 @@ impl Worker<'_> {
             Ok(status) => (status.code(), err.to_string()),
             Err(e) => (None, format!("wait failed: {e}")),
         };
-        Err(WorkerFailure {
-            shard: s,
-            exit,
-            detail,
-            timed_out,
-        })
-    }
+        Err(failure(exit, detail, timed_out))
+    })
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! The worker interchange protocol: the coordinator + host pair behind
-//! both process-based shard executors —
+//! both wire shard executors —
 //! [`ExecutorKind::Subprocess`](crate::executor::ExecutorKind) over a
 //! child's pipes and [`ExecutorKind::Remote`](crate::executor::ExecutorKind)
 //! over TCP.
 //!
-//! The partitioned driver ([`crate::executor`]) stays untouched: this
-//! module only supplies the middle of partition → execute → merge. Each
+//! The partitioned driver and the one wire dispatcher both backends share
+//! live in [`crate::executor`]; this module supplies what they speak. Each
 //! non-empty shard's sub-pool streams to a `cfp shard-host` process as
 //! CRC-checked frames, the host mines it with the per-shard loop, and the
 //! stats record plus the archive slab come back the same way. The frames,
@@ -20,40 +20,36 @@
 //! config over identical sub-pool bytes, so a worker's archives match the
 //! in-thread engine's exactly.
 //!
-//! # Failure model (remote executor)
+//! # Failure model
 //!
 //! Every wait is bounded and every failure is typed ([`NetError`]):
 //!
-//! * **Deadlines per phase** — connect/send/mine/receive each run under
-//!   the socket timeout ([`RemoteConfig::timeout`], `CFP_NET_TIMEOUT`).
-//!   During the mine phase the host emits heartbeat frames, so a *slow*
-//!   worker keeps the read alive while a *hung* one times out.
-//! * **Deterministic retry** — bounded attempts with a backoff schedule
-//!   derived from `(seed, shard, attempt)` ([`retry_backoff`]): no
-//!   wall-clock randomness, so a given fault schedule replays identically.
-//!   Consecutive attempts rotate to the next worker address.
-//! * **Graceful degradation** — a shard that exhausts its attempts is
-//!   re-mined in-thread from its already-spilled slab (the fallback path
-//!   shared with the subprocess executor), so a dying fleet converges to
+//! * **Deadlines** — over a socket, connect/send/mine/receive each run
+//!   under the socket timeout ([`RemoteConfig::timeout`],
+//!   `CFP_NET_TIMEOUT`). During the mine phase the host emits heartbeat
+//!   frames, so a *slow* worker keeps the read alive while a *hung* one
+//!   times out. A child has one deadline from its spawn instead, and is
+//!   killed when it outlives it.
+//! * **Deterministic retry** — a socket shard gets bounded attempts with
+//!   a backoff schedule derived from `(seed, shard, attempt)`
+//!   ([`retry_backoff`]): no wall-clock randomness, so a given fault
+//!   schedule replays identically. Consecutive attempts rotate to the next
+//!   worker address. A child gets one attempt.
+//! * **Graceful degradation** — a shard whose attempts all failed is
+//!   re-mined in-process from its already-spilled slab (on by default for
+//!   remote runs, opt-in for process runs), so a dying fleet converges to
 //!   the single-machine answer instead of erroring.
 //! * **Fault injection** — [`FaultPlan`] (`CFP_FAULT`) makes each failure
 //!   path deterministically reachable from tests; compiled out of release
 //!   builds unless the `fault-inject` feature is on.
-//!
-//! The subprocess executor has no socket deadlines: it bounds each child
-//! by one deadline from spawn and kills a child that outlives it, which
-//! ends the conversation (see [`crate::executor`]).
 
 use crate::algorithm::{splitmix64, PatternFusion};
 use crate::ball::{BallQueryStats, MAX_PIVOTS};
 use crate::config::FusionConfig;
-use crate::executor::{
-    shard_config, spill_sub_pools, ExecutorError, NetFailure, ShardExecution, ShardPlan, ShardRun,
-};
+use crate::executor::ShardRun;
 use crate::pattern::Pattern;
-use crate::pool::PoolStore;
 use crate::shard::{MergePattern, Sharding};
-use crate::stats::{NetStats, RunStats, ShardStats};
+use crate::stats::{NetStats, ShardStats};
 use crate::wire::{
     accept_loop, bad_value, dial, field, head, is_timeout, spawn_local, DaemonOptions, ErrorFrame,
     Message, WireError,
@@ -70,7 +66,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The worker request's handshake magic.
 const REQUEST_MAGIC: &str = "cfp-net";
@@ -280,7 +276,7 @@ impl NetPhase {
 
 /// One remote attempt's typed failure — every variant is retryable; the
 /// variant that survives retry exhaustion is what
-/// [`NetFailure`] carries to the caller.
+/// [`NetFailure`](crate::executor::NetFailure) carries to the caller.
 #[derive(Debug, Clone)]
 pub enum NetError {
     /// Could not resolve or connect to the worker address.
@@ -641,140 +637,11 @@ pub fn retry_backoff(seed: u64, shard: usize, attempt: usize, base: Duration) ->
 // Coordinator
 // ---------------------------------------------------------------------------
 
-impl PatternFusion<'_> {
-    /// The remote backend: spill every shard's sub-pool (the retry-proof
-    /// fallback source), then dispatch each non-empty shard to a worker on
-    /// its own thread — stream the sub-pool over TCP, collect the stats
-    /// record and archive slab, retry with deterministic backoff on any
-    /// typed failure, and fall back to in-thread mining from the spilled
-    /// slab when the attempt budget runs out. Empty shards mine here from
-    /// their slabs. Results land in shard order regardless of completion
-    /// order.
-    pub(crate) fn execute_remote(
-        &self,
-        store: PoolStore,
-        plan: &ShardPlan,
-        rc: &RemoteConfig,
-        stats: &mut RunStats,
-    ) -> Result<ShardExecution, ExecutorError> {
-        let cfg = self.config();
-        if rc.workers.is_empty() {
-            return Err(ExecutorError::Unsupported(
-                "the remote executor needs at least one worker address \
-                 (--workers host:port,... or CFP_WORKERS)"
-                    .into(),
-            ));
-        }
-        if cfg.closure_step {
-            return Err(ExecutorError::Unsupported(
-                "closure_step is not supported by the remote executor: hosts have no \
-                 dataset to rebuild the vertical index from"
-                    .into(),
-            ));
-        }
-        // Spill up front: the slab file is the fallback's input, written
-        // once whether or not any attempt fails. (The network send
-        // streams from the base slab directly, not from this file.)
-        let (spill, sub_rows_all, _) = spill_sub_pools(
-            &store,
-            plan,
-            rc.work_dir.as_deref(),
-            rc.keep_work,
-            "cfp-netshard",
-        )?;
-        let base = store.base_pool();
-        let results: Vec<(Result<ShardRun, ExecutorError>, NetStats)> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..plan.n)
-                .map(|s| {
-                    let sub_rows = &sub_rows_all[s];
-                    let dir = &spill.dir;
-                    scope.spawn(move || self.remote_shard(s, plan, rc, base, sub_rows, dir))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("remote shard thread panicked"))
-                .collect()
-        });
-        // Every shard's counters merge before the first failure returns.
-        let mut runs = Vec::with_capacity(plan.n);
-        for (res, net) in results {
-            stats.net.merge(&net);
-            runs.push(res);
-        }
-        Ok(ShardExecution {
-            pool_rows: plan.rows.to_vec(),
-            store,
-            runs: runs.into_iter().collect::<Result<_, _>>()?,
-        })
-    }
-
-    /// One shard's dispatch loop: bounded attempts over the rotating
-    /// worker list with deterministic backoff between them, then either
-    /// the in-thread fallback or a typed [`NetFailure`].
-    fn remote_shard(
-        &self,
-        s: usize,
-        plan: &ShardPlan,
-        rc: &RemoteConfig,
-        base: &PatternPool,
-        sub_rows: &[u32],
-        dir: &Path,
-    ) -> (Result<ShardRun, ExecutorError>, NetStats) {
-        let mut net = NetStats::default();
-        if sub_rows.is_empty() {
-            return (self.fallback_shard(s, plan, dir).map(|(run, _)| run), net);
-        }
-        let t0 = Instant::now();
-        net.shards_dispatched = 1;
-        let cfg = self.config();
-        let scfg = shard_config(cfg, plan.seed_budget[s], s, plan.n);
-        let max_attempts = rc.attempts.max(1);
-        let mut last = NetError::Connect("no attempt made".into());
-        for attempt in 0..max_attempts {
-            if attempt > 0 {
-                net.retries += 1;
-                let pause = retry_backoff(cfg.seed, s, attempt, rc.backoff_base);
-                net.backoff_total += pause;
-                thread::sleep(pause);
-            }
-            net.attempts += 1;
-            let addr = &rc.workers[(s + attempt) % rc.workers.len()];
-            let req = NetRequest {
-                shard: s,
-                shards: plan.n,
-                attempt,
-                config: scfg.clone(),
-            };
-            match remote_attempt(addr, &req, base, sub_rows, rc, &mut net) {
-                Ok(mut run) => {
-                    run.stats.elapsed = t0.elapsed();
-                    return (Ok(run), net);
-                }
-                Err(e) => last = e,
-            }
-        }
-        if rc.fallback_in_thread {
-            net.fallbacks += 1;
-            (self.fallback_shard(s, plan, dir).map(|(run, _)| run), net)
-        } else {
-            (
-                Err(ExecutorError::Net(NetFailure {
-                    shard: s,
-                    attempts: net.attempts,
-                    last,
-                })),
-                net,
-            )
-        }
-    }
-}
-
-/// One attempt against one worker: dial under the deadline, then run the
-/// conversation over the socket. Any failure is typed and leaves no state
-/// behind (the connection drops).
-fn remote_attempt(
-    addr: &str,
+/// The socket link's attempt (see [`crate::executor`]): dial
+/// `workers[(shard + attempt) % len]` under the deadline, then run the
+/// conversation over the socket. Any failure is typed and
+/// leaves no state behind (the connection drops).
+pub(crate) fn remote_attempt(
     req: &NetRequest,
     base: &PatternPool,
     sub_rows: &[u32],
@@ -787,6 +654,7 @@ fn remote_attempt(
     {
         return Err(NetError::Connect("injected drop-conn".into()));
     }
+    let addr = &rc.workers[(req.shard + req.attempt) % rc.workers.len()];
     let stream = match dial(addr, rc.timeout) {
         Ok(stream) => stream,
         Err(e) if is_timeout(e.kind()) => return Err(io_error(NetPhase::Connect, e)),
@@ -822,7 +690,10 @@ pub(crate) fn converse<R: Read, W: Write>(
     let text = req.to_text();
     write_frame(&mut w, FRAME_REQUEST, text.as_bytes()).map_err(|e| io_error(NetPhase::Send, e))?;
     net.bytes_sent += text.len() as u64;
-    net.bytes_sent += stream_slab_rows(base, sub_rows, FrameSink::new(&mut w))?;
+    let mut sink = FrameSink::new(&mut w);
+    slab_io::write_slab_rows(base, sub_rows, &mut sink)
+        .map_err(|e| slab_error(NetPhase::Send, "sub-pool slab", e))?;
+    net.bytes_sent += sink.finish().map_err(|e| io_error(NetPhase::Send, e))?;
 
     // Mine: heartbeats keep the read deadline alive until the stats
     // record (or a typed worker error) arrives.
@@ -880,18 +751,6 @@ pub(crate) fn converse<R: Read, W: Write>(
         .map(|r| MergePattern::Owned(Pattern::new(slab.itemset(r), slab.tidset(r))))
         .collect();
     Ok(ShardRun { outputs, stats })
-}
-
-/// Streams `rows` of `base` through a [`FrameSink`], folding slab-encode
-/// and send-phase failures into the taxonomy. Returns payload bytes sent.
-fn stream_slab_rows<W: Write>(
-    base: &PatternPool,
-    rows: &[u32],
-    mut sink: FrameSink<W>,
-) -> Result<u64, NetError> {
-    slab_io::write_slab_rows(base, rows, &mut sink)
-        .map_err(|e| slab_error(NetPhase::Send, "sub-pool slab", e))?;
-    sink.finish().map_err(|e| io_error(NetPhase::Send, e))
 }
 
 // ---------------------------------------------------------------------------

@@ -152,22 +152,24 @@ impl OocoreStats {
     }
 }
 
-/// What a networked run did (see [`crate::net`]): dispatch, retry, and
-/// fallback evidence from the remote shard executor. All-zero for local
-/// runs. Deliberately **excluded from bit-identity gates**: heartbeat
-/// counts and byte totals depend on wall-clock interleaving, while the
-/// mined output does not.
+/// What a wire run did: dispatch, retry, and fallback evidence from the
+/// two executors that ship shards over the worker protocol, process and
+/// remote (see [`crate::executor`]). All-zero for in-thread and
+/// out-of-core runs. Deliberately **excluded from bit-identity gates**:
+/// heartbeat counts and byte totals depend on wall-clock interleaving,
+/// while the mined output does not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Non-empty shards dispatched to remote workers.
+    /// Non-empty shards dispatched to workers.
     pub shards_dispatched: usize,
-    /// Total connection attempts across all shards (≥ `shards_dispatched`).
+    /// Total attempts across all shards (≥ `shards_dispatched`; a process
+    /// run makes one per shard).
     pub attempts: usize,
     /// Attempts beyond each shard's first (`attempts - shards completed
     /// first-try`): how often the deterministic retry policy fired.
     pub retries: usize,
-    /// Shards that exhausted their retry budget and were re-mined in-thread
-    /// from the spilled slab (graceful degradation).
+    /// Shards whose attempts all failed and were re-mined in-process from
+    /// the spilled slab (graceful degradation).
     pub fallbacks: usize,
     /// Mine-phase heartbeat frames received from workers.
     pub heartbeats: u64,
@@ -180,7 +182,7 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Whether this run actually dispatched over the network (or tried to).
+    /// Whether this run actually dispatched over the wire (or tried to).
     pub fn active(&self) -> bool {
         self.shards_dispatched > 0 || self.attempts > 0
     }
@@ -230,8 +232,8 @@ pub struct RunStats {
     /// Out-of-core spill/load evidence (all-zero for in-memory runs; see
     /// [`crate::oocore`]).
     pub oocore: OocoreStats,
-    /// Remote-dispatch evidence (all-zero for local runs; see
-    /// [`crate::net`]).
+    /// Wire-dispatch evidence, filled by the process and remote executors
+    /// (all-zero for in-thread and out-of-core runs; see [`NetStats`]).
     pub net: NetStats,
 }
 

@@ -191,17 +191,23 @@ fn load(path: &str) -> Result<TransactionDb, String> {
     read_fimi(path).map_err(|e| format!("reading {path}: {e}"))
 }
 
-/// The mining flags `mine` and `serve` share: the support threshold
-/// (`--mincount`, else `--minsup` against `db`), `--k`, `--tau`,
-/// `--pool-len`, `--seed` and `--closure`.
-fn mining_config(args: &[String], db: &TransactionDb) -> Result<FusionConfig, String> {
-    let min_count = match parse_value::<usize>(args, "--mincount")? {
-        Some(c) => c,
+/// The support threshold `mine`, `serve` and `dump` share: `--mincount`,
+/// else `--minsup` (default 0.05) against `db`.
+fn min_count(args: &[String], db: &TransactionDb) -> Result<usize, String> {
+    match parse_value::<usize>(args, "--mincount")? {
+        Some(c) => Ok(c),
         None => {
             let frac = parse_value::<f64>(args, "--minsup")?.unwrap_or(0.05);
-            db.min_support(frac).map_err(|e| e.to_string())?.count()
+            Ok(db.min_support(frac).map_err(|e| e.to_string())?.count())
         }
-    };
+    }
+}
+
+/// The mining flags `mine` and `serve` share: the support threshold
+/// ([`min_count`]), `--k`, `--tau`, `--pool-len`, `--seed` and
+/// `--closure`.
+fn mining_config(args: &[String], db: &TransactionDb) -> Result<FusionConfig, String> {
+    let min_count = min_count(args, db)?;
     let k = parse_value::<usize>(args, "--k")?.unwrap_or(50);
     let tau = parse_value::<f64>(args, "--tau")?.unwrap_or(0.5);
     let pool_len = parse_value::<usize>(args, "--pool-len")?.unwrap_or(3);
@@ -533,13 +539,7 @@ fn cmd_dump(args: &[String]) -> Result<(), String> {
     if db.is_empty() {
         return Err("dataset has no transactions".into());
     }
-    let min_count = match parse_value::<usize>(args, "--mincount")? {
-        Some(c) => c,
-        None => {
-            let frac = parse_value::<f64>(args, "--minsup")?.unwrap_or(0.05);
-            db.min_support(frac).map_err(|e| e.to_string())?.count()
-        }
-    };
+    let min_count = min_count(args, &db)?;
     let pool_len = parse_value::<usize>(args, "--pool-len")?.unwrap_or(3);
     let threads = match parse_value::<usize>(args, "--threads")? {
         Some(t) => t.max(1),

@@ -396,3 +396,57 @@ fn mine_stats_print_ball_counters() {
     assert_eq!((exact, accepted, members), (pairs, pairs, pairs), "{ball}");
     std::fs::remove_file(&data).ok();
 }
+
+#[test]
+fn process_runs_report_their_wire_traffic() {
+    let data = temp_path("diag40_wire.dat");
+    let out = cfp()
+        .args(["generate", "diag40", "--out", data.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let mine = [
+        "mine",
+        data.to_str().unwrap(),
+        "--mincount",
+        "20",
+        "--pool-len",
+        "2",
+        "--k",
+        "8",
+        "--shards",
+        "4",
+        "--stats",
+    ];
+    let base = cfp().args(mine).output().unwrap();
+    assert!(base.status.success());
+    let proc = cfp()
+        .args(mine)
+        .args(["--executor", "process"])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&proc.stderr);
+    assert!(proc.status.success(), "{err}");
+    assert_eq!(base.stdout, proc.stdout, "process run drifted");
+    assert!(
+        err.contains("net: 4 shard(s) dispatched in 4 attempt(s) (0 retried, 0 fell back"),
+        "{err}"
+    );
+
+    // Shard 0's worker dies after reading its sub-pool (test builds compile
+    // the fault hooks in); the fallback re-mines it in-process and the
+    // `net:` line counts it.
+    let faulted = cfp()
+        .args(mine)
+        .args(["--executor", "process"])
+        .env("CFP_FAULT", "kill-worker:shard0")
+        .env("CFP_EXECUTOR_FALLBACK", "1")
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&faulted.stderr);
+    assert!(faulted.status.success(), "{err}");
+    assert_eq!(base.stdout, faulted.stdout, "fallback run drifted");
+    let net = err.lines().find(|l| l.starts_with("  net: ")).unwrap_or("");
+    assert!(net.contains("1 fell back"), "{err}");
+    std::fs::remove_file(&data).ok();
+}
