@@ -2,11 +2,11 @@
 //! the worker protocol, each against the in-thread sharded engine on the
 //! 12 288-pattern clustered pool at 4 shards. Each measured unit is one
 //! complete run. In-thread: partition + per-shard fusion + merge. A wire
-//! run adds the per-shard CFPSLAB spill (the fallback's input) and, per
-//! non-empty shard, the framed sub-pool upload, the worker's decode, mine
-//! and stats record, and the framed archive download — over the pipes of
-//! a spawned `cfp shard-host --stdio` child ([`ExecutorKind::Subprocess`])
-//! or over loopback TCP to two in-process hosts ([`ExecutorKind::Remote`]).
+//! run writes no file; it adds, per non-empty shard, the framed sub-pool
+//! upload, the worker's decode, mine and stats record, and the framed
+//! archive download — over the pipes of a spawned `cfp shard-host --stdio`
+//! child ([`ExecutorKind::Subprocess`]) or over loopback TCP to two
+//! in-process hosts ([`ExecutorKind::Remote`]).
 //! The two sides of each ratio run in alternating samples, so a slowdown
 //! of a shared box mid-run hits both alike.
 //!

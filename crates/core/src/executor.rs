@@ -42,12 +42,14 @@
 //! sets, AND per-shard counters are bit-equal to the in-thread engine for
 //! both partition strategies at any shard and thread count.
 //!
-//! # One spill-and-mine path, one wire dispatcher
+//! # One shard body, one wire dispatcher
 //!
-//! The disk-backed backends spill every sub-pool, empty ones included, to
-//! a CFPSLAB file (`spill_sub_pools`), and every shard mined here from disk
-//! — out-of-core, empty, or a failed worker's fallback — goes through
-//! `fallback_shard`. The process and remote backends share one dispatcher
+//! Every shard mined in this process over the resident pool — an in-thread
+//! shard, or a wire shard that is empty or whose worker failed — runs one
+//! body (`mine_shard_in_thread`): fork the store and run the plain loop
+//! under the shard's derived config. Only the out-of-core backend, which
+//! exists to bound memory, writes the pool to disk ([`crate::oocore`]).
+//! The process and remote backends share one dispatcher
 //! (`execute_wire`): a scoped thread per shard makes the attempts, with a
 //! deterministic backoff before each retry, then falls back or returns the
 //! typed error. Only the *link* each attempt runs the one conversation
@@ -65,18 +67,13 @@ use crate::parallel::run_tasks;
 use crate::pool::PoolStore;
 use crate::shard::{apportion_seeds, partition, shard_seed, MergePattern, Sharding};
 use crate::stats::{NetStats, RunStats, ShardStats};
-use cfp_itemset::{slab_io, PatternPool, SlabIoError};
+use cfp_itemset::{PatternPool, SlabIoError};
 use std::fmt;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Distinguishes concurrently running executors' spill directories within
-/// one parent process (the name also carries the pid).
-static WORK_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Which backend executes the shards of a partitioned run.
 #[derive(Debug, Clone)]
@@ -130,15 +127,9 @@ pub struct SubprocessConfig {
     /// (`std::env::current_exe`), which is how the `cfp` binary re-invokes
     /// itself as `cfp shard-host --stdio`.
     pub worker_cmd: Option<PathBuf>,
-    /// Where the shard slabs are spilled (the fallback's input); `None` →
-    /// a unique directory under the system temp dir, removed when the run
-    /// finishes. A user-supplied directory must be empty (same contract as
-    /// [`OocoreConfig::spill_dir`]).
-    pub work_dir: Option<PathBuf>,
-    /// Keep the work directory after the run (for inspection).
-    pub keep_work: bool,
-    /// Re-run a shard in-process (bit-identically, from its spilled slab)
-    /// when its worker fails, instead of failing the run.
+    /// Re-mine a shard in-process over the resident pool, exactly as the
+    /// in-thread engine mines it, when its worker fails, instead of
+    /// failing the run.
     pub fallback_in_process: bool,
     /// Dataset path handed to workers (`--db`) so they can rebuild the
     /// vertical index. Required, and passed on, only when `closure_step`
@@ -157,8 +148,7 @@ pub struct SubprocessConfig {
 }
 
 impl SubprocessConfig {
-    /// The default configuration: self-exec worker, temp work dir, no
-    /// fallback.
+    /// The default configuration: self-exec worker, no fallback.
     pub fn new() -> Self {
         Self::default()
     }
@@ -166,18 +156,6 @@ impl SubprocessConfig {
     /// Overrides the worker executable.
     pub fn with_worker_cmd(mut self, cmd: impl Into<PathBuf>) -> Self {
         self.worker_cmd = Some(cmd.into());
-        self
-    }
-
-    /// Overrides the work directory (must be empty if it exists).
-    pub fn with_work_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.work_dir = Some(dir.into());
-        self
-    }
-
-    /// Keeps the work directory after the run.
-    pub fn with_keep_work(mut self, keep: bool) -> Self {
-        self.keep_work = keep;
         self
     }
 
@@ -279,8 +257,9 @@ impl fmt::Display for NetFailure {
 /// What went wrong driving a partitioned run through an executor.
 #[derive(Debug)]
 pub enum ExecutorError {
-    /// Disk-side failure: spill/work directory management or slab I/O
-    /// (shared with the out-of-core driver's error type).
+    /// Disk-side failure: the out-of-core backend's spill directory or
+    /// slab I/O (its driver's error type), or the process backend failing
+    /// to locate its own executable as the worker.
     Disk(OocoreError),
     /// A shard worker process failed and the in-process fallback was off.
     Worker(WorkerFailure),
@@ -332,8 +311,8 @@ pub(crate) struct ShardPlan<'a> {
     pub n: usize,
     /// Per-shard position lists into `rows` (from [`partition`]).
     pub assignment: &'a [Vec<u32>],
-    /// The pool as **base-slab** row ids (what disk-backed executors
-    /// stream from), in the order the shards deal them.
+    /// The pool as **base-slab** row ids (what the wire and out-of-core
+    /// backends stream from), in the order the shards deal them.
     pub rows: &'a [u32],
     /// Per-shard seed budgets (from [`apportion_seeds`]).
     pub seed_budget: &'a [usize],
@@ -394,38 +373,6 @@ pub(crate) fn shard_config(
         scfg.threads = Some(1);
     }
     scfg
-}
-
-/// Creates `dir` if needed and — for a **user-supplied** directory —
-/// refuses one that already contains files: the run's cleanup guard
-/// deletes the directory afterwards (unless `keep`), and silently reusing
-/// then deleting a caller's populated directory destroys their data.
-/// Auto-generated temp directories are unique per process and sequence
-/// number and skip the check.
-fn prepare_spill_dir(dir: &Path, user_supplied: bool) -> Result<(), OocoreError> {
-    std::fs::create_dir_all(dir)?;
-    if user_supplied && std::fs::read_dir(dir)?.next().is_some() {
-        return Err(OocoreError::SpillDirNotEmpty(dir.to_path_buf()));
-    }
-    Ok(())
-}
-
-/// Removes the spill/work directory when dropped (best-effort), unless
-/// asked to keep it — covers both the success path and every early `?`
-/// return.
-pub(crate) struct SpillDirGuard {
-    /// The directory to remove.
-    pub dir: PathBuf,
-    /// Leave the directory behind.
-    pub keep: bool,
-}
-
-impl Drop for SpillDirGuard {
-    fn drop(&mut self) {
-        if !self.keep {
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
-    }
 }
 
 impl PatternFusion<'_> {
@@ -498,42 +445,12 @@ impl PatternFusion<'_> {
         Ok((store, merged, stats))
     }
 
-    /// The in-thread backend: shards as tasks on the work-stealing pool,
-    /// each forking the shared store (shared frozen base, private overlay)
-    /// and running the plain loop under its derived config. Base-slab rows
-    /// carry over as merge rows; overlay rows — the only patterns that
-    /// exist nowhere else — travel as owned patterns to intern.
+    /// The in-thread backend: every shard a task on the work-stealing
+    /// pool, each running [`PatternFusion::mine_shard_in_thread`].
     fn execute_in_thread(&self, store: PoolStore, plan: &ShardPlan) -> ShardExecution {
-        let cfg = self.config();
-        let shard_runs = {
-            let parent: &PoolStore = &store;
-            run_tasks(plan.n, threads_for(cfg), |s| {
-                let t0 = Instant::now();
-                let mut shard_store = parent.fork();
-                let scfg = shard_config(cfg, plan.seed_budget[s], s, plan.n);
-                let (out_rows, mut stats) =
-                    self.mine_sub_pool(&mut shard_store, plan.sub_rows(s), &scfg, s);
-                stats.elapsed = t0.elapsed();
-                (shard_store, out_rows, stats)
-            })
-        };
-        let base_len = store.base_len() as u32;
-        let runs = shard_runs
-            .into_iter()
-            .map(|(shard_store, out_rows, stats)| ShardRun {
-                stats,
-                outputs: out_rows
-                    .into_iter()
-                    .map(|r| {
-                        if r < base_len {
-                            MergePattern::Row(r)
-                        } else {
-                            MergePattern::Owned(shard_store.pattern(r))
-                        }
-                    })
-                    .collect(),
-            })
-            .collect();
+        let runs = run_tasks(plan.n, threads_for(self.config()), |s| {
+            self.mine_shard_in_thread(&store, plan, s)
+        });
         ShardExecution {
             pool_rows: plan.rows.to_vec(),
             store,
@@ -541,12 +458,39 @@ impl PatternFusion<'_> {
         }
     }
 
-    /// The process and remote backends: spill every sub-pool (the
-    /// fallback's input), then run [`PatternFusion::wire_shard`] for each
-    /// shard on its own scoped thread. The parent store stays resident, so
-    /// the merge interns worker archives straight into it — identical row
-    /// identity to the in-thread engine. Every shard's counters merge, in
-    /// shard order, before the first failure returns.
+    /// Mines shard `s` in this thread over the resident store — an
+    /// in-thread shard, or a wire shard that is empty or whose worker
+    /// failed: fork the store (shared frozen base, private overlay) and run
+    /// the plain loop under the shard's derived config (`elapsed`
+    /// stamped). Base-slab rows carry over as merge rows; overlay rows —
+    /// the only patterns that exist nowhere else — travel as owned patterns
+    /// to intern.
+    fn mine_shard_in_thread(&self, store: &PoolStore, plan: &ShardPlan, s: usize) -> ShardRun {
+        let t0 = Instant::now();
+        let mut shard_store = store.fork();
+        let scfg = shard_config(self.config(), plan.seed_budget[s], s, plan.n);
+        let (out_rows, mut stats) =
+            self.mine_sub_pool(&mut shard_store, plan.sub_rows(s), &scfg, s);
+        stats.elapsed = t0.elapsed();
+        let base_len = store.base_len() as u32;
+        let outputs = out_rows
+            .into_iter()
+            .map(|r| {
+                if r < base_len {
+                    MergePattern::Row(r)
+                } else {
+                    MergePattern::Owned(shard_store.pattern(r))
+                }
+            })
+            .collect();
+        ShardRun { outputs, stats }
+    }
+
+    /// The process and remote backends: [`PatternFusion::wire_shard`] for
+    /// each shard on its own scoped thread. The parent store stays
+    /// resident, so the merge interns worker archives straight into it —
+    /// identical row identity to the in-thread engine. Every shard's
+    /// counters merge, in shard order, before the first failure returns.
     fn execute_wire(
         &self,
         store: PoolStore,
@@ -554,18 +498,10 @@ impl PatternFusion<'_> {
         link: &Link,
         stats: &mut RunStats,
     ) -> Result<ShardExecution, ExecutorError> {
-        let (work_dir, keep, prefix) = match link {
-            Link::Child(sp, _) => (sp.work_dir.as_deref(), sp.keep_work, "cfp-procshard"),
-            Link::Socket(rc) => (rc.work_dir.as_deref(), rc.keep_work, "cfp-netshard"),
-        };
-        let (spill, sub_rows, _) = spill_sub_pools(&store, plan, work_dir, keep, prefix)?;
-        let base = store.base_pool();
         let results: Vec<(Result<ShardRun, ExecutorError>, NetStats)> = thread::scope(|scope| {
+            let store = &store;
             let shards: Vec<_> = (0..plan.n)
-                .map(|s| {
-                    let (sub_rows, dir) = (&sub_rows[s], &spill.dir);
-                    scope.spawn(move || self.wire_shard(s, plan, link, base, sub_rows, dir))
-                })
+                .map(|s| scope.spawn(move || self.wire_shard(s, plan, link, store)))
                 .collect();
             shards
                 .into_iter()
@@ -585,22 +521,19 @@ impl PatternFusion<'_> {
         })
     }
 
-    /// One shard's dispatch: an empty shard mines here from its slab;
-    /// otherwise the link's attempts, with a deterministic backoff before
-    /// each retry, then the fallback from the spilled slab or the last
-    /// attempt's typed error.
+    /// One shard's dispatch: an empty shard mines here; otherwise the
+    /// link's attempts, with a deterministic backoff before each retry,
+    /// then the fallback here or the last attempt's typed error.
     fn wire_shard(
         &self,
         s: usize,
         plan: &ShardPlan,
         link: &Link,
-        base: &PatternPool,
-        sub_rows: &[u32],
-        dir: &Path,
+        store: &PoolStore,
     ) -> (Result<ShardRun, ExecutorError>, NetStats) {
         let mut net = NetStats::default();
-        if sub_rows.is_empty() {
-            return (self.fallback_shard(s, plan, dir).map(|(run, _)| run), net);
+        if plan.assignment[s].is_empty() {
+            return (Ok(self.mine_shard_in_thread(store, plan, s)), net);
         }
         let t0 = Instant::now();
         net.shards_dispatched = 1;
@@ -615,6 +548,7 @@ impl PatternFusion<'_> {
             attempt: 0,
             config: shard_config(cfg, plan.seed_budget[s], s, plan.n),
         };
+        let sub_rows = plan.sub_rows(s);
         let mut last = None;
         for attempt in 0..attempts {
             if attempt > 0 {
@@ -625,7 +559,7 @@ impl PatternFusion<'_> {
             }
             net.attempts += 1;
             req.attempt = attempt;
-            match link.attempt(&req, base, sub_rows, &mut net) {
+            match link.attempt(&req, store.base_pool(), &sub_rows, &mut net) {
                 Ok(mut run) => {
                     run.stats.elapsed = t0.elapsed();
                     return (Ok(run), net);
@@ -635,39 +569,16 @@ impl PatternFusion<'_> {
         }
         if fallback {
             net.fallbacks += 1;
-            return (self.fallback_shard(s, plan, dir).map(|(run, _)| run), net);
+            return (Ok(self.mine_shard_in_thread(store, plan, s)), net);
         }
         (Err(last.expect("every link makes an attempt")), net)
     }
 
-    /// Mines shard `s` in this process from its spilled slab — an
-    /// out-of-core shard, an empty shard, or a failed worker's fallback:
-    /// the same sub-pool content and order under the same derived config,
-    /// so the run is bit-identical to any other backend's. Returns the run
-    /// (`elapsed` stamped, load included) and the slab's load time.
-    pub(crate) fn fallback_shard(
-        &self,
-        s: usize,
-        plan: &ShardPlan,
-        dir: &Path,
-    ) -> Result<(ShardRun, Duration), ExecutorError> {
-        let t0 = Instant::now();
-        let slab = slab_io::load_slab_path(shard_slab_path(dir, s))?;
-        let load_time = t0.elapsed();
-        let scfg = shard_config(self.config(), plan.seed_budget[s], s, plan.n);
-        let (shard_store, out_rows, mut stats) = self.mine_shard_slab(slab, &scfg, s);
-        stats.elapsed = t0.elapsed();
-        let outputs = out_rows
-            .iter()
-            .map(|&r| MergePattern::Owned(shard_store.pattern(r)))
-            .collect();
-        Ok((ShardRun { stats, outputs }, load_time))
-    }
-
     /// Runs shard `s`'s loop over its sub-pool slab, rows in slab order —
-    /// the body behind a worker host's mine phase ([`crate::net`]) and
-    /// [`PatternFusion::fallback_shard`]. Returns the shard's store with
-    /// [`PatternFusion::mine_sub_pool`]'s output.
+    /// the body behind a worker host's mine phase ([`crate::net`]) and an
+    /// out-of-core shard loaded from its spill file ([`crate::oocore`]).
+    /// Returns the shard's store with [`PatternFusion::mine_sub_pool`]'s
+    /// output.
     pub(crate) fn mine_shard_slab(
         &self,
         slab: PatternPool,
@@ -715,45 +626,6 @@ impl PatternFusion<'_> {
         };
         (out_rows, stats)
     }
-}
-
-/// Spills every shard's sub-pool, empty ones included, as a CFPSLAB file
-/// streamed row-wise from the base slab — the input of every shard mined
-/// from disk. The directory is `work_dir`, which must be empty, or a fresh
-/// `<prefix>-<pid>-<seq>` under the system temp dir. Returns its cleanup
-/// guard, each shard's sub-pool as base row ids, and the bytes written.
-pub(crate) fn spill_sub_pools(
-    store: &PoolStore,
-    plan: &ShardPlan,
-    work_dir: Option<&Path>,
-    keep: bool,
-    prefix: &str,
-) -> Result<(SpillDirGuard, Vec<Vec<u32>>, u64), ExecutorError> {
-    let dir = match work_dir {
-        Some(d) => d.to_path_buf(),
-        None => std::env::temp_dir().join(format!(
-            "{prefix}-{}-{}",
-            std::process::id(),
-            WORK_SEQ.fetch_add(1, Ordering::Relaxed)
-        )),
-    };
-    prepare_spill_dir(&dir, work_dir.is_some())?;
-    let guard = SpillDirGuard { dir, keep };
-    let base = store.base_pool();
-    let mut sub_rows = Vec::with_capacity(plan.n);
-    let mut bytes = 0;
-    for s in 0..plan.n {
-        let sub = plan.sub_rows(s);
-        bytes += slab_io::dump_slab_rows_path(base, &sub, shard_slab_path(&guard.dir, s))?;
-        sub_rows.push(sub);
-    }
-    Ok((guard, sub_rows, bytes))
-}
-
-/// The slab [`spill_sub_pools`] writes for shard `s`, and
-/// [`PatternFusion::fallback_shard`] loads.
-pub(crate) fn shard_slab_path(dir: &Path, s: usize) -> PathBuf {
-    dir.join(format!("shard-{s}.slab"))
 }
 
 /// Where a wire shard's attempts run — the only per-backend part of
@@ -981,25 +853,5 @@ mod tests {
         ));
         assert!(ExecutorKind::parse("gpu").is_none());
         assert!(ExecutorKind::parse("").is_none());
-    }
-
-    #[test]
-    fn spill_dir_guard_and_preparation() {
-        let base = std::env::temp_dir().join(format!("cfp-executor-test-{}", std::process::id()));
-        let fresh = base.join("fresh");
-        // Fresh (even pre-created empty) user dirs pass.
-        prepare_spill_dir(&fresh, true).expect("fresh dir");
-        prepare_spill_dir(&fresh, true).expect("existing empty dir");
-        // Non-empty user dirs are refused with the typed error...
-        std::fs::write(fresh.join("precious.txt"), b"do not delete").unwrap();
-        match prepare_spill_dir(&fresh, true) {
-            Err(OocoreError::SpillDirNotEmpty(d)) => assert_eq!(d, fresh),
-            other => panic!("expected SpillDirNotEmpty, got {other:?}"),
-        }
-        // ...and the caller's file survives the refusal.
-        assert!(fresh.join("precious.txt").is_file());
-        // Auto-generated dirs skip the emptiness check.
-        prepare_spill_dir(&fresh, false).expect("auto dir reuse");
-        let _ = std::fs::remove_dir_all(&base);
     }
 }

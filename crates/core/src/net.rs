@@ -36,9 +36,10 @@
 //!   schedule replays identically. Consecutive attempts rotate to the next
 //!   worker address. A child gets one attempt.
 //! * **Graceful degradation** — a shard whose attempts all failed is
-//!   re-mined in-process from its already-spilled slab (on by default for
-//!   remote runs, opt-in for process runs), so a dying fleet converges to
-//!   the single-machine answer instead of erroring.
+//!   re-mined in this process over the resident pool, by the in-thread
+//!   engine's own shard body (on by default for remote runs, opt-in for
+//!   process runs), so a dying fleet converges to the single-machine answer
+//!   instead of erroring. No wire run writes a file.
 //! * **Fault injection** — [`FaultPlan`] (`CFP_FAULT`) makes each failure
 //!   path deterministically reachable from tests; compiled out of release
 //!   builds unless the `fault-inject` feature is on.
@@ -63,7 +64,7 @@ use cfp_itemset::slab_io;
 use cfp_itemset::{PatternPool, SlabIoError};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
 use std::time::Duration;
@@ -518,13 +519,10 @@ pub struct RemoteConfig {
     /// Backoff base: attempt `a`'s pause is drawn deterministically from
     /// `[base·2^a / 2, base·2^a]` by [`retry_backoff`].
     pub backoff_base: Duration,
-    /// Re-mine a retry-exhausted shard in-thread from its spilled slab
-    /// (on by default — graceful degradation is the point).
+    /// Re-mine a retry-exhausted shard in-thread over the resident pool,
+    /// exactly as the in-thread engine mines it (on by default — graceful
+    /// degradation is the point).
     pub fallback_in_thread: bool,
-    /// Spill directory override (must be empty; kept on `keep_work`).
-    pub work_dir: Option<PathBuf>,
-    /// Keep the spill directory after the run.
-    pub keep_work: bool,
     /// Coordinator-side fault schedule (tests only).
     pub fault: FaultPlan,
 }
@@ -537,8 +535,6 @@ impl Default for RemoteConfig {
             attempts: 3,
             backoff_base: Duration::from_millis(25),
             fallback_in_thread: true,
-            work_dir: None,
-            keep_work: false,
             fault: FaultPlan::default(),
         }
     }
@@ -585,18 +581,6 @@ impl RemoteConfig {
     /// Enables or disables the in-thread fallback.
     pub fn with_fallback_in_thread(mut self, fallback: bool) -> Self {
         self.fallback_in_thread = fallback;
-        self
-    }
-
-    /// Overrides the spill directory.
-    pub fn with_work_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.work_dir = Some(dir.into());
-        self
-    }
-
-    /// Keeps the spill directory after the run.
-    pub fn with_keep_work(mut self, keep: bool) -> Self {
-        self.keep_work = keep;
         self
     }
 

@@ -5,14 +5,17 @@
 //! big to enumerate — and the columnar [`PatternPool`] slab is a file
 //! format in all but name ([`cfp_itemset::slab_io`]). Like Grahne & Zhu's
 //! secondary-memory miner, this backend mines each on-disk partition with
-//! the ordinary in-memory machinery: it spills every shard sub-pool through
-//! the executors' shared spill (streamed row-by-row from the base slab,
-//! never materialized as an in-memory copy), drops the pool, and mines the
-//! shards one budget-full at a time through the same load-and-mine routine
-//! a failed worker's fallback uses — each shard loaded, fused, archived as
-//! owned patterns, and evicted before the next batch. The archives then
-//! run through the shared deterministic merge + boundary repair
-//! (`PatternFusion::merge_shard_outputs`).
+//! the ordinary in-memory machinery: it spills every shard sub-pool
+//! (streamed row-by-row from the base slab, never materialized as an
+//! in-memory copy), drops the pool, and mines the shards one budget-full at
+//! a time through the same slab-mining routine a worker host runs — each
+//! shard loaded, fused, archived as owned patterns, and evicted before the
+//! next batch. The archives then run through the shared deterministic
+//! merge + boundary repair (`PatternFusion::merge_shard_outputs`).
+//!
+//! This is the only backend that writes the pool to disk. The in-thread,
+//! process and remote backends keep it resident; the two wire backends
+//! mine an empty or fallen-back shard over it in-thread.
 //!
 //! # The memory budget
 //!
@@ -52,15 +55,20 @@
 //! distinct (guaranteed for mined pools).
 
 use crate::algorithm::{threads_for, PatternFusion};
-use crate::executor::{shard_slab_path, spill_sub_pools, ExecutorError, ShardExecution, ShardPlan};
+use crate::executor::{shard_config, ExecutorError, ShardExecution, ShardPlan, ShardRun};
 use crate::parallel::run_tasks;
 use crate::pool::PoolStore;
-use crate::shard::FULL_REPAIR_POOL_LIMIT;
+use crate::shard::{MergePattern, FULL_REPAIR_POOL_LIMIT};
 use crate::stats::{OocoreStats, RunStats};
 use cfp_itemset::{slab_io, PatternPool, SlabIoError};
 use std::fmt;
-use std::path::PathBuf;
-use std::time::Instant;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+/// Distinguishes concurrently running out-of-core runs' spill directories
+/// within one process (the name also carries the pid).
+static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Configuration of an out-of-core run (see the module docs).
 #[derive(Debug, Clone, Default)]
@@ -129,7 +137,7 @@ pub enum OocoreError {
     Slab(SlabIoError),
     /// Spill-directory management failed.
     Io(std::io::Error),
-    /// A user-supplied spill/work directory already contains files. The
+    /// A user-supplied spill directory already contains files. The
     /// run's cleanup guard would delete the directory afterwards (unless
     /// `keep_spill` is set), so a populated directory is refused up front
     /// rather than silently reused and destroyed.
@@ -205,13 +213,7 @@ impl PatternFusion<'_> {
             ..Default::default()
         };
         let t_spill = Instant::now();
-        let (spill, sub_rows, shard_bytes) = spill_sub_pools(
-            &store,
-            plan,
-            oo.spill_dir.as_deref(),
-            oo.keep_spill,
-            "cfp-oocore",
-        )?;
+        let (spill, sub_rows, shard_bytes) = spill_sub_pools(&store, plan, oo)?;
         let base = store.base_pool();
         let shard_resident: Vec<u64> = sub_rows
             .iter()
@@ -247,7 +249,7 @@ impl PatternFusion<'_> {
             oostats.peak_resident_bytes = oostats.peak_resident_bytes.max(sum);
             oostats.passes += 1;
             let mined = run_tasks(end - start, threads_for(self.config()), |i| {
-                self.fallback_shard(start + i, plan, &spill.dir)
+                self.mine_spilled_shard(start + i, plan, &spill.dir)
             });
             for shard in mined {
                 let (run, load_time) = shard?;
@@ -283,6 +285,99 @@ impl PatternFusion<'_> {
             store: PoolStore::new(pool),
             runs,
         })
+    }
+
+    /// Loads shard `s`'s spilled slab and mines it: the same sub-pool
+    /// content and order under the same derived config as any other
+    /// backend's shard, so the run is bit-identical. Returns the run
+    /// (`elapsed` stamped, load included) and the slab's load time.
+    fn mine_spilled_shard(
+        &self,
+        s: usize,
+        plan: &ShardPlan,
+        dir: &Path,
+    ) -> Result<(ShardRun, Duration), OocoreError> {
+        let t0 = Instant::now();
+        let slab = slab_io::load_slab_path(shard_slab_path(dir, s))?;
+        let load_time = t0.elapsed();
+        let scfg = shard_config(self.config(), plan.seed_budget[s], s, plan.n);
+        let (shard_store, out_rows, mut stats) = self.mine_shard_slab(slab, &scfg, s);
+        stats.elapsed = t0.elapsed();
+        let outputs = out_rows
+            .iter()
+            .map(|&r| MergePattern::Owned(shard_store.pattern(r)))
+            .collect();
+        Ok((ShardRun { stats, outputs }, load_time))
+    }
+}
+
+/// Spills every shard's sub-pool, empty ones included, as a CFPSLAB file
+/// streamed row-wise from the base slab. The directory is
+/// [`OocoreConfig::spill_dir`], which must be empty, or a fresh
+/// `cfp-oocore-<pid>-<seq>` under the system temp dir. Returns its cleanup
+/// guard, each shard's sub-pool as base row ids, and the bytes written.
+fn spill_sub_pools(
+    store: &PoolStore,
+    plan: &ShardPlan,
+    oo: &OocoreConfig,
+) -> Result<(SpillDirGuard, Vec<Vec<u32>>, u64), OocoreError> {
+    let dir = match &oo.spill_dir {
+        Some(d) => d.clone(),
+        None => std::env::temp_dir().join(format!(
+            "cfp-oocore-{}-{}",
+            std::process::id(),
+            SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
+        )),
+    };
+    prepare_spill_dir(&dir, oo.spill_dir.is_some())?;
+    let guard = SpillDirGuard {
+        dir,
+        keep: oo.keep_spill,
+    };
+    let base = store.base_pool();
+    let mut sub_rows = Vec::with_capacity(plan.n);
+    let mut bytes = 0;
+    for s in 0..plan.n {
+        let sub = plan.sub_rows(s);
+        bytes += slab_io::dump_slab_rows_path(base, &sub, shard_slab_path(&guard.dir, s))?;
+        sub_rows.push(sub);
+    }
+    Ok((guard, sub_rows, bytes))
+}
+
+/// The slab [`spill_sub_pools`] writes for shard `s`.
+fn shard_slab_path(dir: &Path, s: usize) -> PathBuf {
+    dir.join(format!("shard-{s}.slab"))
+}
+
+/// Creates `dir` if needed and — for a **user-supplied** directory —
+/// refuses one that already contains files: the run's cleanup guard
+/// deletes the directory afterwards (unless `keep`), and silently reusing
+/// then deleting a caller's populated directory destroys their data.
+/// Auto-generated temp directories are unique per process and sequence
+/// number and skip the check.
+fn prepare_spill_dir(dir: &Path, user_supplied: bool) -> Result<(), OocoreError> {
+    std::fs::create_dir_all(dir)?;
+    if user_supplied && std::fs::read_dir(dir)?.next().is_some() {
+        return Err(OocoreError::SpillDirNotEmpty(dir.to_path_buf()));
+    }
+    Ok(())
+}
+
+/// Removes the spill directory when dropped (best-effort), unless asked to
+/// keep it — covers both the success path and every early `?` return.
+struct SpillDirGuard {
+    /// The directory to remove.
+    dir: PathBuf,
+    /// Leave the directory behind.
+    keep: bool,
+}
+
+impl Drop for SpillDirGuard {
+    fn drop(&mut self) {
+        if !self.keep {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
     }
 }
 
@@ -345,6 +440,27 @@ mod tests {
 
         let inm = cfg.engine(&db).mine(Source::Transactions).unwrap();
         assert_eq!(result.patterns, inm.patterns);
+    }
+
+    #[test]
+    fn spill_dir_guard_and_preparation() {
+        let base =
+            std::env::temp_dir().join(format!("cfp-oocore-prep-test-{}", std::process::id()));
+        let fresh = base.join("fresh");
+        // Fresh (even pre-created empty) user dirs pass.
+        prepare_spill_dir(&fresh, true).expect("fresh dir");
+        prepare_spill_dir(&fresh, true).expect("existing empty dir");
+        // Non-empty user dirs are refused with the typed error...
+        std::fs::write(fresh.join("precious.txt"), b"do not delete").unwrap();
+        match prepare_spill_dir(&fresh, true) {
+            Err(OocoreError::SpillDirNotEmpty(d)) => assert_eq!(d, fresh),
+            other => panic!("expected SpillDirNotEmpty, got {other:?}"),
+        }
+        // ...and the caller's file survives the refusal.
+        assert!(fresh.join("precious.txt").is_file());
+        // Auto-generated dirs skip the emptiness check.
+        prepare_spill_dir(&fresh, false).expect("auto dir reuse");
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]

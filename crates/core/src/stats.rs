@@ -168,8 +168,8 @@ pub struct NetStats {
     /// Attempts beyond each shard's first (`attempts - shards completed
     /// first-try`): how often the deterministic retry policy fired.
     pub retries: usize,
-    /// Shards whose attempts all failed and were re-mined in-process from
-    /// the spilled slab (graceful degradation).
+    /// Shards whose attempts all failed and were re-mined in-process over
+    /// the resident pool (graceful degradation).
     pub fallbacks: usize,
     /// Mine-phase heartbeat frames received from workers.
     pub heartbeats: u64,

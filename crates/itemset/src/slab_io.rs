@@ -662,24 +662,6 @@ fn declared_total_bytes(preamble: &[u8]) -> Result<u64, SlabIoError> {
     Ok(total)
 }
 
-impl PatternPool {
-    /// Serializes the slab to `w` ([`write_slab`]).
-    pub fn dump(&self, w: &mut impl Write) -> Result<u64, SlabIoError> {
-        write_slab(self, w)
-    }
-
-    /// Serializes the selected rows as a standalone slab image
-    /// ([`write_slab_rows`]).
-    pub fn dump_rows(&self, rows: &[u32], w: &mut impl Write) -> Result<u64, SlabIoError> {
-        write_slab_rows(self, rows, w)
-    }
-
-    /// Deserializes a slab image from `r` ([`read_slab`]).
-    pub fn load(r: &mut impl Read) -> Result<PatternPool, SlabIoError> {
-        read_slab(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

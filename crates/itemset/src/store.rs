@@ -163,11 +163,12 @@
 //! error frame). Over TCP the coordinator maps an error frame to a typed
 //! remote-worker failure, retries the shard with deterministic backoff
 //! on a rotated host, and — when retries are exhausted — either re-mines
-//! the shard in-thread from its spilled slab or surfaces a typed network
+//! the shard in-thread over its resident pool or surfaces a typed network
 //! failure naming the shard, the attempt count, and the last error. Over
 //! pipes a failed conversation is a typed worker failure carrying the
 //! shard index, the child's exit status, and its captured stderr, with an
-//! opt-in in-process re-mine from the spilled slab.
+//! opt-in in-process re-mine over the resident pool. Neither link writes
+//! the pool to disk.
 //!
 //! ## Query messages
 //!

@@ -64,14 +64,13 @@ check_absent crates/itemset/src/slab_io.rs \
     'permuted\(|\.to_vec\(\)|clone\(\)' \
     'slab writer streams column borrows (no intermediate pool or column copies)'
 
-# 7. The subprocess executor spills each shard's fallback slab by streaming
-#    base-slab row borrows into a CFPSLAB file (`dump_slab_rows_path`) and
-#    pipes the same borrows to its `shard-host --stdio` child as frames
-#    (`converse`): no cloned sub-pools or whole-slab copies may appear on
-#    the spill or pipe path (config/path clones are fine).
+# 7. The subprocess executor pipes base-slab row borrows to its
+#    `shard-host --stdio` child as frames (`converse`): no cloned sub-pools
+#    or whole-slab copies may appear on the pipe path (config/path clones
+#    are fine).
 check_absent crates/core/src/executor.rs \
     'pool\.clone\(\)|slab\.clone\(\)|base\.clone\(\)|\.permuted\(|Vec<Pattern>|\.tids\.clone' \
-    'spill and pipe stream slab rows to workers (no cloned sub-pools or slab copies)'
+    'pipes stream slab rows to workers (no cloned sub-pools or slab copies)'
 
 # 8. The networked executor frames each shard's sub-pool over TCP straight
 #    from base-slab row borrows (`write_slab_rows` into the chunking
@@ -114,6 +113,15 @@ for file in algorithm delta; do
     check_absent "crates/core/src/$file.rs" \
         'initial_pool_slab\(' \
         'mines from its own vertical index (no initial_pool_slab)'
+done
+
+# 13. The wire path writes no files: the process and remote backends keep
+#     the pool resident and mine an empty or fallen-back shard over it, so
+#     only the out-of-core backend (`oocore.rs`) spills.
+for file in executor net; do
+    check_absent "crates/core/src/$file.rs" \
+        'spill_sub_pools|slab_io::dump|load_slab_path|std::fs::' \
+        'the wire path writes no files (only the out-of-core backend spills)'
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -113,9 +113,10 @@ usage:
       --workers LIST   remote executor worker addresses, comma-separated
                        host:port (overrides CFP_WORKERS); deadlines and
                        retries via CFP_NET_TIMEOUT (ms) / CFP_NET_ATTEMPTS
-      --spill-dir D    spill/work directory for oocore and process runs
-                       (must be empty; kept only with --keep-spill)
-      --keep-spill     keep the spill/work directory after the run
+      --spill-dir D    out-of-core runs only: the spill directory (must
+                       be empty; kept only with --keep-spill)
+      --keep-spill     out-of-core runs only: keep the spill directory
+                       after the run
       --pool SLAB      start from a dumped CFPSLAB pool instead of re-mining
       --append FILE    mine <file.dat>, then absorb FILE (FIMI, one appended
                        transaction per line) incrementally — bit-identical
@@ -313,12 +314,7 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
                     // the dataset (the executor hands it to no others); a
                     // failed worker falls back in-process when
                     // CFP_EXECUTOR_FALLBACK=1.
-                    let mut sp = SubprocessConfig::new()
-                        .with_db_path(path)
-                        .with_keep_work(keep_spill);
-                    if let Some(d) = &spill_dir {
-                        sp = sp.with_work_dir(d);
-                    }
+                    let mut sp = SubprocessConfig::new().with_db_path(path);
                     if fallback == Some(true) {
                         sp = sp.with_fallback_in_process(true);
                     }
@@ -346,11 +342,7 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
                         .with_workers(workers.ok_or(
                             "--executor remote needs --workers host:port,... or CFP_WORKERS",
                         )?)
-                        .with_keep_work(keep_spill)
                         .with_fault(net::FaultPlan::from_env());
-                    if let Some(d) = &spill_dir {
-                        rc = rc.with_work_dir(d);
-                    }
                     if fallback == Some(false) {
                         rc = rc.with_fallback_in_thread(false);
                     }
@@ -364,6 +356,19 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     // out-of-core backend; an explicit executor wins, with the budget
     // already folded into its config above.
     let executor = executor.or_else(|| budget.map(|b| ExecutorKind::OutOfCore(make_oo(b))));
+    // Only the out-of-core backend writes to disk: a spill flag on any
+    // other run would do nothing, so it is refused rather than ignored.
+    if !matches!(executor, Some(ExecutorKind::OutOfCore(_))) {
+        if let Some(flag) = ["--spill-dir", "--keep-spill"]
+            .into_iter()
+            .find(|flag| args.iter().any(|a| a == flag))
+        {
+            return Err(format!(
+                "{flag} applies only to out-of-core runs (--mem-budget, CFP_MEM_BUDGET, \
+                 or the oocore executor); this run writes no spill files"
+            ));
+        }
+    }
     let source = match parse_value::<String>(args, "--pool")? {
         Some(p) => Source::SlabFile(p.into()),
         None => Source::Transactions,

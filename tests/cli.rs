@@ -420,9 +420,15 @@ fn process_runs_report_their_wire_traffic() {
     ];
     let base = cfp().args(mine).output().unwrap();
     assert!(base.status.success());
+    // A wire run writes no file, so a TMPDIR that cannot hold one (it sits
+    // under a regular file) must not matter to either process run.
+    let blocker = temp_path("wire_tmpdir_blocker");
+    std::fs::write(&blocker, b"a regular file").unwrap();
+    let tmpdir = blocker.join("tmp");
     let proc = cfp()
         .args(mine)
         .args(["--executor", "process"])
+        .env("TMPDIR", &tmpdir)
         .output()
         .unwrap();
     let err = String::from_utf8_lossy(&proc.stderr);
@@ -441,6 +447,7 @@ fn process_runs_report_their_wire_traffic() {
         .args(["--executor", "process"])
         .env("CFP_FAULT", "kill-worker:shard0")
         .env("CFP_EXECUTOR_FALLBACK", "1")
+        .env("TMPDIR", &tmpdir)
         .output()
         .unwrap();
     let err = String::from_utf8_lossy(&faulted.stderr);
@@ -448,5 +455,89 @@ fn process_runs_report_their_wire_traffic() {
     assert_eq!(base.stdout, faulted.stdout, "fallback run drifted");
     let net = err.lines().find(|l| l.starts_with("  net: ")).unwrap_or("");
     assert!(net.contains("1 fell back"), "{err}");
+    std::fs::remove_file(&blocker).ok();
+    std::fs::remove_file(&data).ok();
+}
+
+#[test]
+fn spill_flags_are_refused_outside_out_of_core_runs() {
+    let data = temp_path("diag40_spill_flags.dat");
+    let out = cfp()
+        .args(["generate", "diag40", "--out", data.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let spill = temp_path("spill_flags_dir");
+    std::fs::remove_dir_all(&spill).ok();
+    let mine = [
+        "mine",
+        data.to_str().unwrap(),
+        "--mincount",
+        "20",
+        "--pool-len",
+        "2",
+        "--k",
+        "8",
+        "--shards",
+        "4",
+    ];
+    // Only the out-of-core backend spills: on an in-thread or process run
+    // either flag would do nothing, so each is a usage error naming it.
+    for executor in [&[][..], &["--executor", "process"][..]] {
+        for (flag, args) in [
+            ("--spill-dir", &["--spill-dir", spill.to_str().unwrap()][..]),
+            ("--keep-spill", &["--keep-spill"][..]),
+        ] {
+            let out = cfp()
+                .args(mine)
+                .args(executor)
+                .args(args)
+                .env_remove("CFP_EXECUTOR")
+                .env_remove("CFP_MEM_BUDGET")
+                .output()
+                .unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{executor:?} {flag}: {err}");
+            assert!(err.contains(&format!("error: {flag} ")), "{err}");
+            assert!(!spill.exists(), "{executor:?} {flag} created the spill dir");
+        }
+    }
+
+    // An out-of-core run keeps its shard slabs there, and prints the
+    // in-memory answer.
+    let inm = cfp().args(mine).output().unwrap();
+    assert!(inm.status.success());
+    let oo = cfp()
+        .args(mine)
+        .args([
+            "--mem-budget",
+            "64k",
+            "--spill-dir",
+            spill.to_str().unwrap(),
+        ])
+        .arg("--keep-spill")
+        .output()
+        .unwrap();
+    assert!(
+        oo.status.success(),
+        "{}",
+        String::from_utf8_lossy(&oo.stderr)
+    );
+    assert_eq!(inm.stdout, oo.stdout, "out-of-core run drifted");
+    let mut names: Vec<String> = std::fs::read_dir(&spill)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "shard-0.slab",
+            "shard-1.slab",
+            "shard-2.slab",
+            "shard-3.slab"
+        ]
+    );
+    std::fs::remove_dir_all(&spill).ok();
     std::fs::remove_file(&data).ok();
 }

@@ -16,9 +16,7 @@
 //!    [`ExecutorError::Net`] naming the shard, the attempt count, and the
 //!    last per-phase failure; configuration edges (no workers,
 //!    `closure_step`) are rejected up front;
-//! 4. **no orphaned spill files** — the coordinator's work directory is
-//!    gone after success, fallback, and error paths alike;
-//! 5. **proptest** — random fault schedules never change the answer.
+//! 4. **proptest** — random fault schedules never change the answer.
 
 use colossal::fusion::net::{self, FaultPlan, HostOptions, NetError, NetPhase, RemoteConfig};
 use colossal::fusion::{
@@ -327,57 +325,6 @@ fn empty_pool_dials_nothing_and_returns_empty() {
     assert!(r.patterns.is_empty());
     assert!(r.stats.shards.is_empty());
     assert!(!r.stats.net.active());
-}
-
-/// No orphaned CFPSLAB files on any exit path: success-via-fallback and
-/// typed-error alike must leave the spill directory deleted.
-#[test]
-fn spill_dir_is_cleaned_on_fallback_and_error_paths() {
-    let data = planted_db();
-    let spill = |tag: &str| {
-        std::env::temp_dir().join(format!("cfp-netshard-audit-{tag}-{}", std::process::id()))
-    };
-
-    // Fallback path: every attempt killed host-side, fallback on.
-    let dir = spill("fallback");
-    std::fs::create_dir_all(&dir).unwrap();
-    let workers = fleet(1, &FaultPlan::parse("kill-worker").expect("plan"));
-    let rc = remote(workers).with_attempts(2).with_work_dir(&dir);
-    let rem = run_remote(&data.db, config(2, ShardStrategy::SupportStratum, 2), rc)
-        .expect("fallback run");
-    assert!(rem.stats.net.fallbacks > 0);
-    assert!(!dir.exists(), "fallback path left spill files behind");
-
-    // Error path: same fleet, fallback off — the run fails typed and the
-    // guard still sweeps the directory.
-    let dir = spill("error");
-    std::fs::create_dir_all(&dir).unwrap();
-    let workers = fleet(1, &FaultPlan::parse("kill-worker").expect("plan"));
-    let rc = remote(workers)
-        .with_attempts(2)
-        .with_work_dir(&dir)
-        .with_fallback_in_thread(false);
-    assert!(matches!(
-        run_remote(&data.db, config(2, ShardStrategy::SupportStratum, 2), rc),
-        Err(ExecutorError::Net(_))
-    ));
-    assert!(!dir.exists(), "error path left spill files behind");
-
-    // Mid-fleet connect failure: shard 0 dials a dead port while shard 1
-    // is still in flight to a live host.
-    let dir = spill("midfleet");
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut workers = vec!["127.0.0.1:1".to_string()];
-    workers.extend(fleet(1, &FaultPlan::default()));
-    let rc = remote(workers)
-        .with_attempts(1)
-        .with_work_dir(&dir)
-        .with_fallback_in_thread(false);
-    assert!(matches!(
-        run_remote(&data.db, config(2, ShardStrategy::SupportStratum, 2), rc),
-        Err(ExecutorError::Net(_))
-    ));
-    assert!(!dir.exists(), "mid-fleet failure left spill files behind");
 }
 
 proptest! {

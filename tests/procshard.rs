@@ -1,7 +1,7 @@
 //! Contracts of the subprocess shard executor
 //! (`cfp_core::executor::ExecutorKind::Subprocess`), driven against the
-//! real `cfp` binary (`cfp shard-host --stdio` children speaking protocol
-//! v2 over their pipes):
+//! real `cfp` binary (`cfp shard-host --stdio` children speaking wire
+//! version 4 over their pipes):
 //!
 //! 1. **bit-identity** — the subprocess executor returns bit-for-bit the
 //!    in-thread sharded engine's output for both partition strategies at
@@ -16,12 +16,11 @@
 //!    failed worker's shard is re-mined in-process and the run still
 //!    returns the bit-identical result;
 //! 3. **configuration edges** — `closure_step` without a dataset path is
-//!    rejected up front, a non-empty user work dir is refused with the
-//!    typed spill-dir error, and empty pools never spawn anything.
+//!    rejected up front, and empty pools never spawn anything.
 
 use colossal::fusion::{
-    EngineError, ExecutorError, ExecutorKind, FusionConfig, FusionResult, OocoreError, Pattern,
-    PatternFusion, RunStats, ShardStats, ShardStrategy, Source, SubprocessConfig,
+    EngineError, ExecutorError, ExecutorKind, FusionConfig, FusionResult, Pattern, PatternFusion,
+    RunStats, ShardStats, ShardStrategy, Source, SubprocessConfig,
 };
 
 /// The real worker binary: the `cfp` executable this test suite builds.
@@ -219,8 +218,6 @@ fn in_process_fallback_recovers_dead_workers_bit_identically() {
 #[test]
 fn stalled_worker_is_killed_at_the_deadline_and_surfaces_typed() {
     let data = planted_db();
-    let dir = std::env::temp_dir().join(format!("cfp-procshard-stall-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
     // The worker's own CFP_FAULT (forwarded on its child environment)
     // stalls shard 0 before mining; historically `wait_with_output`
     // blocked forever here. The deadline must kill it and surface a
@@ -228,7 +225,6 @@ fn stalled_worker_is_killed_at_the_deadline_and_surfaces_typed() {
     let ex = ExecutorKind::Subprocess(
         SubprocessConfig::new()
             .with_worker_cmd(worker_cmd())
-            .with_work_dir(&dir)
             .with_fault("stall-mine:shard0")
             .with_timeout(std::time::Duration::from_millis(400)),
     );
@@ -250,9 +246,6 @@ fn stalled_worker_is_killed_at_the_deadline_and_surfaces_typed() {
         t0.elapsed() < std::time::Duration::from_secs(30),
         "the deadline bounded the wait"
     );
-    // The guard swept the work directory on the error path: no orphaned
-    // CFPSLAB files from the killed worker.
-    assert!(!dir.exists(), "timeout path left spill files behind");
 }
 
 #[test]
@@ -291,32 +284,6 @@ fn closure_step_requires_a_dataset_path() {
         }
         other => panic!("expected Unsupported, got {other:?}"),
     }
-}
-
-#[test]
-fn non_empty_work_dir_is_refused() {
-    let dir = std::env::temp_dir().join(format!("cfp-procshard-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("precious.txt"), b"do not delete").unwrap();
-
-    let data = planted_db();
-    let ex = ExecutorKind::Subprocess(
-        SubprocessConfig::new()
-            .with_worker_cmd(worker_cmd())
-            .with_work_dir(&dir),
-    );
-    match run_proc(
-        &data.db,
-        config(2, ShardStrategy::SupportStratum, 1),
-        ex,
-        Source::Transactions,
-    ) {
-        Err(ExecutorError::Disk(OocoreError::SpillDirNotEmpty(d))) => assert_eq!(d, dir),
-        other => panic!("expected SpillDirNotEmpty, got {other:?}"),
-    }
-    // The caller's file survives the refusal.
-    assert!(dir.join("precious.txt").is_file());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
