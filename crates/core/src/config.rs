@@ -81,9 +81,9 @@ pub struct FusionConfig {
     /// Sharded execution (see [`crate::shard`]): the pool is partitioned
     /// into `sharding.shards` shards by `sharding.strategy`, fused per
     /// shard, and the archives merged deterministically. 1 shard (the
-    /// default) runs the plain engine. Defaults honor the `CFP_SHARDS` /
-    /// `CFP_SHARD_STRATEGY` environment variables so CI can push the whole
-    /// suite through the sharded engine.
+    /// default) runs the plain engine. [`FusionConfig::new`] starts from
+    /// `CFP_SHARDS` / `CFP_SHARD_STRATEGY` ([`crate::env::sharding`]) so CI
+    /// can push the whole suite through the sharded engine.
     pub sharding: Sharding,
     /// Master RNG seed.
     pub seed: u64,
@@ -91,7 +91,11 @@ pub struct FusionConfig {
 
 impl FusionConfig {
     /// A configuration with the paper's defaults for the two mandatory
-    /// parameters.
+    /// parameters, sharded as `CFP_SHARDS` / `CFP_SHARD_STRATEGY` say.
+    ///
+    /// # Panics
+    /// Panics when either variable is set but malformed; the `cfp` CLI
+    /// rejects that cleanly before any work starts.
     pub fn new(k: usize, min_count: usize) -> Self {
         Self {
             k,
@@ -108,7 +112,7 @@ impl FusionConfig {
             parallel: true,
             threads: None,
             ball_pivots: 4,
-            sharding: Sharding::from_env(),
+            sharding: crate::env::sharding().unwrap_or_else(|e| panic!("{e}")),
             seed: 0xC0FFEE,
         }
     }

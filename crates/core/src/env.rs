@@ -1,14 +1,22 @@
-//! One typed home for every `CFP_*` environment variable.
+//! The one reader of every `CFP_*` environment variable.
 //!
-//! The knobs grew up scattered: `CFP_SHARDS` / `CFP_SHARD_STRATEGY` in
-//! [`crate::shard`], `CFP_MEM_BUDGET` in [`crate::oocore`],
-//! `CFP_NET_TIMEOUT` / `CFP_NET_ATTEMPTS` / `CFP_FAULT` in [`crate::net`],
-//! and `CFP_EXECUTOR` / `CFP_EXECUTOR_FALLBACK` / `CFP_WORKERS` inline in
-//! the `cfp` binary — each with its own parse, its own error wording, and
-//! (for `CFP_MEM_BUDGET` and `CFP_EXECUTOR_FALLBACK`) a silent shrug on a
-//! malformed value. This module is the single source of truth both `cfp
-//! mine` and `cfp serve` read, so a daemon and a batch run given the same
-//! environment cannot disagree about what it means.
+//! Each variable has exactly one decoder, here, and the library takes its
+//! settings as config values: the `cfp` CLI reads the environment through
+//! this module and applies what it finds to the configs it builds
+//! (`CFP_NET_TIMEOUT`, `CFP_NET_ATTEMPTS` and `CFP_FAULT` included), so a
+//! daemon and a batch run given the same environment cannot disagree about
+//! what it means, and no input can mean two things. Two reads sit below the
+//! CLI, for CI's determinism legs, which push the whole test suite through
+//! one setting without touching a call site:
+//!
+//! * [`crate::FusionConfig::new`] takes its sharding from [`sharding`]
+//!   (`CFP_SHARDS`, `CFP_SHARD_STRATEGY`);
+//! * [`KernelBackend::detect`] reads `CFP_KERNEL_BACKEND` through
+//!   [`KernelBackend::parse`], the grammar [`parse_kernel_backend`] shares
+//!   (the kernel layer sits below this crate).
+//!
+//! Both panic on a malformed value. Rule 14 of
+//! `scripts/check_no_pool_clone.sh` keeps any other reader out.
 //!
 //! The contract, shared by every variable:
 //!
@@ -25,13 +33,16 @@
 //! the process environment, which is shared mutable state across the
 //! parallel test harness) plus a thin process-environment reader. The
 //! `cfp` CLI calls [`validate_all`] once at startup so every malformed
-//! variable fails loudly before any work starts.
+//! variable fails loudly before any work starts, and its flags parse
+//! through the `parse_*` function of the variable they override.
 
 use crate::executor::ExecutorKind;
 use crate::net::FaultPlan;
 use crate::oocore;
-use crate::shard::{self, ShardStrategy, Sharding};
+use crate::shard::{ShardStrategy, Sharding};
+use crate::KernelBackend;
 use std::fmt;
+use std::str::FromStr;
 use std::time::Duration;
 
 /// A set-but-malformed `CFP_*` environment variable. The message names the
@@ -83,78 +94,69 @@ pub type OptEnv<T> = Result<Option<T>, EnvError>;
 // names its variable.
 // ---------------------------------------------------------------------------
 
+/// `parsed`, or the typed error naming `var` and echoing `raw`.
+fn named<T>(
+    parsed: Option<T>,
+    var: &'static str,
+    raw: &str,
+    expected: &'static str,
+) -> Result<T, EnvError> {
+    parsed.ok_or_else(|| EnvError {
+        var,
+        value: raw.to_string(),
+        expected,
+    })
+}
+
+/// A trimmed decimal of at least 1.
+fn at_least_one<T: FromStr + Ord + From<u8>>(raw: &str) -> Option<T> {
+    raw.trim().parse().ok().filter(|n| *n >= T::from(1))
+}
+
 /// `CFP_SHARDS`: a shard count, trimmed decimal ≥ 1.
 pub fn parse_shards(raw: &str) -> Result<usize, EnvError> {
-    shard::parse_shard_count(raw).ok_or_else(|| EnvError {
-        var: "CFP_SHARDS",
-        value: raw.to_string(),
-        expected: "a shard count of at least 1",
-    })
+    let expected = "a shard count of at least 1";
+    named(at_least_one(raw), "CFP_SHARDS", raw, expected)
 }
 
 /// `CFP_SHARD_STRATEGY`: `stratum` / `minhash` (case-insensitive, with
 /// aliases; see [`ShardStrategy::parse`]).
 pub fn parse_shard_strategy(raw: &str) -> Result<ShardStrategy, EnvError> {
-    ShardStrategy::parse(raw).ok_or_else(|| EnvError {
-        var: "CFP_SHARD_STRATEGY",
-        value: raw.to_string(),
-        expected: "'stratum' or 'minhash'",
-    })
+    let expected = "'stratum' or 'minhash'";
+    named(
+        ShardStrategy::parse(raw),
+        "CFP_SHARD_STRATEGY",
+        raw,
+        expected,
+    )
 }
 
 /// `CFP_MEM_BUDGET`: a byte count with optional binary-magnitude suffix
 /// (`k`/`kb`/`kib`, `m`/…, `g`/…; see [`oocore::parse_budget`]).
 pub fn parse_mem_budget(raw: &str) -> Result<u64, EnvError> {
-    oocore::parse_budget(raw).ok_or_else(|| EnvError {
-        var: "CFP_MEM_BUDGET",
-        value: raw.to_string(),
-        expected: "a byte count with optional k/m/g suffix (binary multiples)",
-    })
+    let expected = "a byte count with optional k/m/g suffix (binary multiples)";
+    named(oocore::parse_budget(raw), "CFP_MEM_BUDGET", raw, expected)
 }
 
 /// `CFP_NET_TIMEOUT`: whole milliseconds, at least 1.
 pub fn parse_net_timeout(raw: &str) -> Result<Duration, EnvError> {
-    let err = || EnvError {
-        var: "CFP_NET_TIMEOUT",
-        value: raw.to_string(),
-        expected: "a timeout in whole milliseconds, at least 1",
-    };
-    let ms: u64 = raw.trim().parse().map_err(|_| err())?;
-    if ms == 0 {
-        return Err(err());
-    }
-    Ok(Duration::from_millis(ms))
+    let expected = "a timeout in whole milliseconds, at least 1";
+    let ms = at_least_one(raw).map(Duration::from_millis);
+    named(ms, "CFP_NET_TIMEOUT", raw, expected)
 }
 
 /// `CFP_NET_ATTEMPTS`: a per-shard attempt budget, at least 1.
 pub fn parse_net_attempts(raw: &str) -> Result<usize, EnvError> {
-    let err = || EnvError {
-        var: "CFP_NET_ATTEMPTS",
-        value: raw.to_string(),
-        expected: "an attempt count of at least 1",
-    };
-    let n: usize = raw.trim().parse().map_err(|_| err())?;
-    if n == 0 {
-        return Err(err());
-    }
-    Ok(n)
+    let expected = "an attempt count of at least 1";
+    named(at_least_one(raw), "CFP_NET_ATTEMPTS", raw, expected)
 }
 
-/// `CFP_FAULT`: a deterministic fault schedule. Validates the spec
-/// (including "set but fault injection not compiled in") and returns it
-/// verbatim; [`FaultPlan::from_env`] stays the quiet library-side reader.
-pub fn parse_fault_spec(raw: &str) -> Result<String, EnvError> {
-    let err = || EnvError {
-        var: "CFP_FAULT",
-        value: raw.to_string(),
-        expected: "a fault schedule like 'drop-conn:shard1:attempt0,stall-mine:shard0' \
-                   in a build with --features fault-inject",
-    };
-    if !FaultPlan::compiled_in() {
-        return Err(err());
-    }
-    FaultPlan::parse(raw).map_err(|_| err())?;
-    Ok(raw.to_string())
+/// `CFP_FAULT`: a deterministic fault schedule ([`FaultPlan::parse`]). Any
+/// set value is an error in a build without fault injection compiled in.
+pub fn parse_fault_plan(raw: &str) -> Result<FaultPlan, EnvError> {
+    let expected = "a fault schedule like 'drop-conn:shard1:attempt0,stall-mine:shard0' \
+                    in a build with --features fault-inject";
+    named(FaultPlan::parse(raw).ok(), "CFP_FAULT", raw, expected)
 }
 
 /// `CFP_EXECUTOR`: a backend name (`thread` / `oocore` / `process` /
@@ -162,27 +164,22 @@ pub fn parse_fault_spec(raw: &str) -> Result<String, EnvError> {
 /// default-configured — callers layer flags and the other `CFP_*`
 /// variables on top.
 pub fn parse_executor(raw: &str) -> Result<ExecutorKind, EnvError> {
-    ExecutorKind::parse(raw).ok_or_else(|| EnvError {
-        var: "CFP_EXECUTOR",
-        value: raw.to_string(),
-        expected: "one of thread|oocore|process|remote",
-    })
+    let expected = "one of thread|oocore|process|remote";
+    named(ExecutorKind::parse(raw), "CFP_EXECUTOR", raw, expected)
 }
 
 /// `CFP_EXECUTOR_FALLBACK`: exactly `1` (fall back) or `0` (hard error),
-/// trimmed. Anything else used to be silently ignored; now it is a parse
-/// error, because a typo'd `CFP_EXECUTOR_FALLBACK=yes` silently keeping
-/// the default fallback policy is indistinguishable from the knob working.
+/// trimmed. A typo'd `CFP_EXECUTOR_FALLBACK=yes` silently keeping the
+/// default fallback policy would be indistinguishable from the knob
+/// working.
 pub fn parse_executor_fallback(raw: &str) -> Result<bool, EnvError> {
-    match raw.trim() {
-        "1" => Ok(true),
-        "0" => Ok(false),
-        _ => Err(EnvError {
-            var: "CFP_EXECUTOR_FALLBACK",
-            value: raw.to_string(),
-            expected: "'1' (fall back) or '0' (hard error)",
-        }),
-    }
+    let fallback = match raw.trim() {
+        "1" => Some(true),
+        "0" => Some(false),
+        _ => None,
+    };
+    let expected = "'1' (fall back) or '0' (hard error)";
+    named(fallback, "CFP_EXECUTOR_FALLBACK", raw, expected)
 }
 
 /// `CFP_WORKERS`: a comma-separated list of `host:port` worker addresses,
@@ -193,14 +190,25 @@ pub fn parse_workers(raw: &str) -> Result<Vec<String>, EnvError> {
         .map(|w| w.trim().to_string())
         .filter(|w| !w.is_empty())
         .collect();
-    if workers.is_empty() {
-        return Err(EnvError {
-            var: "CFP_WORKERS",
-            value: raw.to_string(),
-            expected: "a comma-separated list of host:port worker addresses",
-        });
-    }
-    Ok(workers)
+    let expected = "a comma-separated list of host:port worker addresses";
+    named(
+        Some(workers).filter(|w| !w.is_empty()),
+        "CFP_WORKERS",
+        raw,
+        expected,
+    )
+}
+
+/// `CFP_KERNEL_BACKEND`: a kernel ceiling, `scalar` | `sse2` | `avx2`
+/// (trimmed, case-insensitive; see [`KernelBackend::parse`]).
+pub fn parse_kernel_backend(raw: &str) -> Result<KernelBackend, EnvError> {
+    let expected = "one of scalar|sse2|avx2";
+    named(
+        KernelBackend::parse(raw),
+        "CFP_KERNEL_BACKEND",
+        raw,
+        expected,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -217,8 +225,8 @@ pub fn shard_strategy() -> OptEnv<ShardStrategy> {
     read("CFP_SHARD_STRATEGY", parse_shard_strategy)
 }
 
-/// The full sharding default from `CFP_SHARDS` + `CFP_SHARD_STRATEGY`
-/// (this is what [`Sharding::try_from_env`] delegates to).
+/// The full sharding default from `CFP_SHARDS` + `CFP_SHARD_STRATEGY`,
+/// which [`crate::FusionConfig::new`] starts from.
 pub fn sharding() -> Result<Sharding, EnvError> {
     let mut out = Sharding::default();
     if let Some(n) = shards()? {
@@ -245,9 +253,9 @@ pub fn net_attempts() -> OptEnv<usize> {
     read("CFP_NET_ATTEMPTS", parse_net_attempts)
 }
 
-/// `CFP_FAULT`, validated (spec returned verbatim).
-pub fn fault_spec() -> OptEnv<String> {
-    read("CFP_FAULT", parse_fault_spec)
+/// `CFP_FAULT`, strictly parsed.
+pub fn fault_plan() -> OptEnv<FaultPlan> {
+    read("CFP_FAULT", parse_fault_plan)
 }
 
 /// `CFP_EXECUTOR`, strictly parsed to a default-configured kind.
@@ -265,6 +273,11 @@ pub fn workers() -> OptEnv<Vec<String>> {
     read("CFP_WORKERS", parse_workers)
 }
 
+/// `CFP_KERNEL_BACKEND`, strictly parsed.
+pub fn kernel_backend() -> OptEnv<KernelBackend> {
+    read("CFP_KERNEL_BACKEND", parse_kernel_backend)
+}
+
 /// Validates every `CFP_*` variable this module owns, reporting the first
 /// malformed one. `cfp mine` and `cfp serve` call this before any work so
 /// a typo'd knob is a clean startup error, not a mid-run surprise (or,
@@ -275,10 +288,11 @@ pub fn validate_all() -> Result<(), EnvError> {
     mem_budget()?;
     net_timeout()?;
     net_attempts()?;
-    fault_spec()?;
+    fault_plan()?;
     executor()?;
     executor_fallback()?;
     workers()?;
+    kernel_backend()?;
     Ok(())
 }
 
@@ -291,12 +305,14 @@ mod tests {
 
     #[test]
     fn shards_rejects_garbage() {
-        for bad in ["fuor", "0", "-1", "1.5", ""] {
+        for bad in ["fuor", "0", "-2", "4x", "1.5", ""] {
             let e = parse_shards(bad).unwrap_err();
             assert_eq!(e.var, "CFP_SHARDS");
             assert!(e.to_string().contains("CFP_SHARDS"), "{e}");
         }
         assert_eq!(parse_shards(" 4 ").unwrap(), 4);
+        assert_eq!(parse_shards("1").unwrap(), 1);
+        assert_eq!(parse_shards(" 8 ").unwrap(), 8);
     }
 
     #[test]
@@ -340,12 +356,16 @@ mod tests {
     }
 
     #[test]
-    fn fault_spec_rejects_garbage() {
+    fn fault_plan_rejects_garbage() {
         // Without fault-inject compiled in, any set value is an error; with
         // it, a bogus action name is. Either way the typed error names the
         // variable.
-        let e = parse_fault_spec("explode-everything:shard0").unwrap_err();
+        let e = parse_fault_plan("explode-everything:shard0").unwrap_err();
         assert_eq!(e.var, "CFP_FAULT");
+        // The plan it returns is the one the coordinator and hosts run.
+        let plan = parse_fault_plan("drop-conn:shard1:attempt0").unwrap();
+        assert!(plan.fires(crate::FaultAction::DropConn, 1, 0));
+        assert!(!plan.fires(crate::FaultAction::DropConn, 1, 1));
     }
 
     #[test]
@@ -381,6 +401,27 @@ mod tests {
     }
 
     #[test]
+    fn kernel_backend_rejects_garbage() {
+        for bad in ["scalr", "avx512", "scalar sse2", "-"] {
+            let e = parse_kernel_backend(bad).unwrap_err();
+            assert_eq!(e.var, "CFP_KERNEL_BACKEND", "value {bad:?}");
+            assert_eq!(e.value, bad);
+        }
+        for (raw, want) in [
+            ("scalar", KernelBackend::Scalar),
+            (" SCALAR ", KernelBackend::Scalar),
+            ("Sse2", KernelBackend::Sse2),
+            ("\tavx2", KernelBackend::Avx2),
+        ] {
+            assert_eq!(parse_kernel_backend(raw).unwrap(), want, "value {raw:?}");
+        }
+        // Every backend's own name parses back to it.
+        for b in KernelBackend::available() {
+            assert_eq!(KernelBackend::parse(b.name()), Some(b));
+        }
+    }
+
+    #[test]
     fn error_message_shape_is_shared() {
         let e = parse_shards("fuor").unwrap_err();
         assert_eq!(
@@ -388,5 +429,6 @@ mod tests {
             "invalid CFP_SHARDS='fuor': expected a shard count of at least 1 \
              (unset or empty means the default)"
         );
+        assert_eq!(e.value, "fuor");
     }
 }

@@ -138,8 +138,8 @@ pub struct SubprocessConfig {
     /// Deadline for one worker, measured from its spawn. A worker still
     /// running past it is killed and surfaced as a timed-out
     /// [`ExecutorError::Worker`] — a stalled child can never hang the
-    /// parent. `None` → `CFP_NET_TIMEOUT` (milliseconds) if set, else a
-    /// generous default ([`DEFAULT_WORKER_DEADLINE`]).
+    /// parent. `None` → a generous default ([`DEFAULT_WORKER_DEADLINE`]);
+    /// `cfp` sets it from `CFP_NET_TIMEOUT`.
     pub timeout: Option<Duration>,
     /// Fault-injection spec forwarded to workers via their `CFP_FAULT`
     /// environment (see [`crate::net::FaultPlan`]); only honored by
@@ -185,18 +185,15 @@ impl SubprocessConfig {
     }
 
     /// The effective per-worker deadline: the explicit override, else
-    /// `CFP_NET_TIMEOUT` milliseconds, else [`DEFAULT_WORKER_DEADLINE`].
+    /// [`DEFAULT_WORKER_DEADLINE`].
     pub fn deadline(&self) -> Duration {
-        self.timeout
-            .or_else(crate::net::timeout_from_env)
-            .unwrap_or(DEFAULT_WORKER_DEADLINE)
+        self.timeout.unwrap_or(DEFAULT_WORKER_DEADLINE)
     }
 }
 
 /// The default deadline for one shard worker (subprocess executor) when
-/// neither [`SubprocessConfig::timeout`] nor `CFP_NET_TIMEOUT` is set:
-/// generous enough for real mining, finite so a wedged child can never
-/// hang the parent forever.
+/// [`SubprocessConfig::timeout`] is unset: generous enough for real
+/// mining, finite so a wedged child can never hang the parent forever.
 pub const DEFAULT_WORKER_DEADLINE: Duration = Duration::from_secs(600);
 
 /// A shard worker that did not deliver: spawn failure, death (killed or

@@ -145,7 +145,7 @@ pub use serve::{
     serve_queries, spawn_query_server, QueryClient, ServeError, ServeOptions, ServeReply,
     ServeRequest,
 };
-pub use shard::{ShardEnvError, ShardStrategy, Sharding};
+pub use shard::{ShardStrategy, Sharding};
 pub use stats::{
     IndexMaintenance, IterationStats, NetStats, OocoreStats, PoolStats, RunStats, ShardStats,
 };

@@ -25,11 +25,14 @@
 //! Every wait is bounded and every failure is typed ([`NetError`]):
 //!
 //! * **Deadlines** — over a socket, connect/send/mine/receive each run
-//!   under the socket timeout ([`RemoteConfig::timeout`],
-//!   `CFP_NET_TIMEOUT`). During the mine phase the host emits heartbeat
-//!   frames, so a *slow* worker keeps the read alive while a *hung* one
-//!   times out. A child has one deadline from its spawn instead, and is
-//!   killed when it outlives it.
+//!   under the socket timeout ([`RemoteConfig::timeout`]). During the mine
+//!   phase the host emits heartbeat frames, so a *slow* worker keeps the
+//!   read alive while a *hung* one times out. A child has one deadline
+//!   from its spawn instead
+//!   ([`SubprocessConfig::timeout`](crate::executor::SubprocessConfig::timeout)),
+//!   and is killed when it outlives it. The library reads no environment:
+//!   `cfp` sets both deadlines, and the daemons' socket timeout, from
+//!   `CFP_NET_TIMEOUT`.
 //! * **Deterministic retry** — a socket shard gets bounded attempts with
 //!   a backoff schedule derived from `(seed, shard, attempt)`
 //!   ([`retry_backoff`]): no wall-clock randomness, so a given fault
@@ -282,7 +285,7 @@ impl NetPhase {
 pub enum NetError {
     /// Could not resolve or connect to the worker address.
     Connect(String),
-    /// A phase deadline expired (`CFP_NET_TIMEOUT`); during the mine
+    /// A phase deadline expired ([`RemoteConfig::timeout`]); during the mine
     /// phase this means the worker stopped heartbeating — hung, not slow.
     Timeout {
         /// The phase whose deadline fired.
@@ -460,19 +463,6 @@ impl FaultPlan {
         Err("fault injection not compiled in (build with --features fault-inject)".into())
     }
 
-    /// The process's own plan from `CFP_FAULT` (empty when unset, not
-    /// compiled in, or unparseable — the CLI validates loudly up front;
-    /// library code stays quiet).
-    pub fn from_env() -> Self {
-        #[cfg(any(test, feature = "fault-inject"))]
-        if let Ok(spec) = std::env::var("CFP_FAULT") {
-            if let Ok(plan) = Self::parse(&spec) {
-                return plan;
-            }
-        }
-        Self::default()
-    }
-
     /// Whether `action` fires for `(shard, attempt)`.
     pub fn fires(&self, action: FaultAction, shard: usize, attempt: usize) -> bool {
         #[cfg(any(test, feature = "fault-inject"))]
@@ -511,10 +501,11 @@ pub struct RemoteConfig {
     /// `workers[(s + a) % len]` — deterministic placement, and a retry
     /// rotates to the next worker.
     pub workers: Vec<String>,
-    /// Per-phase socket deadline (`CFP_NET_TIMEOUT` overrides, in ms).
+    /// Per-phase socket deadline; `cfp` sets it from `CFP_NET_TIMEOUT`
+    /// (milliseconds).
     pub timeout: Duration,
-    /// Attempts per shard before fallback / typed failure
-    /// (`CFP_NET_ATTEMPTS` overrides; min 1).
+    /// Attempts per shard before fallback / typed failure (min 1); `cfp`
+    /// sets it from `CFP_NET_ATTEMPTS`.
     pub attempts: usize,
     /// Backoff base: attempt `a`'s pause is drawn deterministically from
     /// `[base·2^a / 2, base·2^a]` by [`retry_backoff`].
@@ -541,19 +532,6 @@ impl Default for RemoteConfig {
 }
 
 impl RemoteConfig {
-    /// Defaults with the `CFP_NET_TIMEOUT` / `CFP_NET_ATTEMPTS`
-    /// environment overrides applied.
-    pub fn new() -> Self {
-        let mut c = Self::default();
-        if let Some(t) = timeout_from_env() {
-            c.timeout = t;
-        }
-        if let Some(a) = attempts_from_env() {
-            c.attempts = a;
-        }
-        c
-    }
-
     /// Sets the worker address list.
     pub fn with_workers(mut self, workers: Vec<String>) -> Self {
         self.workers = workers;
@@ -589,19 +567,6 @@ impl RemoteConfig {
         self.fault = fault;
         self
     }
-}
-
-/// `CFP_NET_TIMEOUT` (milliseconds, ≥ 1 ms), if set and valid — the quiet
-/// library-side reader over [`crate::env::net_timeout`]; the CLI validates
-/// the environment strictly up front ([`crate::env::validate_all`]).
-pub fn timeout_from_env() -> Option<Duration> {
-    crate::env::net_timeout().ok().flatten()
-}
-
-/// `CFP_NET_ATTEMPTS` (≥ 1), if set and valid — quiet reader over
-/// [`crate::env::net_attempts`].
-pub fn attempts_from_env() -> Option<usize> {
-    crate::env::net_attempts().ok().flatten()
 }
 
 /// The deterministic retry pause before attempt `attempt` (≥ 1) of

@@ -134,43 +134,7 @@ impl Sharding {
     pub fn single() -> Self {
         Self::default()
     }
-
-    /// Reads the process-wide default from the environment: `CFP_SHARDS`
-    /// (shard count ≥ 1; absent or empty → 1) and `CFP_SHARD_STRATEGY`
-    /// (`stratum` / `minhash`, case-insensitive; absent or empty →
-    /// `stratum`). This is how CI's determinism matrix runs the whole test
-    /// suite through the sharded engine without touching any call site.
-    ///
-    /// A **set but malformed** value is a hard [`ShardEnvError`] — never a
-    /// silent fallback to the default: `CFP_SHARDS=fuor` quietly running
-    /// unsharded would invalidate exactly the determinism sweep the knob
-    /// exists for.
-    pub fn try_from_env() -> Result<Self, ShardEnvError> {
-        crate::env::sharding()
-    }
-
-    /// [`Sharding::try_from_env`] for infallible call sites
-    /// ([`crate::FusionConfig::new`]); panics with the typed error's
-    /// message on a malformed value. The `cfp` CLI validates the
-    /// environment up front and reports the error cleanly instead.
-    pub fn from_env() -> Self {
-        match Self::try_from_env() {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
 }
-
-/// Parses a shard count: trimmed decimal, at least 1. `None` means the
-/// value is malformed (callers decide whether that is a hard error).
-pub fn parse_shard_count(value: &str) -> Option<usize> {
-    value.trim().parse::<usize>().ok().filter(|&n| n >= 1)
-}
-
-/// A malformed sharding environment variable — the sharding-flavored name
-/// of the one typed error every `CFP_*` variable reports through (see
-/// [`crate::env`], where the parsing now lives).
-pub use crate::env::EnvError as ShardEnvError;
 
 /// Splits the paper's K seed budget across shards **proportionally to
 /// shard size** (largest-remainder apportionment, ties to the lower shard
@@ -743,29 +707,5 @@ mod tests {
         // exercise the parse path and the default.
         assert_eq!(Sharding::single().shards, 1);
         assert_eq!(Sharding::default().strategy, ShardStrategy::SupportStratum);
-    }
-
-    #[test]
-    fn shard_count_parsing_is_strict() {
-        assert_eq!(parse_shard_count("1"), Some(1));
-        assert_eq!(parse_shard_count(" 8 "), Some(8));
-        // Malformed values are rejected, not defaulted — the env reader
-        // turns these into a hard `ShardEnvError`.
-        for bad in ["0", "-2", "fuor", "4x", "1.5", ""] {
-            assert_eq!(parse_shard_count(bad), None, "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn shard_env_error_names_the_variable_and_value() {
-        let e = ShardEnvError {
-            var: "CFP_SHARDS",
-            value: "fuor".into(),
-            expected: "a shard count of at least 1",
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("CFP_SHARDS"), "{msg}");
-        assert!(msg.contains("fuor"), "{msg}");
-        assert!(msg.contains("unset or empty"), "{msg}");
     }
 }

@@ -11,8 +11,8 @@
 //! [`crate::store`]'s module docs.
 
 use crate::database::TransactionDb;
-use crate::error::{Error, Result};
-use std::io::{BufRead, BufReader, Read};
+use crate::error::Result;
+use std::io::Read;
 use std::ops::Range;
 use std::path::Path;
 
@@ -68,23 +68,7 @@ impl DbDelta {
     /// Reads a FIMI-format delta batch from any reader.
     pub fn read_fimi_from<R: Read>(reader: R) -> Result<Self> {
         let mut delta = Self::new();
-        let buf = BufReader::new(reader);
-        for (line_no, line) in buf.lines().enumerate() {
-            let line = line?;
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let mut labels: Vec<u32> = Vec::new();
-            for tok in trimmed.split_ascii_whitespace() {
-                let label: u32 = tok.parse().map_err(|_| Error::Parse {
-                    line: line_no + 1,
-                    message: format!("'{tok}' is not a non-negative integer item id"),
-                })?;
-                labels.push(label);
-            }
-            delta.transactions.push(labels);
-        }
+        crate::io::decode_fimi(reader, |labels| delta.push(labels))?;
         Ok(delta)
     }
 

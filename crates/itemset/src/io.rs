@@ -21,6 +21,18 @@ pub fn parse_fimi(text: &str) -> Result<TransactionDb> {
 /// Reads a FIMI-format dataset from any reader.
 pub fn read_fimi_from<R: Read>(reader: R) -> Result<TransactionDb> {
     let mut builder = DbBuilder::new();
+    decode_fimi(reader, |labels| {
+        builder.add_transaction(labels);
+    })?;
+    Ok(builder.build())
+}
+
+/// The one FIMI line decoder, behind both [`read_fimi_from`] and
+/// [`crate::DbDelta::read_fimi_from`]: each line is trimmed, blank lines
+/// are skipped, and every other line's ASCII-whitespace-separated labels
+/// go to `transaction` through one reused buffer. A token that is not a
+/// `u32` is an [`Error::Parse`] naming its 1-based line.
+pub(crate) fn decode_fimi<R: Read>(reader: R, mut transaction: impl FnMut(&[u32])) -> Result<()> {
     let buf = BufReader::new(reader);
     let mut labels: Vec<u32> = Vec::new();
     for (line_no, line) in buf.lines().enumerate() {
@@ -37,9 +49,9 @@ pub fn read_fimi_from<R: Read>(reader: R) -> Result<TransactionDb> {
             })?;
             labels.push(label);
         }
-        builder.add_transaction(&labels);
+        transaction(&labels);
     }
-    Ok(builder.build())
+    Ok(())
 }
 
 /// Reads a FIMI-format dataset from a file path.
@@ -121,9 +133,57 @@ mod tests {
 
     mod properties {
         use super::*;
+        use crate::DbDelta;
         use proptest::prelude::*;
 
+        /// Text pieces for the shared-grammar property: labels, runs of
+        /// spaces and tabs, line ends, a line ending in U+00A0 (trimmed
+        /// away), and two tokens no reader accepts: "x" and a label past
+        /// `u32` (adjacent pieces also glue labels into longer ones).
+        const PIECES: [&str; 14] = [
+            "1",
+            "7",
+            "42",
+            "4294967295",
+            " ",
+            "   ",
+            "\t",
+            "\n",
+            "\n",
+            "\r\n",
+            " \t\n",
+            "\u{a0}\n",
+            "x",
+            "4294967296",
+        ];
+
         proptest! {
+            /// The base and delta readers are one grammar: a delta parsed
+            /// from any text and appended to an empty database is the
+            /// database parsed from that text, and a text one reader
+            /// refuses the other refuses with the same message.
+            #[test]
+            fn base_and_delta_readers_share_one_grammar(
+                pieces in proptest::collection::vec(0usize..PIECES.len(), 0..40)
+            ) {
+                let text: String = pieces.iter().map(|&p| PIECES[p]).collect();
+                match (parse_fimi(&text), DbDelta::parse_fimi(&text)) {
+                    (Ok(db), Ok(delta)) => {
+                        let mut grown = parse_fimi("").unwrap();
+                        grown.append_delta(&delta);
+                        prop_assert_eq!(grown, db, "text {:?}", text);
+                    }
+                    (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+                    (a, b) => prop_assert!(
+                        false,
+                        "readers disagree on {:?}: {:?} vs {:?}",
+                        text,
+                        a.map(|_| ()),
+                        b.map(|_| ())
+                    ),
+                }
+            }
+
             /// Arbitrary databases survive write → parse with transaction
             /// multiset and per-item supports preserved (modulo the dense
             /// renumbering, compared through external labels).

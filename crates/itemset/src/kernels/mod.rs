@@ -25,10 +25,12 @@
 //! Selection happens **once**, lazily, at the first kernel call:
 //! [`Backend::active`] picks the best CPU-supported backend via
 //! `is_x86_feature_detected!`, clamped by the `CFP_KERNEL_BACKEND`
-//! environment variable (`scalar` | `sse2` | `avx2`, acting as a *ceiling*:
-//! a request the CPU cannot honor falls back to the best supported backend
-//! below it; unknown values are ignored). Non-x86-64 targets always get the
-//! scalar backend. [`Backend::set`] re-points the process-wide choice at any
+//! environment variable ([`Backend::parse`]'s `scalar` | `sse2` | `avx2`,
+//! acting as a *ceiling*: a request the CPU cannot honor falls back to the
+//! best supported backend below it). Unset or empty means no ceiling; any
+//! other value panics [`Backend::detect`], and the `cfp` CLI rejects it
+//! before any work starts. Non-x86-64 targets always get the scalar
+//! backend. [`Backend::set`] re-points the process-wide choice at any
 //! time — safe mid-run, because **all backends return bit-identical
 //! results**: they compute the same integer popcounts, so every derived
 //! float compares identically and fusion output does not depend on the
@@ -91,6 +93,9 @@ pub enum Backend {
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 impl Backend {
+    /// Every backend, slowest first.
+    const ALL: [Backend; 3] = [Backend::Scalar, Backend::Sse2, Backend::Avx2];
+
     fn from_u8(v: u8) -> Backend {
         match v {
             2 => Backend::Sse2,
@@ -99,8 +104,8 @@ impl Backend {
         }
     }
 
-    /// Short lower-case name (`"scalar"` | `"sse2"` | `"avx2"`), the same
-    /// vocabulary `CFP_KERNEL_BACKEND` accepts.
+    /// Short lower-case name (`"scalar"` | `"sse2"` | `"avx2"`), the
+    /// vocabulary [`Backend::parse`] accepts.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
@@ -128,10 +133,7 @@ impl Backend {
     /// Every backend the running CPU supports, slowest first (always starts
     /// with [`Backend::Scalar`]).
     pub fn available() -> Vec<Backend> {
-        [Backend::Scalar, Backend::Sse2, Backend::Avx2]
-            .into_iter()
-            .filter(|b| b.supported())
-            .collect()
+        Backend::ALL.into_iter().filter(|b| b.supported()).collect()
     }
 
     /// The fastest supported backend at or below `ceiling`.
@@ -142,12 +144,24 @@ impl Backend {
             .unwrap_or(Backend::Scalar)
     }
 
+    /// Parses a backend name: `scalar` | `sse2` | `avx2`, trimmed and
+    /// case-insensitive — the one grammar of `CFP_KERNEL_BACKEND`.
+    pub fn parse(name: &str) -> Option<Backend> {
+        Backend::ALL
+            .into_iter()
+            .find(|b| name.trim().eq_ignore_ascii_case(b.name()))
+    }
+
     /// Detects the backend the process should use: the best CPU-supported
     /// one, clamped by `CFP_KERNEL_BACKEND` (see the module docs).
+    ///
+    /// # Panics
+    /// Panics when `CFP_KERNEL_BACKEND` is set but not a backend name.
     pub fn detect() -> Backend {
-        let ceiling = match std::env::var("CFP_KERNEL_BACKEND").as_deref() {
-            Ok("scalar") => Backend::Scalar,
-            Ok("sse2") => Backend::Sse2,
+        let ceiling = match std::env::var("CFP_KERNEL_BACKEND") {
+            Ok(v) if !v.trim().is_empty() => Backend::parse(&v).unwrap_or_else(|| {
+                panic!("invalid CFP_KERNEL_BACKEND='{v}': expected one of scalar|sse2|avx2")
+            }),
             _ => Backend::Avx2,
         };
         Backend::best_supported(ceiling)

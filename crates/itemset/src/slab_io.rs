@@ -43,10 +43,6 @@ pub const FORMAT_VERSION: u32 = 1;
 /// under any other byte order, catching byte-swapped files up front.
 const ENDIAN_TAG: u32 = 0x0A0B_C0DE;
 
-/// Byte length of everything before the first section (magic + version +
-/// endian tag + 5 header words + 5 section lengths).
-const PREAMBLE_BYTES: u64 = 8 + 4 + 4 + 5 * 8 + 5 * 8;
-
 /// What went wrong reading or writing a slab image.
 #[derive(Debug)]
 pub enum SlabIoError {
@@ -216,7 +212,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// scratch space.
 struct CrcWriter<W: Write> {
     inner: W,
-    crc: u32,
+    crc: Crc32,
     bytes: u64,
 }
 
@@ -224,14 +220,14 @@ impl<W: Write> CrcWriter<W> {
     fn new(inner: W) -> Self {
         Self {
             inner,
-            crc: 0xFFFF_FFFF,
+            crc: Crc32::new(),
             bytes: 0,
         }
     }
 
     fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.inner.write_all(bytes)?;
-        self.crc = crc32_update(self.crc, bytes);
+        self.crc.update(bytes);
         self.bytes += bytes.len() as u64;
         Ok(())
     }
@@ -270,9 +266,12 @@ impl<W: Write> CrcWriter<W> {
         }
     }
 
-    /// The CRC over everything streamed so far.
-    fn crc(&self) -> u32 {
-        self.crc ^ 0xFFFF_FFFF
+    /// Writes the footer (the CRC over everything streamed so far) and
+    /// flushes, returning the image's total byte count.
+    fn finish(mut self) -> io::Result<u64> {
+        self.inner.write_all(&self.crc.finish().to_le_bytes())?;
+        self.inner.flush()?;
+        Ok(self.bytes + 4)
     }
 }
 
@@ -280,20 +279,20 @@ impl<W: Write> CrcWriter<W> {
 /// CRC, so the footer check covers precisely the bytes consumed.
 struct CrcReader<R: Read> {
     inner: R,
-    crc: u32,
+    crc: Crc32,
 }
 
 impl<R: Read> CrcReader<R> {
     fn new(inner: R) -> Self {
         Self {
             inner,
-            crc: 0xFFFF_FFFF,
+            crc: Crc32::new(),
         }
     }
 
     fn take(&mut self, buf: &mut [u8]) -> Result<(), SlabIoError> {
         self.inner.read_exact(buf)?;
-        self.crc = crc32_update(self.crc, buf);
+        self.crc.update(buf);
         Ok(())
     }
 
@@ -336,10 +335,6 @@ impl<R: Read> CrcReader<R> {
             col[have..].iter_mut().for_each(|v| *v = u32::from_le(*v));
         }
         Ok(col)
-    }
-
-    fn crc(&self) -> u32 {
-        self.crc ^ 0xFFFF_FFFF
     }
 }
 
@@ -421,10 +416,7 @@ pub fn write_slab(pool: &PatternPool, w: &mut impl Write) -> Result<u64, SlabIoE
     cw.put_u32s(pool.item_offsets())?;
     cw.put_u32s(pool.item_data())?;
     cw.put_u32s(pool.supports())?;
-    let crc = cw.crc();
-    cw.inner.write_all(&crc.to_le_bytes())?;
-    cw.inner.flush()?;
-    Ok(cw.bytes + 4)
+    Ok(cw.finish()?)
 }
 
 /// Serializes the selected `rows` (in the given order) as a standalone
@@ -461,10 +453,7 @@ pub fn write_slab_rows(
     for &r in rows {
         cw.put_u32(pool.support(r) as u32)?;
     }
-    let crc = cw.crc();
-    cw.inner.write_all(&crc.to_le_bytes())?;
-    cw.inner.flush()?;
-    Ok(cw.bytes + 4)
+    Ok(cw.finish()?)
 }
 
 /// Deserializes a slab image from `r`.
@@ -548,7 +537,7 @@ pub fn read_slab(r: &mut impl Read) -> Result<PatternPool, SlabIoError> {
     let item_data = cr.take_u32s(item_data_len as usize)?;
     let supports = cr.take_u32s(rows_n)?;
 
-    let computed = cr.crc();
+    let computed = cr.crc.finish();
     let mut footer = [0u8; 4];
     cr.inner
         .read_exact(&mut footer)
@@ -606,60 +595,17 @@ pub fn dump_slab_rows_path(
     write_slab_rows(pool, rows, &mut w)
 }
 
-/// [`read_slab`] from the file at `path` (buffered), cross-checking the
-/// declared image size against the file length *before* any column buffer
-/// is allocated — a corrupt header cannot trigger an outsized allocation,
-/// and trailing garbage is rejected.
+/// [`read_slab`] from the file at `path` (buffered), which must end at the
+/// footer: a byte past it is [`SlabIoError::Inconsistent`]. The preamble is
+/// decoded once, by `read_slab`, and a lying one costs no more memory than
+/// the file holds.
 pub fn load_slab_path(path: impl AsRef<Path>) -> Result<PatternPool, SlabIoError> {
-    let file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    if file_len < PREAMBLE_BYTES + 4 {
-        return Err(SlabIoError::Truncated);
+    let mut r = BufReader::new(File::open(path)?);
+    let pool = read_slab(&mut r)?;
+    if r.read(&mut [0u8])? != 0 {
+        return Err(SlabIoError::Inconsistent("bytes follow the footer".into()));
     }
-    let mut r = BufReader::new(file);
-    // Peek the header through a bounded preamble read to learn the declared
-    // size, then hand a fresh reader over preamble + remainder to the
-    // generic path so its CRC still covers every byte.
-    let mut preamble = vec![0u8; PREAMBLE_BYTES as usize];
-    r.read_exact(&mut preamble)?;
-    let declared = declared_total_bytes(&preamble)?;
-    if file_len < declared {
-        return Err(SlabIoError::Truncated);
-    }
-    if file_len > declared {
-        return Err(SlabIoError::Inconsistent(format!(
-            "file is {file_len} bytes but the header declares {declared}"
-        )));
-    }
-    let mut chained = io::Read::chain(&preamble[..], r);
-    read_slab(&mut chained)
-}
-
-/// Parses just enough of a preamble to compute the total image size the
-/// header declares (validating magic/version/byte order on the way).
-fn declared_total_bytes(preamble: &[u8]) -> Result<u64, SlabIoError> {
-    let mut r = &preamble[..MAGIC.len()];
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if magic != MAGIC {
-        return Err(SlabIoError::BadMagic(magic));
-    }
-    let u32_at = |off: usize| u32::from_le_bytes(preamble[off..off + 4].try_into().unwrap());
-    let u64_at = |off: usize| u64::from_le_bytes(preamble[off..off + 8].try_into().unwrap());
-    let version = u32_at(8);
-    if version != FORMAT_VERSION {
-        return Err(SlabIoError::UnsupportedVersion(version));
-    }
-    if u32_at(12) != ENDIAN_TAG {
-        return Err(SlabIoError::EndianMismatch);
-    }
-    let mut total = PREAMBLE_BYTES + 4;
-    for i in 0..5 {
-        total = total
-            .checked_add(u64_at(56 + i * 8))
-            .ok_or_else(|| SlabIoError::Inconsistent("section table overflows u64".into()))?;
-    }
-    Ok(total)
+    Ok(pool)
 }
 
 #[cfg(test)]
@@ -667,6 +613,10 @@ mod tests {
     use super::*;
     use crate::TidSet;
     use proptest::prelude::*;
+
+    /// Byte length of everything before the first section (magic + version +
+    /// endian tag + 5 header words + 5 section lengths).
+    const PREAMBLE_BYTES: u64 = 8 + 4 + 4 + 5 * 8 + 5 * 8;
 
     fn dump_bytes(pool: &PatternPool) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -755,7 +705,7 @@ mod tests {
         let written = dump_slab_path(&pool, &path).expect("dump");
         assert_eq!(written, std::fs::metadata(&path).unwrap().len());
         assert_eq!(load_slab_path(&path).expect("load"), pool);
-        // Trailing garbage is rejected by the size cross-check.
+        // Trailing garbage is rejected: no byte may follow the footer.
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.push(0);
         std::fs::write(&path, &bytes).unwrap();
@@ -833,18 +783,38 @@ mod tests {
         ));
     }
 
-    /// A header claiming `u32::MAX` rows over a `u32::MAX`-tid universe
-    /// (2^61 tid bytes) sizes nothing up front: a stream of the header
-    /// alone ends in a typed truncation, not an allocation failure.
-    #[test]
-    fn a_lying_row_count_allocates_only_what_arrives() {
+    /// A preamble claiming `u32::MAX` rows over a `u32::MAX`-tid universe
+    /// (2^61 tid bytes) and followed by nothing.
+    fn lying_preamble() -> Vec<u8> {
         let big = u32::MAX as usize;
         let mut header = dump_bytes(&PatternPool::new(big))[..PREAMBLE_BYTES as usize].to_vec();
         header[40..48].copy_from_slice(&(big as u64).to_le_bytes());
         for (i, len) in Layout::new(big, big, 0).sections.iter().enumerate() {
             header[56 + i * 8..64 + i * 8].copy_from_slice(&len.to_le_bytes());
         }
-        assert!(matches!(load_bytes(&header), Err(SlabIoError::Truncated)));
+        header
+    }
+
+    /// A lying header sizes nothing up front: a stream of the header alone
+    /// ends in a typed truncation, not an allocation failure.
+    #[test]
+    fn a_lying_row_count_allocates_only_what_arrives() {
+        assert!(matches!(
+            load_bytes(&lying_preamble()),
+            Err(SlabIoError::Truncated)
+        ));
+    }
+
+    /// The same holds for a file: `load_slab_path` decodes the preamble
+    /// through `read_slab` alone.
+    #[test]
+    fn a_file_holding_only_a_lying_preamble_is_truncated() {
+        let dir = std::env::temp_dir().join(format!("cfp-slab-lie-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("lying.slab");
+        std::fs::write(&path, lying_preamble()).unwrap();
+        assert!(matches!(load_slab_path(&path), Err(SlabIoError::Truncated)));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The byte-at-a-time reference loop the slice-by-8 update must match.

@@ -4,6 +4,10 @@
 # Vec<Pattern> copying idioms (per-pattern tid-set clones into index
 # arenas, cloned shard sub-pools, pattern clones into the archive).
 #
+# Rules 13 and 14 keep two more single-copy invariants: only the
+# out-of-core backend writes files, and `env.rs` is the one reader of the
+# environment.
+#
 # Non-test source only (everything above `#[cfg(test)]`), line comments
 # stripped. Run from the workspace root; CI runs it in the build-test job.
 set -eu
@@ -24,6 +28,21 @@ check_absent() { # file, pattern, message
         fail=1
     else
         echo "ok   $file: $message"
+    fi
+}
+
+# check_absent over many files, reporting one line when all are clean.
+check_absent_in() { # pattern, message, files...
+    local pattern="$1" message="$2" file clean=1
+    shift 2
+    for file in "$@"; do
+        if strip "$file" | grep -En "$pattern" >/dev/null; then
+            check_absent "$file" "$pattern" "$message"
+            clean=0
+        fi
+    done
+    if [ "$clean" -eq 1 ]; then
+        echo "ok   $# files: $message"
     fi
 }
 
@@ -124,8 +143,21 @@ for file in executor net; do
         'the wire path writes no files (only the out-of-core backend spills)'
 done
 
+# 14. The environment has one reader: `env.rs` decodes every `CFP_*`
+#     variable and the library takes its settings as config values. Only
+#     the kernel layer, below cfp-core, reads `CFP_KERNEL_BACKEND` itself,
+#     and only `config.rs` (`FusionConfig::new`'s sharding) calls into
+#     `env.rs` from inside cfp-core.
+check_absent_in 'std::env::var' \
+    'reads no environment variable outside env.rs and the kernel layer' \
+    $(find crates/core/src crates/itemset/src crates/miners/src src -name '*.rs' \
+        ! -path crates/core/src/env.rs ! -path crates/itemset/src/kernels/mod.rs | sort)
+check_absent_in 'crate::env::' \
+    'takes its settings as config values (no crate::env:: outside env.rs and config.rs)' \
+    $(find crates/core/src -name '*.rs' ! -name env.rs ! -name config.rs | sort)
+
 if [ "$fail" -ne 0 ]; then
-    echo "slab hot-path gate failed: a Vec<Pattern> copying idiom is back on the mine->fuse path"
+    echo "slab hot-path gate failed: a rule above no longer holds (see its FAIL lines)"
     exit 1
 fi
 echo "slab hot-path gate passed"

@@ -30,12 +30,12 @@
 //! `--stdio` it serves one shard on stdin/stdout for the `process`
 //! executor that spawned it.
 
-use colossal::fusion::env as cfp_env;
+use colossal::fusion::env::{self as cfp_env, OptEnv};
 use colossal::fusion::net;
-use colossal::fusion::oocore::{parse_budget, OocoreConfig};
+use colossal::fusion::oocore::OocoreConfig;
 use colossal::fusion::{
-    serve_queries, BallQueryStats, DaemonOptions, ExecutorKind, FusionConfig, FusionResult,
-    HostOptions, QueryClient, RemoteConfig, Source, SubprocessConfig,
+    serve_queries, BallQueryStats, DaemonOptions, EnvError, ExecutorKind, FusionConfig,
+    FusionResult, HostOptions, QueryClient, RemoteConfig, Source, SubprocessConfig,
 };
 use colossal::itemset::slab_io;
 use colossal::itemset::{read_fimi, write_fimi, TransactionDb};
@@ -188,6 +188,29 @@ fn parse_value<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Opti
     Ok(None)
 }
 
+/// A setting a flag shares with the `CFP_*` variable it overrides: the
+/// flag, parsed by the variable's own `env::parse_*` grammar so that it
+/// accepts exactly what the variable accepts, else the variable.
+fn setting<T>(
+    args: &[String],
+    flag: &str,
+    parse: fn(&str) -> Result<T, EnvError>,
+    var: fn() -> OptEnv<T>,
+) -> Result<Option<T>, String> {
+    match parse_value::<String>(args, flag)? {
+        Some(raw) => parse(&raw)
+            .map(Some)
+            .map_err(|e| format!("invalid {flag} '{raw}': expected {}", e.expected)),
+        None => var().map_err(|e| e.to_string()),
+    }
+}
+
+/// A `CFP_*` variable with no flag ([`cfp_env::validate_all`] has already
+/// vetted it, so this only fails if the environment changed since).
+fn env<T>(var: fn() -> OptEnv<T>) -> Result<Option<T>, String> {
+    var().map_err(|e| e.to_string())
+}
+
 fn load(path: &str) -> Result<TransactionDb, String> {
     read_fimi(path).map_err(|e| format!("reading {path}: {e}"))
 }
@@ -237,10 +260,12 @@ fn listen(args: &[String]) -> Result<(std::net::TcpListener, DaemonOptions), Str
     if let Some(n) = parse_value::<usize>(args, "--max-conns")? {
         opts = opts.with_max_conns(n);
     }
-    let io_timeout = match parse_value::<u64>(args, "--io-timeout")? {
-        Some(ms) => Some(std::time::Duration::from_millis(ms.max(1))),
-        None => net::timeout_from_env(),
-    };
+    let io_timeout = setting(
+        args,
+        "--io-timeout",
+        cfp_env::parse_net_timeout,
+        cfp_env::net_timeout,
+    )?;
     if let Some(t) = io_timeout {
         opts = opts.with_io_timeout(t);
     }
@@ -251,11 +276,35 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         return Err("mine: missing <file.dat>".into());
     };
+    // Every flag that needs no dataset is resolved before the dataset is
+    // read, so a mistyped one costs no parse. `--shards N` /
+    // `--shard-strategy stratum|minhash` override CFP_SHARDS /
+    // CFP_SHARD_STRATEGY; `--pool SLAB` starts from a dumped pool slab of
+    // the same dataset.
+    let shards = setting(args, "--shards", cfp_env::parse_shards, cfp_env::shards)?;
+    let strategy = setting(
+        args,
+        "--shard-strategy",
+        cfp_env::parse_shard_strategy,
+        cfp_env::shard_strategy,
+    )?;
+    let executor = executor(args, path)?;
+    let source = match parse_value::<String>(args, "--pool")? {
+        Some(p) => Source::SlabFile(p.into()),
+        None => Source::Transactions,
+    };
+    let append = parse_value::<String>(args, "--append")?;
+    if append.is_some() && matches!(source, Source::SlabFile(_)) {
+        return Err("--append cannot start from a dumped --pool slab".into());
+    }
+    if append.is_some() && executor.is_some() {
+        return Err("--append runs in-process (drop --executor / --mem-budget)".into());
+    }
+
     let db = load(path)?;
     if db.is_empty() {
         return Err("dataset has no transactions".into());
     }
-
     let mut config = mining_config(args, &db)?;
     eprintln!(
         "mining {path}: {} transactions, {} items, min support {}, K={}, τ={}",
@@ -265,126 +314,18 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
         config.k,
         config.tau
     );
-    // `--shards N` / `--shard-strategy stratum|minhash` override the
-    // CFP_SHARDS / CFP_SHARD_STRATEGY environment defaults.
-    if let Some(shards) = parse_value::<usize>(args, "--shards")? {
-        config = config.with_shards(shards);
+    if let Some(n) = shards {
+        config = config.with_shards(n);
     }
-    if let Some(name) = parse_value::<String>(args, "--shard-strategy")? {
-        let strategy = colossal::fusion::ShardStrategy::parse(&name)
-            .ok_or_else(|| format!("unknown --shard-strategy '{name}' (stratum|minhash)"))?;
+    if let Some(strategy) = strategy {
         config = config.with_shard_strategy(strategy);
     }
-    // `--mem-budget B` (or the CFP_MEM_BUDGET environment default) routes
-    // the run through the out-of-core driver — same output, bounded
-    // resident slab bytes. `--pool SLAB` starts from a dumped pool slab of
-    // the same dataset.
-    let budget = match parse_value::<String>(args, "--mem-budget")? {
-        Some(s) => Some(parse_budget(&s).ok_or_else(|| {
-            format!("invalid --mem-budget '{s}' (bytes, with optional k/m/g suffix)")
-        })?),
-        None => cfp_env::mem_budget().map_err(|e| e.to_string())?,
-    };
-    let spill_dir = parse_value::<String>(args, "--spill-dir")?;
-    let keep_spill = parse_flag(args, "--keep-spill");
-    let make_oo = |b: u64| {
-        let mut oo = OocoreConfig::new(b).with_keep_spill(keep_spill);
-        if let Some(d) = &spill_dir {
-            oo = oo.with_spill_dir(d);
-        }
-        oo
-    };
-    // `--executor` / CFP_EXECUTOR picks the shard execution backend.
-    // Unknown names are hard errors; an explicit executor wins over the
-    // legacy `--mem-budget → oocore` routing (the budget still feeds the
-    // oocore backend's config).
-    let parsed_executor = match parse_value::<String>(args, "--executor")? {
-        Some(name) => Some(ExecutorKind::parse(&name).ok_or_else(|| {
-            format!("unknown --executor '{name}' (thread|oocore|process|remote)")
-        })?),
-        None => cfp_env::executor().map_err(|e| e.to_string())?,
-    };
-    let fallback = cfp_env::executor_fallback().map_err(|e| e.to_string())?;
-    let executor = parsed_executor
-        .map(|parsed| {
-            Ok::<ExecutorKind, String>(match parsed {
-                ExecutorKind::OutOfCore(_) => ExecutorKind::OutOfCore(make_oo(budget.unwrap_or(0))),
-                ExecutorKind::Subprocess(_) => {
-                    // Closure-step workers rebuild the vertical index from
-                    // the dataset (the executor hands it to no others); a
-                    // failed worker falls back in-process when
-                    // CFP_EXECUTOR_FALLBACK=1.
-                    let mut sp = SubprocessConfig::new().with_db_path(path);
-                    if fallback == Some(true) {
-                        sp = sp.with_fallback_in_process(true);
-                    }
-                    ExecutorKind::Subprocess(sp)
-                }
-                ExecutorKind::Remote(_) => {
-                    // Worker fleet from --workers / CFP_WORKERS; deadlines
-                    // and attempt budget from the CFP_NET_* environment
-                    // (validated in main); deterministic fault schedule
-                    // from CFP_FAULT when compiled in. Fallback is on by
-                    // default for remote — CFP_EXECUTOR_FALLBACK=0 turns a
-                    // retry-exhausted shard into a typed error instead.
-                    let workers = match parse_value::<String>(args, "--workers")? {
-                        Some(list) => {
-                            let ws: Vec<String> = list
-                                .split(',')
-                                .map(|w| w.trim().to_string())
-                                .filter(|w| !w.is_empty())
-                                .collect();
-                            (!ws.is_empty()).then_some(ws)
-                        }
-                        None => cfp_env::workers().map_err(|e| e.to_string())?,
-                    };
-                    let mut rc = RemoteConfig::new()
-                        .with_workers(workers.ok_or(
-                            "--executor remote needs --workers host:port,... or CFP_WORKERS",
-                        )?)
-                        .with_fault(net::FaultPlan::from_env());
-                    if fallback == Some(false) {
-                        rc = rc.with_fallback_in_thread(false);
-                    }
-                    ExecutorKind::Remote(rc)
-                }
-                ExecutorKind::InThread => ExecutorKind::InThread,
-            })
-        })
-        .transpose()?;
-    // A plain `--mem-budget` (no explicit executor) is sugar for the
-    // out-of-core backend; an explicit executor wins, with the budget
-    // already folded into its config above.
-    let executor = executor.or_else(|| budget.map(|b| ExecutorKind::OutOfCore(make_oo(b))));
-    // Only the out-of-core backend writes to disk: a spill flag on any
-    // other run would do nothing, so it is refused rather than ignored.
-    if !matches!(executor, Some(ExecutorKind::OutOfCore(_))) {
-        if let Some(flag) = ["--spill-dir", "--keep-spill"]
-            .into_iter()
-            .find(|flag| args.iter().any(|a| a == flag))
-        {
-            return Err(format!(
-                "{flag} applies only to out-of-core runs (--mem-budget, CFP_MEM_BUDGET, \
-                 or the oocore executor); this run writes no spill files"
-            ));
-        }
-    }
-    let source = match parse_value::<String>(args, "--pool")? {
-        Some(p) => Source::SlabFile(p.into()),
-        None => Source::Transactions,
-    };
 
     // `--append FILE` routes through the incremental delta driver
     // (`cfp_core::delta`): the base file is mined, the appended
     // transactions absorbed at delta cost, and the printed result is
     // bit-identical to mining the concatenated file from scratch.
-    if let Some(delta_path) = parse_value::<String>(args, "--append")? {
-        if matches!(source, Source::SlabFile(_)) {
-            return Err("--append cannot start from a dumped --pool slab".into());
-        }
-        if executor.is_some() {
-            return Err("--append runs in-process (drop --executor / --mem-budget)".into());
-        }
+    if let Some(delta_path) = append {
         let delta = colossal::itemset::DbDelta::read_fimi(&delta_path)
             .map_err(|e| format!("reading {delta_path}: {e}"))?;
         let mut engine = colossal::fusion::DeltaEngine::new(db, config);
@@ -516,6 +457,84 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
         println!("{}\t{}\t{}", p.len(), p.support(), rendered.join(" "));
     }
     Ok(())
+}
+
+/// The shard execution backend of a `mine` run, if not the default engine:
+/// `--executor` (else CFP_EXECUTOR), configured from its flags and the
+/// `CFP_*` variables, or `--mem-budget` (else CFP_MEM_BUDGET) alone as
+/// sugar for the out-of-core backend. An explicit executor wins over that
+/// routing; the budget still feeds the out-of-core backend's config.
+fn executor(args: &[String], path: &str) -> Result<Option<ExecutorKind>, String> {
+    let budget = setting(
+        args,
+        "--mem-budget",
+        cfp_env::parse_mem_budget,
+        cfp_env::mem_budget,
+    )?;
+    let spill_dir = parse_value::<String>(args, "--spill-dir")?;
+    let keep_spill = parse_flag(args, "--keep-spill");
+    let make_oo = |b: u64| {
+        let mut oo = OocoreConfig::new(b).with_keep_spill(keep_spill);
+        if let Some(d) = &spill_dir {
+            oo = oo.with_spill_dir(d);
+        }
+        ExecutorKind::OutOfCore(oo)
+    };
+    let parsed = match parse_value::<String>(args, "--executor")? {
+        Some(name) => Some(ExecutorKind::parse(&name).ok_or_else(|| {
+            format!("unknown --executor '{name}' (thread|oocore|process|remote)")
+        })?),
+        None => env(cfp_env::executor)?,
+    };
+    let fallback = env(cfp_env::executor_fallback)?;
+    let timeout = env(cfp_env::net_timeout)?;
+    let executor = match parsed {
+        Some(ExecutorKind::OutOfCore(_)) => Some(make_oo(budget.unwrap_or(0))),
+        Some(ExecutorKind::Subprocess(_)) => {
+            // Closure-step workers rebuild the vertical index from the
+            // dataset (the executor hands it to no others); a failed worker
+            // falls back in-process when CFP_EXECUTOR_FALLBACK=1. Workers
+            // inherit CFP_FAULT with the rest of the environment.
+            let mut sp = SubprocessConfig::new()
+                .with_db_path(path)
+                .with_fallback_in_process(fallback == Some(true));
+            sp.timeout = timeout;
+            Some(ExecutorKind::Subprocess(sp))
+        }
+        Some(ExecutorKind::Remote(_)) => {
+            // Fallback is on by default for remote: CFP_EXECUTOR_FALLBACK=0
+            // turns a retry-exhausted shard into a typed error instead.
+            let workers = setting(args, "--workers", cfp_env::parse_workers, cfp_env::workers)?
+                .ok_or("--executor remote needs --workers host:port,... or CFP_WORKERS")?;
+            let mut rc = RemoteConfig::default()
+                .with_workers(workers)
+                .with_fallback_in_thread(fallback != Some(false))
+                .with_fault(env(cfp_env::fault_plan)?.unwrap_or_default());
+            if let Some(t) = timeout {
+                rc = rc.with_timeout(t);
+            }
+            if let Some(n) = env(cfp_env::net_attempts)? {
+                rc = rc.with_attempts(n);
+            }
+            Some(ExecutorKind::Remote(rc))
+        }
+        Some(ExecutorKind::InThread) => Some(ExecutorKind::InThread),
+        None => budget.map(make_oo),
+    };
+    // Only the out-of-core backend writes to disk: a spill flag on any
+    // other run would do nothing, so it is refused rather than ignored.
+    if !matches!(executor, Some(ExecutorKind::OutOfCore(_))) {
+        if let Some(flag) = ["--spill-dir", "--keep-spill"]
+            .into_iter()
+            .find(|flag| args.iter().any(|a| a == flag))
+        {
+            return Err(format!(
+                "{flag} applies only to out-of-core runs (--mem-budget, CFP_MEM_BUDGET, \
+                 or the oocore executor); this run writes no spill files"
+            ));
+        }
+    }
+    Ok(executor)
 }
 
 /// The `--stats` ball-query line of one iteration, one shard or the
@@ -726,13 +745,14 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 /// stdin/stdout, which carries frames only, then exits with the session's
 /// code (0 ok, 2 slab I/O, 3 malformed request or dataset, 1 otherwise).
 fn cmd_shard_host_stdio(args: &[String]) -> ExitCode {
-    // A `String` value always parses.
+    // A `String` value always parses, and `main` has validated CFP_FAULT.
     let db = parse_value::<String>(args, "--db").ok().flatten();
+    let fault = cfp_env::fault_plan().ok().flatten().unwrap_or_default();
     let session = net::serve_session(
         std::io::stdin().lock(),
         std::io::BufWriter::with_capacity(net::SLAB_CHUNK_BYTES, std::io::stdout().lock()),
         db.as_deref().map(std::path::Path::new),
-        &HostOptions::default().with_fault(net::FaultPlan::from_env()),
+        &HostOptions::default().with_fault(fault),
     );
     match session {
         Ok(()) => ExitCode::SUCCESS,
@@ -757,7 +777,7 @@ fn cmd_shard_host(args: &[String]) -> Result<(), String> {
         daemon,
         ..HostOptions::default()
     }
-    .with_fault(net::FaultPlan::from_env());
+    .with_fault(env(cfp_env::fault_plan)?.unwrap_or_default());
     if let Some(ms) = parse_value::<u64>(args, "--heartbeat")? {
         opts = opts.with_heartbeat(std::time::Duration::from_millis(ms.max(1)));
     }

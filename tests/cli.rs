@@ -116,6 +116,14 @@ fn bad_inputs_fail_cleanly() {
     let out = cfp().args(["mine", "/nonexistent/x.dat"]).output().unwrap();
     assert!(!out.status.success());
 
+    // Executor flags are checked before the dataset is read.
+    let out = cfp()
+        .args(["mine", "/nonexistent/x.dat", "--executor", "bogus"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown --executor"));
+
     let out = cfp().args(["generate", "bogus"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown kind"));
@@ -324,6 +332,20 @@ fn process_executor_output_matches_default_engine() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown --executor"));
 
+    // A flag accepts exactly what the variable it overrides accepts.
+    for (flags, expect) in [
+        (&["--shards", "0"][..], "invalid --shards '0'"),
+        (
+            &["--executor", "remote", "--workers", ","][..],
+            "invalid --workers ','",
+        ),
+    ] {
+        let out = cfp().args(mine_args).args(flags).output().unwrap();
+        assert!(!out.status.success(), "{flags:?} unexpectedly succeeded");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(expect), "{flags:?}: stderr was: {err}");
+    }
+
     std::fs::remove_file(&data).ok();
 }
 
@@ -347,6 +369,15 @@ fn malformed_shard_env_fails_before_mining() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("invalid CFP_SHARD_STRATEGY='banana'"), "{err}");
+
+    let out = cfp()
+        .args(["mine", "/nonexistent/never-read.dat"])
+        .env("CFP_KERNEL_BACKEND", "scalr")
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("invalid CFP_KERNEL_BACKEND='scalr'"), "{err}");
 }
 
 #[test]
